@@ -3,7 +3,7 @@
 //! `recommend` (§6 guidelines), `stepping` (print a stepping curve),
 //! `corpus` (inspect the UF-substitute corpus), `serve`/`advise`/
 //! `loadgen` (the `opm-api/v1` query service and its clients), plus the
-//! campaign/bench machinery. Argument parsing is hand-rolled
+//! campaign machinery. Argument parsing is hand-rolled
 //! (`--key value` pairs) to stay inside the approved dependency set.
 //!
 //! ## Globals and exit codes
@@ -16,7 +16,7 @@
 //! process exits with:
 //!
 //! * `0` — success;
-//! * `1` — runtime failure (evaluation, I/O, a regression gate);
+//! * `1` — runtime failure (evaluation, I/O);
 //! * `2` — usage or configuration error (unknown subcommand, malformed
 //!   global flag or `OPM_*` value).
 
@@ -191,9 +191,9 @@ fn apply_globals(args: &Args, cmd: &str) -> Result<(), CliFailure> {
         std::env::set_var("OPM_TELEMETRY", mode);
     }
     if let Some(out) = args.options.get("out") {
-        // bench/loadgen treat --out as an output *file*; campaign and
+        // loadgen treats --out as an output *file*; campaign and
         // merge-shards handle the directory themselves.
-        if !matches!(cmd, "bench" | "loadgen" | "campaign" | "merge-shards") && out != "true" {
+        if !matches!(cmd, "loadgen" | "campaign" | "merge-shards") && out != "true" {
             std::env::set_var("OPM_RESULTS", out);
         }
     }
@@ -217,7 +217,6 @@ pub fn dispatch(raw: &[String]) -> Result<String, CliFailure> {
         "stepping" => cmd_stepping(&args).map_err(CliFailure::runtime),
         "corpus" => cmd_corpus(&args).map_err(CliFailure::runtime),
         "top" => cmd_top(&args).map_err(CliFailure::runtime),
-        "bench" => cmd_bench(&args).map_err(CliFailure::runtime),
         "campaign" => cmd_campaign(&args).map_err(CliFailure::runtime),
         "shard-worker" => crate::shard::run_worker(&args).map_err(CliFailure::runtime),
         "merge-shards" => cmd_merge_shards(&args).map_err(CliFailure::runtime),
@@ -244,12 +243,12 @@ GLOBAL OPTIONS (accepted by every subcommand):
   --threads <n>        engine worker threads (applies OPM_THREADS)
   --telemetry <mode>   off | summary | full (applies OPM_TELEMETRY)
   --out <path>         results destination (directory via OPM_RESULTS; an
-                       output *file* for bench/loadgen; campaign dir for
+                       output *file* for loadgen; campaign dir for
                        campaign/merge-shards)
 
 EXIT CODES:
   0  success
-  1  runtime failure (evaluation, I/O, regression gate)
+  1  runtime failure (evaluation, I/O)
   2  usage/configuration error (unknown subcommand, malformed global
      flag or OPM_* environment value)
 
@@ -300,13 +299,6 @@ USAGE:
       <dir>/shards/snap-<i>of<n>.prom snapshot, and a TOTAL row from the
       merged <dir>/telemetry/metrics.prom (falling back to the snapshot
       union while the campaign runs).
-  opm bench [--smoke] [--no-campaign] [--out <path>]
-           [--compare <baseline.json>] [--fail-on-regression]
-      run the memsim/engine hot-path speed program and write
-      BENCH_engine.json (schema opm-bench-engine/v1; see the
-      \"Performance tracking\" section of README.md). --compare prints
-      per-metric deltas vs a committed baseline report; with the opt-in
-      --fail-on-regression, any metric >20% worse exits nonzero.
   opm campaign --shards <n> [--only <figs>] [--resume] [--out <dir>]
               [--reduced] [--threads <n>] [--fault-spec <spec>]
               [--watchdog-ms <n>] [--heartbeat-ms <n>]
@@ -657,68 +649,6 @@ fn cmd_corpus(args: &Args) -> Result<String, String> {
     }
 }
 
-/// `opm bench`: the memsim/engine hot-path speed program (see
-/// [`crate::bench_engine`]).
-fn cmd_bench(args: &Args) -> Result<String, String> {
-    // A typo'd flag must not silently run the full harness and
-    // overwrite the tracked BENCH_engine.json baseline.
-    for key in args.options.keys() {
-        if !matches!(
-            key.as_str(),
-            "smoke" | "no-campaign" | "out" | "compare" | "fail-on-regression"
-        ) {
-            return Err(format!("bench: unknown option --{key}\n{HELP}"));
-        }
-    }
-    let out = match args.options.get("out") {
-        // The parser stores "true" for a valueless flag, so a bare
-        // `--out` (path swallowed or missing) is indistinguishable from
-        // `--out true` — reject both rather than write a file `true`.
-        Some(v) if v == "true" => return Err("bench: --out needs a path".to_string()),
-        Some(v) => std::path::PathBuf::from(v),
-        None => std::path::PathBuf::from(crate::bench_engine::DEFAULT_OUT),
-    };
-    // Parse (and read) the baseline before the harness runs: a bad path
-    // should fail in milliseconds, not after minutes of measurement.
-    let baseline = match args.options.get("compare") {
-        Some(v) if v == "true" => return Err("bench: --compare needs a baseline path".to_string()),
-        Some(v) => {
-            let text = std::fs::read_to_string(v)
-                .map_err(|e| format!("bench: reading baseline {v}: {e}"))?;
-            Some((
-                v.clone(),
-                crate::compare::parse_baseline(&text).map_err(|e| format!("bench: {v}: {e}"))?,
-            ))
-        }
-        None => None,
-    };
-    if args.get_flag("fail-on-regression") && baseline.is_none() {
-        return Err("bench: --fail-on-regression needs --compare <baseline.json>".to_string());
-    }
-    let opts = crate::bench_engine::BenchOptions {
-        smoke: args.get_flag("smoke"),
-        campaign: !args.get_flag("no-campaign"),
-        out: Some(out),
-    };
-    let report = crate::bench_engine::run_bench(&opts);
-    let out = opts.out.as_deref().expect("out path set above");
-    let mut text = format!("{}\nwrote {}", report.summary(), out.display());
-    if let Some((path, baseline)) = baseline {
-        let deltas = crate::compare::compare(&report, &baseline);
-        let (table, regressions) = crate::compare::render(&deltas);
-        text.push_str(&format!("\n\nvs baseline {path}:\n{table}"));
-        if !regressions.is_empty() && args.get_flag("fail-on-regression") {
-            return Err(format!(
-                "{text}\nbench: {} metric(s) regressed >{:.0}%: {}",
-                regressions.len(),
-                100.0 * crate::compare::REGRESSION_THRESHOLD,
-                regressions.join(", ")
-            ));
-        }
-    }
-    Ok(text)
-}
-
 /// `opm top`: render the run dashboard from a telemetry JSONL trace
 /// (see [`crate::top`]), or — with `--campaign <dir>` — the shard
 /// liveness table of a supervised campaign. `--follow` polls until the
@@ -807,34 +737,6 @@ mod tests {
 
     fn run_str(cmd: &str) -> Result<String, String> {
         run(&cmd.split_whitespace().map(String::from).collect::<Vec<_>>())
-    }
-
-    #[test]
-    fn bench_rejects_unknown_options_and_bare_out() {
-        // A typo'd flag must not run the harness and overwrite the
-        // tracked BENCH_engine.json; a valueless --out must not write a
-        // file literally named "true".
-        let err = run_str("bench --bogus").unwrap_err();
-        assert!(err.contains("unknown option --bogus"), "{err}");
-        let err = run_str("bench --out").unwrap_err();
-        assert!(err.contains("--out needs a path"), "{err}");
-    }
-
-    #[test]
-    fn bench_compare_validates_before_running() {
-        // All of these must fail fast, without running the harness.
-        let err = run_str("bench --compare").unwrap_err();
-        assert!(err.contains("--compare needs a baseline path"), "{err}");
-        let err = run_str("bench --compare /nonexistent/baseline.json").unwrap_err();
-        assert!(err.contains("reading baseline"), "{err}");
-        let err = run_str("bench --fail-on-regression").unwrap_err();
-        assert!(err.contains("needs --compare"), "{err}");
-        // A non-bench JSON document is rejected as a baseline.
-        let p = std::env::temp_dir().join(format!("opm_cli_baseline_{}.json", std::process::id()));
-        std::fs::write(&p, "{\"schema\": \"something-else\"}").unwrap();
-        let err = run_str(&format!("bench --compare {}", p.display())).unwrap_err();
-        assert!(err.contains("not an opm-bench-engine/v1"), "{err}");
-        let _ = std::fs::remove_file(&p);
     }
 
     #[test]

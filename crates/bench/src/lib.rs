@@ -337,10 +337,8 @@ mod tests {
 }
 
 pub mod ablation;
-pub mod bench_engine;
 pub mod checkpoint;
 pub mod cli;
-pub mod compare;
 pub mod corpus;
 pub mod extensions;
 pub mod figures;

@@ -27,8 +27,8 @@ use std::time::{Duration, Instant};
 /// Schema identifier written to (and asserted on) every report.
 pub const SCHEMA: &str = "opm-bench-serve/v1";
 
-/// Default output file (committed at the repo root like
-/// `BENCH_engine.json`).
+/// Default output file (committed at the repo root: the CI serve-smoke
+/// job diffs its report's schema against it).
 pub const DEFAULT_OUT: &str = "BENCH_serve.json";
 
 /// Load-generation options.
@@ -320,8 +320,8 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> Result<LoadReport, String> {
     if opts.shutdown {
         let mut client =
             Client::connect(&opts.addr).map_err(|e| format!("loadgen: shutdown connect: {e}"))?;
-        // Ids ride a JSON double: stay within the 2^53 exact range or
-        // the daemon rejects the document (and ignores the flag).
+        // Ids ride a JSON double: stay at or below 2^53 - 1 or the
+        // daemon rejects the document (and ignores the flag).
         let _ = client.roundtrip(&Request {
             id: 0,
             queries: Vec::new(),

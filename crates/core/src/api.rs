@@ -46,6 +46,14 @@ pub const VERSION: &str = "opm-api/v1";
 /// an attack, not a workload).
 pub const MAX_FRAME_LEN: u32 = 4 << 20;
 
+/// Largest integer a wire field (request ids, integral query fields)
+/// may carry: 2^53 − 1, the top of the range where every integer is an
+/// exact JSON double (JavaScript's `Number.MAX_SAFE_INTEGER`).
+pub const MAX_EXACT_INT: u64 = (1 << 53) - 1;
+
+/// Decode-error tail for an integer field outside `0..=MAX_EXACT_INT`.
+const INT_EXPECTED: &str = "must be a non-negative integer at most 9007199254740991 (2^53 - 1)";
+
 // ---------------------------------------------------------------------
 // Framing
 // ---------------------------------------------------------------------
@@ -238,11 +246,13 @@ impl Json {
     }
 
     /// This value as a non-negative integer (must be integral and at
-    /// most 2^53, the exactly-representable range).
+    /// most [`MAX_EXACT_INT`]). 2^53 itself is refused: it is also the
+    /// double that 2^53 + 1 rounds to, so accepting it would silently
+    /// answer a different number than the one sent.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Num(v)
-                if v.is_finite() && *v >= 0.0 && v.fract() == 0.0 && *v <= 9_007_199_254_740_992.0 =>
+                if v.is_finite() && *v >= 0.0 && v.fract() == 0.0 && *v <= MAX_EXACT_INT as f64 =>
             {
                 Some(*v as u64)
             }
@@ -576,7 +586,7 @@ impl Query {
                 Some(v) => v
                     .as_u64()
                     .map(Some)
-                    .ok_or_else(|| format!("query field {name:?} must be a non-negative integer")),
+                    .ok_or_else(|| format!("query field {name:?} {INT_EXPECTED}")),
             }
         };
         let field_f64 = |name: &str| -> Result<Option<f64>, String> {
@@ -624,8 +634,8 @@ impl Query {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Request {
     /// Client-chosen correlation id, echoed in the response. Ids ride
-    /// a JSON double on the wire: values above 2^53 are not exactly
-    /// representable and are rejected by the decoder.
+    /// a JSON double on the wire, which is exact only up to 2^53 − 1
+    /// ([`MAX_EXACT_INT`]); larger values are rejected by the decoder.
     pub id: u64,
     /// The queries, answered positionally.
     pub queries: Vec<Query>,
@@ -659,7 +669,7 @@ impl Request {
         check_version(&j)?;
         let id = match j.get("id") {
             None | Some(Json::Null) => 0,
-            Some(v) => v.as_u64().ok_or("\"id\" must be a non-negative integer")?,
+            Some(v) => v.as_u64().ok_or_else(|| format!("\"id\" {INT_EXPECTED}"))?,
         };
         let shutdown = match j.get("shutdown") {
             None | Some(Json::Null) => false,
@@ -959,7 +969,7 @@ impl Response {
         check_version(&j)?;
         let id = match j.get("id") {
             None | Some(Json::Null) => 0,
-            Some(v) => v.as_u64().ok_or("\"id\" must be a non-negative integer")?,
+            Some(v) => v.as_u64().ok_or_else(|| format!("\"id\" {INT_EXPECTED}"))?,
         };
         let results = match j.get("results") {
             None | Some(Json::Null) => Vec::new(),

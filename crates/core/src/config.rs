@@ -72,9 +72,6 @@ pub struct Config {
     /// entries; `opm serve` uses this to keep a long-running daemon's
     /// cross-request cache from growing without limit.
     pub cache_capacity: Option<usize>,
-    /// `OPM_TRACE_SHARDS` — residue-class shards of one point's memsim
-    /// trace (default 1 = serial simulation).
-    pub trace_shards: usize,
     /// `OPM_REDUCED` — reduced harness grids (default off).
     pub reduced: bool,
     /// `OPM_MAX_RETRIES` — transient point-failure retry budget
@@ -106,7 +103,6 @@ impl Default for Config {
             profile_cache: true,
             cache_shards: DEFAULT_CACHE_SHARDS,
             cache_capacity: None,
-            trace_shards: 1,
             reduced: false,
             max_retries: 2,
             checkpoint_every: 64,
@@ -150,12 +146,6 @@ impl Config {
                 POSITIVE_USIZE,
             )?,
             cache_capacity: parse_opt(get("OPM_CACHE_CAP"), "OPM_CACHE_CAP", POSITIVE_USIZE)?,
-            trace_shards: parse_or(
-                get("OPM_TRACE_SHARDS"),
-                "OPM_TRACE_SHARDS",
-                d.trace_shards,
-                POSITIVE_USIZE,
-            )?,
             reduced: parse_or(get("OPM_REDUCED"), "OPM_REDUCED", d.reduced, BOOL)?,
             max_retries: parse_or(
                 get("OPM_MAX_RETRIES"),
@@ -183,8 +173,8 @@ impl Config {
     }
 
     /// [`Config::from_env`], panicking with the typed error message on a
-    /// malformed value. Library entry points (the engine, the memsim
-    /// trace sharder) use this: a misconfigured knob should stop the
+    /// malformed value. Library entry points (the engine, telemetry,
+    /// fault injection) use this: a misconfigured knob should stop the
     /// process with the variable named, not be silently ignored. The
     /// `opm` CLI validates earlier and turns the same error into exit
     /// code 2.
@@ -286,7 +276,6 @@ mod tests {
             ("OPM_PROFILE_CACHE", "off"),
             ("OPM_CACHE_SHARDS", "4"),
             ("OPM_CACHE_CAP", "512"),
-            ("OPM_TRACE_SHARDS", "2"),
             ("OPM_REDUCED", "1"),
             ("OPM_MAX_RETRIES", "0"),
             ("OPM_CKPT_EVERY", "16"),
@@ -301,7 +290,6 @@ mod tests {
         assert!(!c.profile_cache);
         assert_eq!(c.cache_shards, 4);
         assert_eq!(c.cache_capacity, Some(512));
-        assert_eq!(c.trace_shards, 2);
         assert!(c.reduced);
         assert_eq!(c.max_retries, 0);
         assert_eq!(c.checkpoint_every, 16);
@@ -329,9 +317,6 @@ mod tests {
 
         let err = cfg(&[("OPM_PROFILE_CACHE", "maybe")]).unwrap_err();
         assert_eq!(err.var, "OPM_PROFILE_CACHE");
-
-        let err = cfg(&[("OPM_TRACE_SHARDS", "0")]).unwrap_err();
-        assert_eq!(err.var, "OPM_TRACE_SHARDS");
 
         let err = cfg(&[("OPM_CACHE_CAP", "-3")]).unwrap_err();
         assert_eq!(err.var, "OPM_CACHE_CAP");

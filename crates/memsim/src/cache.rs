@@ -691,54 +691,6 @@ impl SetAssocCache {
             .any(|&m| m & !DIRTY == want)
     }
 
-    /// Absorb the state of a set-partitioned sharded run: set `set`'s
-    /// tags, recency state, and fingerprints are copied verbatim from
-    /// `src` (the shard that owned the set — shards were cloned from
-    /// `self`, so untouched sets copy back unchanged). Used by
-    /// `HierarchySim::run_sharded` to leave the cache exactly as a
-    /// serial run of the same trace would have.
-    pub(crate) fn adopt_set(&mut self, src: &SetAssocCache, set: usize) {
-        let b = set * self.ways;
-        self.tags[b..b + self.ways].copy_from_slice(&src.tags[b..b + self.ways]);
-        if !self.perm.is_empty() {
-            self.perm[set] = src.perm[set];
-        }
-        if self.fpw != 0 {
-            let f = set * self.fpw;
-            self.fp[f..f + self.fpw].copy_from_slice(&src.fp[f..f + self.fpw]);
-        }
-        if !self.stamp.is_empty() {
-            self.stamp[b..b + self.ways].copy_from_slice(&src.stamp[b..b + self.ways]);
-        }
-    }
-
-    /// Finish absorbing a sharded run: lifetime counters become
-    /// `base + Σ(shard − base)` (every shard started from the same
-    /// snapshot), the stamp clock jumps past every shard's (within-set
-    /// stamp *order* is what victim selection reads, and each set's
-    /// stamps came from exactly one shard), and the same-line memo is
-    /// dropped (it may point into a set now owned by another shard's
-    /// state; the memo is a pure optimization, so dropping it is
-    /// unobservable).
-    pub(crate) fn finish_adopt<'a, I>(&mut self, shards: I)
-    where
-        I: IntoIterator<Item = &'a SetAssocCache>,
-    {
-        let base = self.stats;
-        let mut merged = base;
-        let mut clock = self.clock;
-        for sh in shards {
-            merged.hits += sh.stats.hits - base.hits;
-            merged.misses += sh.stats.misses - base.misses;
-            merged.evictions += sh.stats.evictions - base.evictions;
-            merged.writebacks += sh.stats.writebacks - base.writebacks;
-            clock = clock.max(sh.clock);
-        }
-        self.stats = merged;
-        self.clock = clock;
-        self.memo_line = NO_LINE;
-    }
-
     /// Overwrite `slot` with the new line, accounting for any eviction.
     /// The caller has already chosen `slot` as the reference victim and
     /// updated the recency state.

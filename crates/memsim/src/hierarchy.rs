@@ -275,12 +275,6 @@ const PREFETCH_METADATA_BYTES: usize = 256 * 1024;
 /// probe, overlapping the tag-array fetches of up to this many accesses.
 const PROBE_BATCH: usize = 8;
 
-/// Trace-shard count requested via `OPM_TRACE_SHARDS` (default 1 = serial
-/// simulation). Values are normalized by [`HierarchySim::run_sharded`].
-pub fn trace_shards_from_env() -> usize {
-    opm_core::config::Config::from_env_or_die().trace_shards
-}
-
 impl HierarchySim {
     /// Build from explicit parts.
     pub fn new(
@@ -376,107 +370,6 @@ impl HierarchySim {
         self.probe_batch(&buf[..n]);
         self.sync_levels();
         &self.result
-    }
-
-    /// Split a trace into set-partitioned shards, simulate each residue
-    /// class independently (in parallel when the host has the cores), and
-    /// merge — counters and cache state end up **bit-identical** to a
-    /// serial [`run`](Self::run) of the same trace.
-    ///
-    /// Sharding partitions line-touches by `line mod K` with `K` a power
-    /// of two no larger than any level's set count: every residue class
-    /// then maps to a disjoint group of sets at every level (including
-    /// the victim cache, whose fills come from last-level evictions that
-    /// stay inside the evicting set's residue class), so per-set LRU
-    /// state never crosses shards and trace order within each set is
-    /// preserved. The requested count is rounded up to a power of two
-    /// and clamped to the hierarchy's smallest set count — heavily
-    /// scaled-down chains (a one-set milli-L2) degrade gracefully to a
-    /// serial run rather than losing exactness.
-    pub fn run_sharded(&mut self, trace: &Trace, shards: usize) -> &SimResult {
-        let k = shards
-            .max(1)
-            .next_power_of_two()
-            .min(self.max_trace_shards());
-        if k <= 1 {
-            return self.run(trace);
-        }
-        let mask = k as u64 - 1;
-        // Partition expanded line-touches by residue class, preserving
-        // per-class trace order.
-        let mut parts: Vec<Vec<(u64, bool)>> = vec![Vec::new(); k];
-        for acc in &trace.accesses {
-            let write = acc.kind == crate::trace::AccessKind::Write;
-            let first = acc.addr / LINE_BYTES;
-            let last = (acc.addr + acc.len.max(1) as u64 - 1) / LINE_BYTES;
-            let mut line = first;
-            loop {
-                parts[(line & mask) as usize].push((line, write));
-                if line == last {
-                    break;
-                }
-                line += 1;
-            }
-        }
-        // Each shard runs on a full clone of the hierarchy; a shard only
-        // ever reads/writes sets in its own residue class, so the clones'
-        // other sets stay at the pre-run snapshot.
-        let mut clones: Vec<HierarchySim> = (0..k).map(|_| self.clone()).collect();
-        std::thread::scope(|scope| {
-            for (sim, part) in clones.iter_mut().zip(&parts) {
-                scope.spawn(move || {
-                    for chunk in part.chunks(PROBE_BATCH) {
-                        sim.probe_batch(chunk);
-                    }
-                });
-            }
-        });
-        // Deterministic merge, independent of shard completion order:
-        // counter deltas are summed in fixed shard order (integer sums —
-        // order-insensitive anyway), and each cache set is adopted from
-        // the one shard that owned its residue class.
-        let base = self.result.clone();
-        for sim in &clones {
-            self.result.accesses += sim.result.accesses - base.accesses;
-            for (dst, (a, b)) in self
-                .result
-                .level_hits
-                .iter_mut()
-                .zip(sim.result.level_hits.iter().zip(&base.level_hits))
-            {
-                *dst += a - b;
-            }
-            self.result.victim_hits += sim.result.victim_hits - base.victim_hits;
-            self.result.opm_flat += sim.result.opm_flat - base.opm_flat;
-            self.result.dram += sim.result.dram - base.dram;
-            self.result.dram_writebacks += sim.result.dram_writebacks - base.dram_writebacks;
-        }
-        for (li, level) in self.chain.iter_mut().enumerate() {
-            for set in 0..level.sets() {
-                level.adopt_set(&clones[set & (k - 1)].chain[li], set);
-            }
-            level.finish_adopt(clones.iter().map(|c| &c.chain[li]));
-        }
-        if let Some(v) = self.victim.as_mut() {
-            for set in 0..v.sets() {
-                v.adopt_set(clones[set & (k - 1)].victim.as_ref().unwrap(), set);
-            }
-            v.finish_adopt(clones.iter().map(|c| c.victim.as_ref().unwrap()));
-        }
-        self.sync_levels();
-        &self.result
-    }
-
-    /// Largest exact trace-shard count this hierarchy supports: the
-    /// smallest set count across the chain and the victim cache (always a
-    /// power of two).
-    pub fn max_trace_shards(&self) -> usize {
-        self.chain
-            .iter()
-            .chain(self.victim.iter())
-            .map(|c| c.sets())
-            .min()
-            .unwrap_or(1)
     }
 
     /// Issue the whole batch's metadata prefetches, then probe the
@@ -862,101 +755,6 @@ mod tests {
                 .get(),
             last.bytes_moved()
         );
-    }
-
-    /// Deterministic mixed read/write trace over `bytes` with an LCG —
-    /// irregular enough to exercise evictions, victim fills, and dirty
-    /// write-backs on every configuration.
-    fn mixed_trace(bytes: u64, touches: usize, seed: u64) -> Trace {
-        let mut t = Trace::new();
-        let mut s = seed | 1;
-        for i in 0..touches {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let a = (s >> 17) % bytes;
-            if i % 3 == 0 {
-                t.write(a, 8);
-            } else {
-                t.read(a, 8);
-            }
-        }
-        t
-    }
-
-    #[test]
-    fn sharded_run_is_bit_identical_to_serial() {
-        // Exactness across configs, scales (clamped one-set milli-L2
-        // included), and shard counts — and the merged cache *state* must
-        // also match: a follow-up serial run on both sims stays equal.
-        for config in ALL_CONFIGS {
-            for scale in [64, 1024] {
-                for shards in [2, 4, 8] {
-                    let mut serial = HierarchySim::for_config(config, scale);
-                    let mut sharded = serial.clone();
-                    let t = mixed_trace(256 * 1024, 6000, 0x9E37);
-                    serial.run(&t);
-                    sharded.run_sharded(&t, shards);
-                    assert_eq!(
-                        serial.result(),
-                        sharded.result(),
-                        "{config:?} scale={scale} shards={shards}"
-                    );
-                    let t2 = mixed_trace(128 * 1024, 2000, 0xB5AD);
-                    serial.run(&t2);
-                    sharded.run(&t2);
-                    assert_eq!(
-                        serial.result(),
-                        sharded.result(),
-                        "post-merge state diverged: {config:?} scale={scale} shards={shards}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_run_accumulates_on_prior_state() {
-        // run_sharded on a warm hierarchy merges deltas on top of the
-        // existing counters, exactly like a serial continuation.
-        let mut serial = HierarchySim::for_config(OpmConfig::Knl(McdramMode::Cache), SCALE);
-        let mut sharded = serial.clone();
-        let warm = mixed_trace(512 * 1024, 3000, 7);
-        serial.run(&warm);
-        sharded.run(&warm);
-        let t = mixed_trace(512 * 1024, 3000, 11);
-        serial.run(&t);
-        sharded.run_sharded(&t, 4);
-        assert_eq!(serial.result(), sharded.result());
-        serial.result().reconcile().unwrap();
-    }
-
-    #[test]
-    fn shard_count_is_normalized_and_clamped() {
-        let sim = HierarchySim::for_config(OpmConfig::Knl(McdramMode::Cache), SCALE);
-        let max = sim.max_trace_shards();
-        assert!(
-            max.is_power_of_two() && max >= 2,
-            "milli-KNL L2 has {max} sets"
-        );
-        // Requests beyond the smallest set count must still be exact.
-        let mut a = sim.clone();
-        let mut b = sim.clone();
-        let t = mixed_trace(1024 * 1024, 4000, 3);
-        a.run(&t);
-        b.run_sharded(&t, 1024);
-        assert_eq!(a.result(), b.result());
-        // A one-set level forces the serial path.
-        let tiny = HierarchySim::new(vec![SetAssocCache::new("L", 64 * 8, 8)], None, None);
-        assert_eq!(tiny.max_trace_shards(), 1);
-    }
-
-    #[test]
-    fn trace_shards_env_default_is_serial() {
-        // The env knob must never panic and defaults to 1 (tests run with
-        // the variable unset; a set value is user intent, accept it).
-        let n = trace_shards_from_env();
-        assert!(n >= 1);
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod timing;
 pub mod trace;
 
 pub use cache::{CacheStats, Lookup, SetAssocCache};
-pub use hierarchy::{trace_shards_from_env, HierarchySim, LevelCounters, ServedBy, SimResult};
+pub use hierarchy::{HierarchySim, LevelCounters, ServedBy, SimResult};
 pub use prefetch::{simulate_with_prefetcher, PrefetchStats, StreamPrefetcher};
 pub use reuse::{reuse_histogram, reuse_histogram_reference, ReuseHistogram};
 pub use synth::{trace_from_phase, trace_from_tiers, trace_from_tiers_into};

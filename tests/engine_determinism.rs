@@ -373,28 +373,3 @@ fn reduced_figure_is_byte_identical_to_golden_at_every_thread_count() {
         }
     }
 }
-
-#[test]
-fn trace_sharding_cannot_perturb_simulated_counters() {
-    // Figure CSVs are analytic, so OPM_TRACE_SHARDS cannot touch them by
-    // construction; what it *could* perturb is any simulator-backed
-    // validation path. Pin the guarantee end to end: the full per-level
-    // counter set of a sharded milli-machine run is identical to the
-    // serial run at every shard count the acceptance matrix names.
-    use opm_memsim::{HierarchySim, Trace};
-    for config in [
-        OpmConfig::Broadwell(EdramMode::On),
-        OpmConfig::Knl(McdramMode::Cache),
-        OpmConfig::Knl(McdramMode::Flat),
-    ] {
-        let mut serial = HierarchySim::for_config(config, 1024);
-        let t = Trace::strided(0, 4 * 1024 * 1024, 192);
-        serial.run(&t);
-        let want = serial.result().clone();
-        for shards in [1usize, 2, 4] {
-            let mut sim = HierarchySim::for_config(config, 1024);
-            sim.run_sharded(&t, shards);
-            assert_eq!(*sim.result(), want, "{config:?} shards={shards}");
-        }
-    }
-}

@@ -17,7 +17,8 @@
 //!
 //! The hierarchy test replays every touch through both cache
 //! implementations under all six platform configurations and demands the
-//! same `ServedBy` at every step plus identical per-level counters.
+//! same `ServedBy` at every step plus identical per-level counters; the
+//! batched `HierarchySim::run` path must land on the same counters.
 
 use opm_repro::core::platform::{EdramMode, McdramMode, OpmConfig, PlatformSpec};
 use opm_repro::memsim::{
@@ -369,7 +370,9 @@ const ALL_CONFIGS: [OpmConfig; 6] = [
 ];
 
 /// Drive both hierarchies through `trace` and demand the same serving
-/// level at every touch, then identical per-level counters.
+/// level at every touch, then identical per-level counters. The same
+/// trace also goes through a fresh hierarchy's batched
+/// [`HierarchySim::run`], whose counters must match the reference too.
 fn assert_hierarchy_equivalent(config: OpmConfig, scale: u64, trace: &Trace) {
     let mut sim = HierarchySim::for_config(config, scale);
     let mut reference = RefHierarchy::for_config(config, scale);
@@ -384,27 +387,34 @@ fn assert_hierarchy_equivalent(config: OpmConfig, scale: u64, trace: &Trace) {
         }
     }
     sim.sync_levels();
-    let r = sim.result();
-    assert_eq!(r.accesses, reference.accesses, "{config:?}");
-    assert_eq!(r.level_hits, reference.level_hits, "{config:?}");
-    assert_eq!(r.victim_hits, reference.victim_hits, "{config:?}");
-    assert_eq!(r.opm_flat, reference.opm_flat, "{config:?}");
-    assert_eq!(r.dram, reference.dram, "{config:?}");
-    assert_eq!(r.dram_writebacks, reference.dram_writebacks, "{config:?}");
-    for (l, c) in r.levels.iter().zip(&reference.chain) {
+    let mut batched = HierarchySim::for_config(config, scale);
+    for (path, r) in [("touch", sim.result()), ("run", batched.run(trace))] {
+        assert_eq!(r.accesses, reference.accesses, "{config:?} {path}");
+        assert_eq!(r.level_hits, reference.level_hits, "{config:?} {path}");
+        assert_eq!(r.victim_hits, reference.victim_hits, "{config:?} {path}");
+        assert_eq!(r.opm_flat, reference.opm_flat, "{config:?} {path}");
+        assert_eq!(r.dram, reference.dram, "{config:?} {path}");
         assert_eq!(
-            (l.hits, l.misses, l.evictions, l.writebacks),
-            (
-                c.stats.hits,
-                c.stats.misses,
-                c.stats.evictions,
-                c.stats.writebacks
-            ),
-            "{config:?}: level {} counters",
-            l.name
+            r.dram_writebacks, reference.dram_writebacks,
+            "{config:?} {path}"
         );
+        assert_eq!(r.levels.len(), reference.chain.len(), "{config:?} {path}");
+        for (l, c) in r.levels.iter().zip(&reference.chain) {
+            assert_eq!(
+                (l.hits, l.misses, l.evictions, l.writebacks),
+                (
+                    c.stats.hits,
+                    c.stats.misses,
+                    c.stats.evictions,
+                    c.stats.writebacks
+                ),
+                "{config:?} {path}: level {} counters",
+                l.name
+            );
+        }
+        r.reconcile()
+            .unwrap_or_else(|e| panic!("{config:?} {path}: {e}"));
     }
-    r.reconcile().unwrap_or_else(|e| panic!("{config:?}: {e}"));
 }
 
 #[test]
@@ -431,67 +441,6 @@ proptest! {
     ) {
         let trace = Trace::random(0, footprint_kib * 1024, 15_000, seed);
         assert_hierarchy_equivalent(ALL_CONFIGS[cfg_idx], 1 << 14, &trace);
-    }
-}
-
-/// Run the trace serially, then sharded at `shards` — both via the
-/// production `HierarchySim`, and the serial side also re-validated
-/// against the struct-per-way reference. All three must agree on every
-/// counter, and the merged shard *state* must behave identically on a
-/// follow-up trace.
-fn assert_sharded_equivalent(config: OpmConfig, scale: u64, trace: &Trace, shards: usize) {
-    assert_hierarchy_equivalent(config, scale, trace);
-    let mut serial = HierarchySim::for_config(config, scale);
-    let mut sharded = serial.clone();
-    serial.run(trace);
-    sharded.run_sharded(trace, shards);
-    assert_eq!(
-        serial.result(),
-        sharded.result(),
-        "{config:?} scale={scale} shards={shards}"
-    );
-    let followup = Trace::random(0, 1 << 20, 4_000, 0xC0FFEE);
-    serial.run(&followup);
-    sharded.run(&followup);
-    assert_eq!(
-        serial.result(),
-        sharded.result(),
-        "{config:?} scale={scale} shards={shards}: merged state diverged"
-    );
-}
-
-#[test]
-fn sharded_hierarchy_matches_serial_and_reference_on_structured_traces() {
-    for scale in [1 << 20, 4096] {
-        for config in ALL_CONFIGS {
-            for shards in [2, 4] {
-                assert_sharded_equivalent(
-                    config,
-                    scale,
-                    &Trace::random(0, 4 << 20, 20_000, 2017),
-                    shards,
-                );
-                assert_sharded_equivalent(config, scale, &Trace::strided(0, 1 << 20, 4096), shards);
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn sharded_hierarchy_matches_serial_on_random_traces(
-        cfg_idx in 0usize..ALL_CONFIGS.len(),
-        seed in 0u64..1 << 20,
-        shards in 2usize..9,
-    ) {
-        let trace = Trace::random(0, 2 << 20, 10_000, seed);
-        let mut serial = HierarchySim::for_config(ALL_CONFIGS[cfg_idx], 1 << 14);
-        let mut sharded = serial.clone();
-        serial.run(&trace);
-        sharded.run_sharded(&trace, shards);
-        prop_assert_eq!(serial.result(), sharded.result());
     }
 }
 

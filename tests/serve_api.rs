@@ -7,7 +7,8 @@
 
 use opm_bench::serve::{self, Client, Server};
 use opm_core::api::{
-    read_frame, write_frame, ApiError, Query, QueryResult, Request, Response, MAX_FRAME_LEN,
+    read_frame, write_frame, ApiError, Query, QueryResult, Request, Response, MAX_EXACT_INT,
+    MAX_FRAME_LEN,
 };
 use opm_kernels::{Engine, EngineConfig};
 use proptest::prelude::*;
@@ -60,8 +61,8 @@ fn arb_query() -> impl Strategy<Value = Query> {
 
 fn arb_request() -> impl Strategy<Value = Request> {
     (
-        // JSON numbers are doubles: ids are exact only up to 2^53 (the
-        // documented interop limit of the wire format).
+        // JSON numbers are doubles: ids are exact only up to 2^53 - 1
+        // (the documented interop limit of the wire format).
         0u64..(1 << 53),
         proptest::collection::vec(arb_query(), 0..5),
         0u64..2,
@@ -235,8 +236,9 @@ fn spawn_server(
 }
 
 fn shutdown_request() -> Request {
-    // Ids must stay within the 2^53 JSON-double exact range — a larger
-    // id is a malformed document and the daemon ignores its flags.
+    // Ids must stay within the JSON-double exact range (at most
+    // 2^53 - 1) — a larger id is a malformed document and the daemon
+    // ignores its flags.
     Request {
         id: 999,
         queries: Vec::new(),
@@ -385,6 +387,37 @@ fn malformed_document_answers_typed_error_then_serves_on() {
     let stats = handle.join().unwrap();
     assert_eq!(stats.malformed, 1);
     assert!(stats.requests >= 2);
+}
+
+/// Ids ride JSON doubles, exact only up to 2^53 − 1: 2^53 + 1 parses
+/// to the same double as 2^53, so both are answered `malformed` rather
+/// than echoed as an id the client never sent; 2^53 − 1 round-trips.
+#[test]
+fn ids_beyond_the_exact_double_range_are_malformed() {
+    let engine = test_engine();
+    let (addr, handle) = spawn_server(engine, 4);
+    let mut client = Client::connect(&addr).unwrap();
+    for id in ["9007199254740992", "9007199254740993"] {
+        let resp = client
+            .roundtrip_text(&format!(r#"{{"v":"opm-api/v1","id":{id}}}"#))
+            .expect("malformed roundtrip");
+        match &resp.results[..] {
+            [QueryResult::Err(ApiError::Malformed(m))] => {
+                assert!(m.contains("9007199254740991"), "id {id}: {m}")
+            }
+            other => panic!("id {id}: got {other:?}"),
+        }
+    }
+    let max = (1u64 << 53) - 1;
+    assert_eq!(max, MAX_EXACT_INT);
+    let resp = client
+        .roundtrip_text(&format!(r#"{{"v":"opm-api/v1","id":{max}}}"#))
+        .expect("max id roundtrip");
+    assert_eq!(resp.id, max);
+    assert!(resp.results.is_empty());
+    client.roundtrip(&shutdown_request()).expect("shutdown");
+    let stats = handle.join().unwrap();
+    assert_eq!(stats.malformed, 2);
 }
 
 /// Unknown kernels/configs and zero-valued parameters come back as
