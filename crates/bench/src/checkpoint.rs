@@ -20,7 +20,7 @@
 //! bit-flipped line invalidates itself and everything after it, and the
 //! reader falls back to the last valid entry instead of panicking.
 //!
-//! `all_figures --resume` consults [`figure_is_done`]: a figure whose
+//! `opm figures --resume` consults [`figure_is_done`]: a figure whose
 //! journal ends in a *sealed* `done` *and* whose *sealed* signature
 //! matches the current configuration is skipped — its CSVs are already
 //! on disk, and engine determinism guarantees a re-run would reproduce

@@ -1,35 +1,41 @@
-//! The `opm` command-line driver: ad-hoc model queries without writing
-//! code. Subcommands: `model` (evaluate one kernel configuration),
-//! `recommend` (§6 guidelines), `stepping` (print a stepping curve),
-//! `corpus` (inspect the UF-substitute corpus), `serve`/`advise`/
-//! `loadgen` (the `opm-api/v1` query service and its clients), plus the
-//! campaign machinery. Argument parsing is hand-rolled
-//! (`--key value` pairs) to stay inside the approved dependency set.
+//! The `opm` command-line driver and the repository's one entry
+//! surface. Subcommands: `figures` (regenerate the paper's figures and
+//! tables), `study` (the validation, ablation and extension studies),
+//! `report` (render `REPORT.md`), `model` (evaluate one kernel
+//! configuration), `recommend` (§6 guidelines), `stepping` (print a
+//! stepping curve), `corpus` (inspect the UF-substitute corpus),
+//! `serve`/`advise`/`loadgen` (the `opm-api/v1` query service and its
+//! clients), plus the sharded-campaign machinery. Argument parsing is
+//! hand-rolled (`--key value` or `--key=value` pairs) to stay inside the
+//! approved dependency set.
 //!
 //! ## Globals and exit codes
 //!
 //! Every subcommand accepts the shared globals `--threads <n>`,
-//! `--telemetry <off|summary|full>`, and `--out <path>`; they are
-//! applied (via the corresponding `OPM_*` variables, which remain the
+//! `--telemetry <off|summary|full>`, `--reduced`, `--no-cache`,
+//! `--fault-spec <spec>`, `--max-retries <n>` and `--out <path>`; they
+//! are applied (via the corresponding `OPM_*` variables, which remain the
 //! configuration source for worker processes) before the subcommand
-//! runs, and the merged configuration is validated once up front. The
-//! process exits with:
+//! runs, and the merged configuration — fault spec included — is
+//! validated once up front. The process exits with:
 //!
 //! * `0` — success;
 //! * `1` — runtime failure (evaluation, I/O);
-//! * `2` — usage or configuration error (unknown subcommand, malformed
-//!   global flag or `OPM_*` value).
+//! * `2` — usage or configuration error (unknown subcommand, figure or
+//!   study, malformed flag value or `OPM_*` value).
 
+use crate::manifest;
+use crate::shard::ShardSpec;
 use opm_core::api::Request;
 use opm_core::guideline::{explain_mcdram, recommend_mcdram, Workload};
 use opm_core::perf::PerfModel;
 use opm_core::platform::{Machine, OpmConfig, PlatformSpec};
 use opm_core::power::PowerModel;
-use opm_core::profile::AccessProfile;
 use opm_core::stepping::{stepping_curve, SweepKernel};
 use opm_core::units::{GIB, MIB};
 use opm_kernels::registry::KernelId;
 use std::collections::HashMap;
+use std::str::FromStr;
 
 /// Parsed `--key value` arguments plus positional words.
 #[derive(Debug, Default, Clone)]
@@ -47,6 +53,11 @@ pub fn parse_args(raw: &[String]) -> Args {
     while i < raw.len() {
         let a = &raw[i];
         if let Some(key) = a.strip_prefix("--") {
+            if let Some((key, value)) = key.split_once('=') {
+                args.options.insert(key.to_string(), value.to_string());
+                i += 1;
+                continue;
+            }
             let next_is_value = raw
                 .get(i + 1)
                 .map(|v| !v.starts_with("--"))
@@ -67,22 +78,61 @@ pub fn parse_args(raw: &[String]) -> Args {
 }
 
 impl Args {
-    fn get_f64(&self, key: &str, default: f64) -> f64 {
+    /// `--key` parsed as `T` (`None` when absent); a malformed value is
+    /// a usage error that names the `expected` form.
+    fn get_parsed<T: FromStr>(&self, key: &str, expected: &str) -> Result<Option<T>, CliFailure> {
         self.options
             .get(key)
             .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects a number, got {v}"))
+                v.parse().map_err(|_| {
+                    CliFailure::usage(format!("--{key} expects {expected}, got {v:?}"))
+                })
             })
-            .unwrap_or(default)
+            .transpose()
     }
 
-    fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.get_f64(key, default as f64) as usize
+    fn get_f64(&self, key: &str, default: f64) -> Result<f64, CliFailure> {
+        Ok(self.get_parsed(key, "a number")?.unwrap_or(default))
+    }
+
+    fn get_usize(&self, key: &str, default: usize) -> Result<usize, CliFailure> {
+        Ok(self
+            .get_parsed(key, "a non-negative integer")?
+            .unwrap_or(default))
     }
 
     fn get_flag(&self, key: &str) -> bool {
         self.options.get(key).map(|v| v == "true").unwrap_or(false)
+    }
+
+    /// Fail with a usage error on any option outside `allowed` and the
+    /// shared globals.
+    fn reject_unknown(&self, cmd: &str, allowed: &[&str]) -> Result<(), CliFailure> {
+        match self.options.keys().find(|k| {
+            !allowed.contains(&k.as_str())
+                && !ENV_FLAGS.iter().any(|(flag, _, _)| flag == k)
+                && k.as_str() != "out"
+        }) {
+            Some(key) => Err(CliFailure::usage(format!(
+                "{cmd}: unknown option --{key}\n{HELP}"
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// The `--only a,b,...` figure selection, every name checked against
+    /// the registry (`None` = the whole registry).
+    fn only_figures(&self) -> Result<Option<Vec<String>>, CliFailure> {
+        let Some(list) = self.options.get("only") else {
+            return Ok(None);
+        };
+        let names: Vec<String> = list.split(',').map(str::to_string).collect();
+        match names.iter().find(|n| manifest::find(n).is_none()) {
+            Some(name) => Err(CliFailure::usage(format!(
+                "unknown figure {name:?}; `opm figures --list` prints the registry"
+            ))),
+            None => Ok(Some(names)),
+        }
     }
 }
 
@@ -99,53 +149,6 @@ pub fn parse_kernel(name: &str) -> Option<KernelId> {
     KernelId::ALL
         .into_iter()
         .find(|k| k.name().eq_ignore_ascii_case(name))
-}
-
-/// Build the profile for a `model` invocation from CLI options.
-pub fn profile_from_args(kernel: KernelId, machine: Machine, args: &Args) -> AccessProfile {
-    let threads = args.get_usize("threads", kernel.threads(machine));
-    let cores = PlatformSpec::for_machine(machine).cores;
-    match kernel {
-        KernelId::Gemm => opm_dense::gemm_profile(
-            args.get_usize("n", 8192),
-            args.get_usize("tile", 384),
-            threads,
-            cores,
-        ),
-        KernelId::Cholesky => opm_dense::cholesky_profile(
-            args.get_usize("n", 8192),
-            args.get_usize("tile", 384),
-            threads,
-            cores,
-        ),
-        KernelId::Spmv => opm_sparse::spmv_profile(
-            args.get_usize("rows", 1_000_000),
-            args.get_usize("nnz", 15_000_000),
-            args.get_f64("span", 400_000.0),
-            threads,
-        ),
-        KernelId::Sptrans => opm_sparse::sptrans_profile(
-            args.get_usize("rows", 1_000_000),
-            args.get_usize("nnz", 15_000_000),
-            threads,
-        ),
-        KernelId::Sptrsv => opm_sparse::sptrsv_profile(
-            args.get_usize("rows", 1_000_000),
-            args.get_usize("nnz", 15_000_000),
-            args.get_f64("span", 400_000.0),
-            args.get_f64("levels", 300.0),
-            threads,
-        ),
-        KernelId::Fft => opm_fft::fft3d_profile(args.get_usize("n", 400), threads, cores),
-        KernelId::Stencil => {
-            let g = args.get_usize("grid", 512);
-            opm_stencil::stencil_profile(g, g, g, (64, 64, 96), threads, cores)
-        }
-        KernelId::Stream => {
-            let mb = args.get_f64("footprint-mb", 2048.0);
-            opm_stencil::stream_profile(((mb * MIB) / 24.0) as usize, 4, threads)
-        }
-    }
 }
 
 /// Default TCP port of `opm serve`.
@@ -168,36 +171,72 @@ impl CliFailure {
             message: message.into(),
         }
     }
+}
 
-    fn runtime(message: impl Into<String>) -> CliFailure {
-        CliFailure {
-            code: 1,
-            message: message.into(),
-        }
+/// Plain-string errors from the evaluation and I/O layers are runtime
+/// failures (exit 1).
+impl From<String> for CliFailure {
+    fn from(message: String) -> CliFailure {
+        CliFailure { code: 1, message }
     }
 }
 
-/// Apply the shared globals (`--threads`, `--telemetry`, `--out`) to
-/// the process environment — env stays the configuration source, so
-/// spawned shard workers inherit the settings — then validate the
-/// merged configuration once. Subcommands with their own `--out`
-/// meaning (a file path, a campaign directory) consume the option
-/// directly; for everything else `--out` selects the results directory.
-fn apply_globals(args: &Args, cmd: &str) -> Result<(), CliFailure> {
-    if let Some(threads) = args.options.get("threads") {
-        std::env::set_var("OPM_THREADS", threads);
+impl From<&str> for CliFailure {
+    fn from(message: &str) -> CliFailure {
+        CliFailure::from(message.to_string())
     }
-    if let Some(mode) = args.options.get("telemetry") {
-        std::env::set_var("OPM_TELEMETRY", mode);
+}
+
+/// Engine flags shared by every subcommand and the `OPM_*` variable each
+/// one sets: `(flag, variable, value of the bare flag)`. Value-less
+/// switches carry the value they set; the rest take the flag's value.
+const ENV_FLAGS: &[(&str, &str, Option<&str>)] = &[
+    ("threads", "OPM_THREADS", None),
+    ("telemetry", "OPM_TELEMETRY", None),
+    ("reduced", "OPM_REDUCED", Some("1")),
+    ("no-cache", "OPM_PROFILE_CACHE", Some("off")),
+    ("fault-spec", "OPM_FAULT_SPEC", None),
+    ("max-retries", "OPM_MAX_RETRIES", None),
+];
+
+/// Apply the shared globals ([`ENV_FLAGS`] and `--out`) to the process
+/// environment — env stays the configuration source, so spawned shard
+/// workers inherit the settings. The merged configuration (flags over
+/// `OPM_*`), fault spec included, is validated once before anything is
+/// set, so a bad value exits 2 before any work or worker starts.
+/// Subcommands with their own `--out` meaning (a file path, a campaign
+/// directory) consume the option directly; for everything else `--out`
+/// selects the results directory.
+fn apply_globals(args: &Args, cmd: &str) -> Result<(), CliFailure> {
+    let mut overrides: Vec<(&str, String)> = Vec::new();
+    for &(flag, var, switch) in ENV_FLAGS {
+        match (args.options.get(flag), switch) {
+            (Some(v), Some(on)) if v == "true" => overrides.push((var, on.to_string())),
+            (Some(v), None) => overrides.push((var, v.clone())),
+            _ => {}
+        }
     }
     if let Some(out) = args.options.get("out") {
         // loadgen treats --out as an output *file*; campaign and
         // merge-shards handle the directory themselves.
         if !matches!(cmd, "loadgen" | "campaign" | "merge-shards") && out != "true" {
-            std::env::set_var("OPM_RESULTS", out);
+            overrides.push(("OPM_RESULTS", out.clone()));
         }
     }
-    opm_core::config::Config::from_env().map_err(|e| CliFailure::usage(e.to_string()))?;
+    let cfg = opm_core::config::Config::from_lookup(|name| {
+        match overrides.iter().find(|(var, _)| *var == name) {
+            Some((_, v)) => Some(v.clone()),
+            None => std::env::var(name).ok(),
+        }
+    })
+    .map_err(|e| CliFailure::usage(e.to_string()))?;
+    if let Some(spec) = &cfg.fault_spec {
+        opm_kernels::FaultPlan::parse(spec)
+            .map_err(|e| CliFailure::usage(format!("fault spec {spec:?}: {e}")))?;
+    }
+    for (var, value) in overrides {
+        std::env::set_var(var, value);
+    }
     Ok(())
 }
 
@@ -212,17 +251,19 @@ pub fn dispatch(raw: &[String]) -> Result<String, CliFailure> {
         .unwrap_or("help");
     apply_globals(&args, cmd)?;
     match cmd {
-        "model" => cmd_model(&args).map_err(CliFailure::runtime),
-        "recommend" => cmd_recommend(&args).map_err(CliFailure::runtime),
-        "stepping" => cmd_stepping(&args).map_err(CliFailure::runtime),
-        "corpus" => cmd_corpus(&args).map_err(CliFailure::runtime),
-        "top" => cmd_top(&args).map_err(CliFailure::runtime),
-        "campaign" => cmd_campaign(&args).map_err(CliFailure::runtime),
-        "shard-worker" => crate::shard::run_worker(&args).map_err(CliFailure::runtime),
-        "merge-shards" => cmd_merge_shards(&args).map_err(CliFailure::runtime),
-        "serve" => cmd_serve(&args).map_err(CliFailure::runtime),
-        "advise" => cmd_advise(&args).map_err(CliFailure::runtime),
-        "loadgen" => cmd_loadgen(&args).map_err(CliFailure::runtime),
+        "figures" => cmd_figures(&args),
+        "study" => cmd_study(&args),
+        "report" => cmd_report(),
+        "model" => cmd_model(&args),
+        "recommend" => cmd_recommend(&args),
+        "stepping" => cmd_stepping(&args),
+        "corpus" => cmd_corpus(&args),
+        "top" => cmd_top(&args),
+        "campaign" => cmd_campaign(&args),
+        "merge-shards" => cmd_merge_shards(&args),
+        "serve" => cmd_serve(&args),
+        "advise" => cmd_advise(&args),
+        "loadgen" => cmd_loadgen(&args),
         "help" | "--help" => Ok(HELP.to_string()),
         other => Err(CliFailure::usage(format!(
             "unknown subcommand '{other}'\n{HELP}"
@@ -239,9 +280,14 @@ pub fn run(raw: &[String]) -> Result<String, String> {
 const HELP: &str = "\
 opm — query the OPM reproduction models
 
-GLOBAL OPTIONS (accepted by every subcommand):
+GLOBAL OPTIONS (accepted by every subcommand; --key=value works too):
   --threads <n>        engine worker threads (applies OPM_THREADS)
   --telemetry <mode>   off | summary | full (applies OPM_TELEMETRY)
+  --reduced            reduced harness grids (applies OPM_REDUCED=1)
+  --no-cache           no profile memoization (applies OPM_PROFILE_CACHE=off)
+  --fault-spec <spec>  fault injection, e.g. panic@rate:0.1:seed:7
+                       (applies OPM_FAULT_SPEC)
+  --max-retries <n>    transient-failure retry budget (applies OPM_MAX_RETRIES)
   --out <path>         results destination (directory via OPM_RESULTS; an
                        output *file* for loadgen; campaign dir for
                        campaign/merge-shards)
@@ -249,10 +295,21 @@ GLOBAL OPTIONS (accepted by every subcommand):
 EXIT CODES:
   0  success
   1  runtime failure (evaluation, I/O)
-  2  usage/configuration error (unknown subcommand, malformed global
-     flag or OPM_* environment value)
+  2  usage/configuration error (unknown subcommand, figure or study,
+     malformed flag value or OPM_* environment value)
 
 USAGE:
+  opm figures [--only <a,b,...>] [--resume] [--list] [--shard <i>/<n>]
+      regenerate the paper's figures and tables (--list prints the 27
+      names) plus run_manifest.csv and run_errors.csv. --resume skips
+      figures whose checkpoint journal is complete; --shard i/n runs every
+      n-th selected figure from i (the campaign's worker command).
+  opm study [<name>]
+      run one validation, ablation or extension study, writing
+      <name>*.csv; with no name, list the studies.
+  opm report
+      render the results directory's CSVs into REPORT.md (ASCII charts,
+      heat maps and the summary tables). Run `opm figures` first.
   opm model --kernel <name> --config <label> [kernel options]
       kernels: GEMM Cholesky SpMV SpTRANS SpTRSV FFT Stencil Stream
       configs: brd-no-edram brd-edram knl-ddr knl-flat knl-cache knl-hybrid
@@ -289,7 +346,7 @@ USAGE:
   opm top [--dir <path>] [--run <id>] [--campaign <dir>] [--follow]
           [--interval-ms <n>]
       inspect a figure campaign from its telemetry trace (newest .jsonl
-      under results/telemetry by default; run `all_figures
+      under results/telemetry by default; run `opm figures
       --telemetry full` to produce one). --follow re-renders every
       --interval-ms (default 500) until the run_end marker appears.
       --campaign <dir> instead renders the shard table of a supervised
@@ -300,19 +357,15 @@ USAGE:
       merged <dir>/telemetry/metrics.prom (falling back to the snapshot
       union while the campaign runs).
   opm campaign --shards <n> [--only <figs>] [--resume] [--out <dir>]
-              [--reduced] [--threads <n>] [--fault-spec <spec>]
               [--watchdog-ms <n>] [--heartbeat-ms <n>]
               [--max-restarts <n>] [--backoff-ms <n>] [--no-merge]
               [--worker-exe <path>]
-      run the figure campaign split across <n> supervised worker
-      processes. Crashed or hung workers (stale heartbeat beyond the
+      run the figure campaign split across <n> supervised `opm figures
+      --shard i/<n>` worker processes. Crashed or hung workers (stale heartbeat beyond the
       watchdog) are restarted from their checkpoints with exponential
       backoff; after --max-restarts failures a shard is quarantined and
       the campaign exits nonzero. Shard outputs are merged into --out
       (default results/) unless --no-merge.
-  opm shard-worker --shard <i>/<n> [--only <figs>] [--resume]
-      run one shard slice in-process (the supervisor's child command;
-      --shard 0/1 reproduces the whole single-process campaign).
   opm merge-shards [--dir <path>]
       reconcile <dir>/shards/shard-*/ outputs into <dir>: figure CSVs
       unioned, run_manifest.csv reordered with TOTAL recomputed,
@@ -322,39 +375,36 @@ USAGE:
 ";
 
 /// Build one `opm-api/v1` query from `--kernel`/`--config` plus the
-/// kernel parameter flags (shared by `opm advise` and anything else
-/// that wants a query from flags).
-pub fn query_from_args(args: &Args) -> Result<opm_core::api::Query, String> {
+/// kernel parameter flags (shared by `opm advise` and `opm model`).
+/// Sizes parse as non-negative integers and the rest as numbers; a
+/// malformed value is a usage error. Zero sizes and non-positive numbers
+/// are left for the query's own validation to reject.
+pub fn query_from_args(args: &Args, cmd: &str) -> Result<opm_core::api::Query, CliFailure> {
     let kernel = args
         .options
         .get("kernel")
-        .ok_or("advise requires --kernel")?
+        .ok_or(format!("{cmd} requires --kernel"))?
         .clone();
     let config = args
         .options
         .get("config")
-        .ok_or("advise requires --config")?
+        .ok_or(format!("{cmd} requires --config"))?
         .clone();
-    let u = |key: &str| -> Option<u64> {
-        args.options
-            .get(key)
-            .and_then(|v| v.parse::<f64>().ok())
-            .map(|v| v as u64)
-    };
-    let f = |key: &str| -> Option<f64> { args.options.get(key).and_then(|v| v.parse().ok()) };
+    let u = |key: &str| args.get_parsed::<u64>(key, "a non-negative integer");
+    let f = |key: &str| args.get_parsed::<f64>(key, "a number");
     Ok(opm_core::api::Query {
         kernel,
         config,
-        n: u("n"),
-        tile: u("tile"),
-        rows: u("rows"),
-        nnz: u("nnz"),
-        grid: u("grid"),
-        threads: u("query-threads").or_else(|| u("threads")),
-        span: f("span"),
-        levels: f("levels"),
-        footprint_mb: f("footprint-mb"),
-        hot_mb: f("hot-mb"),
+        n: u("n")?,
+        tile: u("tile")?,
+        rows: u("rows")?,
+        nnz: u("nnz")?,
+        grid: u("grid")?,
+        threads: u("query-threads")?.or(u("threads")?),
+        span: f("span")?,
+        levels: f("levels")?,
+        footprint_mb: f("footprint-mb")?,
+        hot_mb: f("hot-mb")?,
         latency_bound: if args.options.contains_key("latency-bound") {
             Some(args.get_flag("latency-bound"))
         } else {
@@ -368,34 +418,34 @@ pub fn query_from_args(args: &Args) -> Result<opm_core::api::Query, String> {
 /// returns for the same request, because both run [`crate::serve::respond`].
 /// With `--addr`, forwards the request to a live daemon instead and
 /// prints its bytes (a byte-identity probe).
-fn cmd_advise(args: &Args) -> Result<String, String> {
+fn cmd_advise(args: &Args) -> Result<String, CliFailure> {
     let req = match args.options.get("request") {
         Some(raw) => {
             Request::parse(raw).map_err(|e| format!("advise: bad --request document: {e}"))?
         }
         None => Request {
-            id: args.get_usize("id", 0) as u64,
-            queries: vec![query_from_args(args)?],
+            id: args.get_usize("id", 0)? as u64,
+            queries: vec![query_from_args(args, "advise")?],
             shutdown: false,
         },
     };
     match args.options.get("addr") {
-        Some(addr) => crate::serve::Client::connect(addr)
+        Some(addr) => Ok(crate::serve::Client::connect(addr)
             .map_err(|e| format!("advise: connecting {addr}: {e}"))?
-            .roundtrip_raw(&req.render()),
+            .roundtrip_raw(&req.render())?),
         None => Ok(crate::serve::respond(opm_kernels::Engine::global(), &req).render()),
     }
 }
 
 /// `opm serve`: bind the advisor daemon and serve until a shutdown
 /// request drains (see [`crate::serve`]).
-fn cmd_serve(args: &Args) -> Result<String, String> {
+fn cmd_serve(args: &Args) -> Result<String, CliFailure> {
     let addr = args
         .options
         .get("addr")
         .cloned()
         .unwrap_or_else(|| format!("127.0.0.1:{DEFAULT_SERVE_PORT}"));
-    let max_inflight = args.get_usize("max-inflight", crate::serve::DEFAULT_MAX_INFLIGHT);
+    let max_inflight = args.get_usize("max-inflight", crate::serve::DEFAULT_MAX_INFLIGHT)?;
     let cfg = opm_core::config::Config::from_env().map_err(|e| e.to_string())?;
     let tele = opm_core::telemetry::Telemetry::new(cfg.telemetry);
     let run = crate::telemetry::init(&tele);
@@ -427,19 +477,21 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
 
 /// `opm loadgen`: drive a daemon and write `BENCH_serve.json` (see
 /// [`crate::loadgen`]).
-fn cmd_loadgen(args: &Args) -> Result<String, String> {
-    for key in args.options.keys() {
-        if !matches!(
-            key.as_str(),
-            "addr" | "requests" | "concurrency" | "batch" | "rate" | "shutdown" | "out"
-                | "threads" | "telemetry"
-        ) {
-            return Err(format!("loadgen: unknown option --{key}\n{HELP}"));
-        }
-    }
+fn cmd_loadgen(args: &Args) -> Result<String, CliFailure> {
+    args.reject_unknown(
+        "loadgen",
+        &[
+            "addr",
+            "requests",
+            "concurrency",
+            "batch",
+            "rate",
+            "shutdown",
+        ],
+    )?;
     let defaults = crate::loadgen::LoadgenOptions::default();
     let out = match args.options.get("out") {
-        Some(v) if v == "true" => return Err("loadgen: --out needs a path".to_string()),
+        Some(v) if v == "true" => return Err("loadgen: --out needs a path".into()),
         Some(v) => Some(std::path::PathBuf::from(v)),
         None => defaults.out.clone(),
     };
@@ -449,16 +501,10 @@ fn cmd_loadgen(args: &Args) -> Result<String, String> {
             .get("addr")
             .cloned()
             .unwrap_or(defaults.addr.clone()),
-        requests: args.get_usize("requests", defaults.requests),
-        concurrency: args.get_usize("concurrency", defaults.concurrency),
-        batch: args.get_usize("batch", defaults.batch),
-        rate: match args.options.get("rate") {
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|_| format!("loadgen: --rate expects a number, got {v:?}"))?,
-            ),
-            None => None,
-        },
+        requests: args.get_usize("requests", defaults.requests)?,
+        concurrency: args.get_usize("concurrency", defaults.concurrency)?,
+        batch: args.get_usize("batch", defaults.batch)?,
+        rate: args.get_parsed("rate", "a number")?,
         shutdown: args.get_flag("shutdown"),
         out,
     };
@@ -470,73 +516,101 @@ fn cmd_loadgen(args: &Args) -> Result<String, String> {
     Ok(text)
 }
 
+/// `opm figures`: regenerate the selected figures in-process — the
+/// whole registry, or one `--shard i/n` slice of it when the campaign
+/// supervisor runs this as a worker (see [`crate::shard::run_worker`]).
+fn cmd_figures(args: &Args) -> Result<String, CliFailure> {
+    args.reject_unknown("figures", &["only", "resume", "list", "shard"])?;
+    if args.get_flag("list") {
+        let names: Vec<&str> = manifest::ALL_FIGURES.iter().map(|f| f.name).collect();
+        return Ok(names.join("\n"));
+    }
+    let spec = match args.options.get("shard") {
+        Some(s) => ShardSpec::parse(s).map_err(CliFailure::usage)?,
+        None => ShardSpec { index: 0, count: 1 },
+    };
+    let names = args.only_figures()?;
+    Ok(crate::shard::run_worker(
+        spec,
+        names.as_deref(),
+        args.get_flag("resume"),
+    ))
+}
+
+/// `opm study <name>`: run one study of [`crate::extensions::STUDIES`];
+/// with no name, list them.
+fn cmd_study(args: &Args) -> Result<String, CliFailure> {
+    let names: Vec<&str> = crate::extensions::STUDIES.iter().map(|s| s.0).collect();
+    let Some(name) = args.positional.get(1) else {
+        return Ok(names.join("\n"));
+    };
+    let (_, run) = crate::extensions::STUDIES
+        .iter()
+        .find(|s| s.0 == name)
+        .ok_or_else(|| {
+            CliFailure::usage(format!(
+                "unknown study {name:?}; studies: {}",
+                names.join(", ")
+            ))
+        })?;
+    run();
+    Ok(String::new())
+}
+
+/// `opm report`: render the results directory into `REPORT.md` (see
+/// [`crate::plot::write_report`]).
+fn cmd_report() -> Result<String, CliFailure> {
+    let path = crate::plot::write_report(&crate::out_dir())?;
+    Ok(format!("wrote {}", path.display()))
+}
+
 /// `opm campaign`: supervised multi-process shard execution (see
-/// [`crate::supervisor`]).
-fn cmd_campaign(args: &Args) -> Result<String, String> {
-    let figures = args
-        .options
-        .get("only")
-        .map(|list| list.split(',').map(str::to_string).collect::<Vec<String>>());
-    // Campaign-wide engine settings propagate to workers through the
-    // environment (children inherit it).
-    if args.get_flag("reduced") {
-        std::env::set_var("OPM_REDUCED", "1");
-    }
-    if let Some(threads) = args.options.get("threads") {
-        std::env::set_var("OPM_THREADS", threads);
-    }
-    if let Some(spec) = args.options.get("fault-spec") {
-        std::env::set_var("OPM_FAULT_SPEC", spec);
-    }
+/// [`crate::supervisor`]). Engine flags reach the workers through the
+/// environment [`apply_globals`] set up.
+fn cmd_campaign(args: &Args) -> Result<String, CliFailure> {
     let defaults = crate::supervisor::CampaignOptions::default();
+    let millis = |key: &str, default: std::time::Duration| -> Result<_, CliFailure> {
+        Ok(std::time::Duration::from_millis(
+            args.get_usize(key, default.as_millis() as usize)? as u64,
+        ))
+    };
     let opts = crate::supervisor::CampaignOptions {
-        shards: args.get_usize("shards", 2),
-        figures,
+        shards: args.get_usize("shards", 2)?,
+        figures: args.only_figures()?,
         resume: args.get_flag("resume"),
         dir: args
             .options
             .get("out")
             .map(std::path::PathBuf::from)
             .unwrap_or_else(crate::out_dir),
-        watchdog: std::time::Duration::from_millis(
-            args.get_usize("watchdog-ms", defaults.watchdog.as_millis() as usize) as u64,
-        ),
-        heartbeat_ms: args.get_usize("heartbeat-ms", defaults.heartbeat_ms as usize) as u64,
-        max_restarts: args.get_usize("max-restarts", defaults.max_restarts),
-        backoff_base: std::time::Duration::from_millis(
-            args.get_usize("backoff-ms", defaults.backoff_base.as_millis() as usize) as u64,
-        ),
+        watchdog: millis("watchdog-ms", defaults.watchdog)?,
+        heartbeat_ms: args.get_usize("heartbeat-ms", defaults.heartbeat_ms as usize)? as u64,
+        max_restarts: args.get_usize("max-restarts", defaults.max_restarts)?,
+        backoff_base: millis("backoff-ms", defaults.backoff_base)?,
         merge: !args.get_flag("no-merge"),
         worker_exe: args.options.get("worker-exe").map(std::path::PathBuf::from),
     };
-    crate::supervisor::run_campaign(&opts)
+    Ok(crate::supervisor::run_campaign(&opts)?)
 }
 
 /// `opm merge-shards`: reconcile shard outputs (see [`crate::merge`]).
-fn cmd_merge_shards(args: &Args) -> Result<String, String> {
+fn cmd_merge_shards(args: &Args) -> Result<String, CliFailure> {
     let dir = args
         .options
         .get("dir")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(crate::out_dir);
-    crate::merge::merge_shards(&dir)
+    Ok(crate::merge::merge_shards(&dir)?)
 }
 
-fn cmd_model(args: &Args) -> Result<String, String> {
-    let kernel = parse_kernel(
-        args.options
-            .get("kernel")
-            .ok_or("model requires --kernel")?,
-    )
-    .ok_or("unknown kernel")?;
-    let config = parse_config(
-        args.options
-            .get("config")
-            .ok_or("model requires --config")?,
-    )
-    .ok_or("unknown config label")?;
+/// `opm model`: evaluate one kernel configuration. The query resolves
+/// through the advisor's path ([`crate::serve::query_profile`]), so the
+/// defaults and the checks on every size are the daemon's.
+fn cmd_model(args: &Args) -> Result<String, CliFailure> {
+    let query = query_from_args(args, "model")?;
+    let (kernel, config, prof) = crate::serve::query_profile(&query)
+        .map_err(|e| CliFailure::usage(format!("model: {e}")))?;
     let machine = config.machine();
-    let prof = profile_from_args(kernel, machine, args);
     let est = PerfModel::for_config(config).evaluate(&prof);
     let power = PowerModel::for_machine(machine).sample(
         &est,
@@ -568,12 +642,11 @@ fn cmd_model(args: &Args) -> Result<String, String> {
     ))
 }
 
-fn cmd_recommend(args: &Args) -> Result<String, String> {
-    let fp = args.get_f64("footprint-gib", f64::NAN);
-    if fp.is_nan() {
-        return Err("recommend requires --footprint-gib".into());
-    }
-    let hot = args.get_f64("hot-gib", fp);
+fn cmd_recommend(args: &Args) -> Result<String, CliFailure> {
+    let fp = args
+        .get_parsed("footprint-gib", "a number")?
+        .ok_or("recommend requires --footprint-gib")?;
+    let hot = args.get_f64("hot-gib", fp)?;
     let w = Workload {
         footprint: fp * GIB,
         hot_set: hot * GIB,
@@ -586,7 +659,7 @@ fn cmd_recommend(args: &Args) -> Result<String, String> {
     ))
 }
 
-fn cmd_stepping(args: &Args) -> Result<String, String> {
+fn cmd_stepping(args: &Args) -> Result<String, CliFailure> {
     let config = parse_config(
         args.options
             .get("config")
@@ -594,11 +667,11 @@ fn cmd_stepping(args: &Args) -> Result<String, String> {
     )
     .ok_or("unknown config label")?;
     let mut kernel = SweepKernel::default();
-    kernel.ai = args.get_f64("ai", kernel.ai);
+    kernel.ai = args.get_f64("ai", kernel.ai)?;
     if config.machine() == Machine::Knl {
         kernel.threads = 256;
     }
-    let samples = args.get_usize("samples", 32);
+    let samples = args.get_usize("samples", 32)?;
     let (lo, hi) = match config.machine() {
         Machine::Broadwell => (256.0 * 1024.0, 8.0 * GIB),
         Machine::Knl => (1.0 * MIB, 64.0 * GIB),
@@ -611,15 +684,14 @@ fn cmd_stepping(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_corpus(args: &Args) -> Result<String, String> {
+fn cmd_corpus(args: &Args) -> Result<String, CliFailure> {
     if let Some(dir) = args.options.get("dir") {
-        return cmd_corpus_dir(std::path::Path::new(dir));
+        return Ok(cmd_corpus_dir(std::path::Path::new(dir))?);
     }
-    let count = args.get_usize("count", 10);
+    let count = args.get_usize("count", 10)?;
     let specs = opm_sparse::corpus(count);
-    match args.options.get("index") {
+    match args.get_parsed::<usize>("index", "a non-negative integer")? {
         Some(i) => {
-            let i: usize = i.parse().map_err(|_| "--index expects an integer")?;
             let spec = specs.get(i).ok_or("index out of range")?;
             let est = spec.estimate();
             Ok(format!(
@@ -653,9 +725,9 @@ fn cmd_corpus(args: &Args) -> Result<String, String> {
 /// (see [`crate::top`]), or — with `--campaign <dir>` — the shard
 /// liveness table of a supervised campaign. `--follow` polls until the
 /// run finishes.
-fn cmd_top(args: &Args) -> Result<String, String> {
+fn cmd_top(args: &Args) -> Result<String, CliFailure> {
     let follow = args.get_flag("follow");
-    let interval = args.get_usize("interval-ms", 500).max(50) as u64;
+    let interval = args.get_usize("interval-ms", 500)?.max(50) as u64;
     if let Some(campaign) = args.options.get("campaign") {
         let campaign = std::path::PathBuf::from(campaign);
         loop {
@@ -739,6 +811,14 @@ mod tests {
         run(&cmd.split_whitespace().map(String::from).collect::<Vec<_>>())
     }
 
+    /// The process exit code `opm <cmd>` would end with.
+    fn exit_code(cmd: &str) -> i32 {
+        match dispatch(&cmd.split_whitespace().map(String::from).collect::<Vec<_>>()) {
+            Ok(_) => 0,
+            Err(f) => f.code,
+        }
+    }
+
     #[test]
     fn parse_args_handles_flags_and_values() {
         let a = parse_args(&[
@@ -746,10 +826,12 @@ mod tests {
             "--kernel".into(),
             "gemm".into(),
             "--latency-bound".into(),
+            "--telemetry=full".into(),
         ]);
         assert_eq!(a.positional, vec!["model"]);
         assert_eq!(a.options.get("kernel").unwrap(), "gemm");
         assert!(a.get_flag("latency-bound"));
+        assert_eq!(a.options.get("telemetry").unwrap(), "full");
     }
 
     #[test]
@@ -764,6 +846,52 @@ mod tests {
         assert!(run_str("model --config brd-edram").is_err());
         assert!(run_str("model --kernel gemm").is_err());
         assert!(run_str("model --kernel gemm --config nope").is_err());
+        // Malformed, negative, fractional and zero sizes are usage
+        // errors (exit 2), never a panic in a profile builder.
+        for bad in [
+            "--n abc",
+            "--n -5",
+            "--n 1.5",
+            "--n 0",
+            "--tile 0",
+            "--span -1",
+            "--nnz 0",
+        ] {
+            let cmd = format!("model --kernel GEMM --config knl-flat {bad}");
+            assert_eq!(exit_code(&cmd), 2, "{cmd}");
+        }
+        assert_eq!(
+            exit_code("model --kernel Stream --config knl-flat --footprint-mb x"),
+            2
+        );
+        assert_eq!(exit_code("campaign --shards x"), 2);
+        assert_eq!(exit_code("campaign --shards 2 --only bogus"), 2);
+        assert_eq!(
+            exit_code("model --kernel GEMM --config knl-flat --n 1024"),
+            0
+        );
+    }
+
+    #[test]
+    fn bad_fault_spec_stops_a_campaign_before_any_worker_starts() {
+        let _lock = crate::TEST_ENV_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let dir = std::env::temp_dir().join(format!("opm_cli_fault_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cmd = format!(
+            "campaign --fault-spec bogus@@ --shards 1 --out {}",
+            dir.display()
+        );
+        let before = std::env::var_os("OPM_FAULT_SPEC");
+        assert_eq!(exit_code(&cmd), 2);
+        assert!(
+            !crate::shard::shards_dir(&dir).exists(),
+            "no worker may start"
+        );
+        // The rejected flag never reached the environment.
+        assert_eq!(std::env::var_os("OPM_FAULT_SPEC"), before);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -845,7 +973,20 @@ mod tests {
     #[test]
     fn help_and_unknown() {
         assert!(run_str("help").unwrap().contains("USAGE"));
-        assert!(run_str("frobnicate").is_err());
+        assert_eq!(exit_code("frobnicate"), 2);
+        assert_eq!(exit_code("figures --only bogus"), 2);
+        assert_eq!(exit_code("figures --bogus"), 2);
+        assert_eq!(exit_code("figures --shard 2/2"), 2);
+        assert_eq!(exit_code("study bogus"), 2);
+        let listed = run_str("figures --list").unwrap();
+        assert_eq!(listed.lines().count(), 27);
+        assert_eq!(listed.lines().next(), Some("fig01_gemm_pdf"));
+        let studies = run_str("study").unwrap();
+        assert_eq!(
+            studies.lines().count(),
+            crate::extensions::STUDIES.len(),
+            "{studies}"
+        );
     }
 
     #[test]

@@ -1,21 +1,128 @@
-//! Extension experiments beyond the paper's evaluation, grounded in its
-//! discussion sections:
+//! The studies behind `opm study <name>`: model validation, the
+//! design-choice ablation, and extension experiments beyond the paper's
+//! evaluation, grounded in its discussion sections:
 //!
 //! * **Skylake-style memory-side eDRAM** (§2.1: Skylake moved the eDRAM
 //!   from a CPU-side L4 behind the L3 tags to a buffer above the DRAM
 //!   controllers — "more like a memory-side buffer rather than a cache").
 //! * **Energy–Delay objectives** (§5.2's pointer to EDP metrics): which
 //!   kernels justify their OPM under energy, EDP and ED²P.
+//! * **CSR5 balancing** (§3.1.2), **KNL cluster modes** (§3.3) and
+//!   **multi-tenant OPM sharing** (§8 future work).
+//!
+//! Each study writes `<name>.csv` (or `<name>_<machine>.csv`) under
+//! `results/`.
 
-use crate::{kernel_power, representative_profile};
+use crate::{emit, kernel_power, representative_profile};
 use opm_core::perf::PerfModel;
-use opm_core::platform::{EdramMode, Machine, OpmConfig, PlatformSpec};
+use opm_core::platform::{EdramMode, Machine, McdramMode, OpmConfig, PlatformSpec};
 use opm_core::power::Objective;
 use opm_core::profile::{AccessProfile, Phase, Tier};
 use opm_core::report::{Series, TextTable};
+use opm_core::sharing::{evaluate_sharing, SharingPolicy};
 use opm_core::stats::logspace;
 use opm_core::units::{GIB, MIB};
 use opm_kernels::registry::KernelId;
+use opm_memsim::{HierarchySim, SimTiming, Trace};
+
+/// Every study `opm study <name>` runs, by name. A study's name is the
+/// stem of the CSV(s) it writes.
+pub const STUDIES: &[(&str, fn())] = &[
+    ("validate_model", validate_model),
+    ("ablation_model", crate::ablation::run),
+    ("ext_cluster_modes", ext_cluster_modes),
+    ("ext_csr5_balance", ext_csr5_balance),
+    ("ext_energy_objectives", ext_energy_objectives),
+    ("ext_opm_sharing", ext_opm_sharing),
+    ("ext_skylake_edram", ext_skylake_edram),
+];
+
+/// Milli-machine scale of the validation simulator.
+const VALIDATE_SCALE: u64 = 1024;
+
+fn line_sweep(bytes: u64, passes: usize) -> Trace {
+    let mut t = Trace::new();
+    for _ in 0..passes {
+        let mut a = 0;
+        while a < bytes {
+            t.read(a, 8);
+            a += 64;
+        }
+    }
+    t
+}
+
+fn sim_bandwidth(config: OpmConfig, milli_bytes: u64, conc: f64) -> f64 {
+    let mut sim = HierarchySim::for_config(config, VALIDATE_SCALE);
+    sim.run(&line_sweep(milli_bytes, 1));
+    let before = sim.result().clone();
+    sim.run(&line_sweep(milli_bytes, 3));
+    let delta = sim.result().delta_since(&before);
+    delta.publish(opm_core::telemetry::Telemetry::global());
+    SimTiming::for_config(config).effective_bandwidth(&delta, conc)
+}
+
+fn model_bandwidth(config: OpmConfig, full_bytes: f64, threads: usize) -> f64 {
+    let mut ph = Phase::new("sweep", full_bytes, full_bytes * 4.0);
+    ph.tiers = vec![Tier::new(full_bytes, 1.0)];
+    ph.threads = threads;
+    let prof = AccessProfile::single("sweep", ph, full_bytes);
+    PerfModel::for_config(config).evaluate(&prof).bandwidth_gbs
+}
+
+/// (machine label, configs, concurrency, threads, (lo, hi) footprint range).
+type ValidationCase = (&'static str, Vec<OpmConfig>, f64, usize, (f64, f64));
+
+/// Cross-validation: sweep footprints through both the exact
+/// milli-machine simulator (with simulation-based timing) and the
+/// analytic Stepping-Model evaluator, and report where they agree and
+/// diverge. Writes `validate_model_<machine>.csv`.
+pub fn validate_model() {
+    let cases: Vec<ValidationCase> = vec![
+        (
+            "broadwell",
+            OpmConfig::broadwell_modes().to_vec(),
+            64.0,
+            8,
+            (256.0 * 1024.0, 2.0 * 1024.0 * 1024.0 * 1024.0),
+        ),
+        (
+            "knl",
+            OpmConfig::knl_modes().to_vec(),
+            2048.0,
+            256,
+            (4.0 * 1024.0 * 1024.0, 48.0 * 1024.0 * 1024.0 * 1024.0),
+        ),
+    ];
+    for (machine, configs, conc, threads, (lo, hi)) in cases {
+        let mut cols = vec!["footprint_mb".to_string()];
+        for c in &configs {
+            cols.push(format!("sim_gbs_{}", c.label()));
+            cols.push(format!("model_gbs_{}", c.label()));
+        }
+        let mut series = Series::new(cols);
+        let mut max_rel: f64 = 0.0;
+        for fp in logspace(lo, hi, 20) {
+            let milli = ((fp / VALIDATE_SCALE as f64) as u64).max(2048) / 64 * 64;
+            let mut row = vec![fp / (1024.0 * 1024.0)];
+            for &c in &configs {
+                let s = sim_bandwidth(c, milli, conc);
+                let m = model_bandwidth(c, fp, threads);
+                max_rel = max_rel.max(((s - m).abs() / m).min(10.0));
+                row.push(s);
+                row.push(m);
+            }
+            series.push(row);
+        }
+        emit(&series, &format!("validate_model_{machine}"));
+        println!("{machine}: max |sim - model| / model across sweep = {max_rel:.2}");
+    }
+    println!(
+        "\nagreement is expected to be qualitative (same peaks/plateaus), not exact:\n\
+         the simulator sees one concrete LRU/direct-mapped realization, the model a\n\
+         smoothed reuse abstraction."
+    );
+}
 
 /// A Broadwell-like platform whose eDRAM sits memory-side (Skylake
 /// arrangement): the L4 loses its CPU-side latency advantage (tag checks
@@ -68,7 +175,7 @@ pub fn ext_skylake_edram() {
     for (lb, st) in latency_bound.iter().zip(&streaming) {
         series.push(vec![lb.0 / MIB, lb.1, lb.2, st.1, st.2]);
     }
-    crate::emit(&series, "ext_skylake_edram");
+    emit(&series, "ext_skylake_edram");
     let worst = latency_bound
         .iter()
         .map(|(_, c, m)| m / c)
@@ -134,7 +241,7 @@ pub fn ext_energy_objectives() {
             bool_f(verdicts[2]),
         ]);
     }
-    crate::emit(&series, "ext_energy_objectives");
+    emit(&series, "ext_energy_objectives");
     print!("{}", table.render());
     println!("\n(eDRAM on Broadwell, representative mid-size workloads; §5.2/Eq. 1 extended)");
 }
@@ -203,7 +310,7 @@ pub fn ext_csr5_balance() {
         ]);
         series.push(vec![i as f64, skew, row_par, csr5, csr5 / row_par]);
     }
-    crate::emit(&series, "ext_csr5_balance");
+    emit(&series, "ext_csr5_balance");
     print!("{}", table.render());
     println!(
         "
@@ -266,7 +373,6 @@ impl ClusterMode {
 /// Sweep the cluster modes for bandwidth-bound and latency-bound workloads;
 /// writes `ext_cluster_modes.csv`.
 pub fn ext_cluster_modes() {
-    use opm_core::platform::McdramMode;
     let modes = [
         ClusterMode::Quadrant,
         ClusterMode::AllToAll,
@@ -300,12 +406,101 @@ pub fn ext_cluster_modes() {
         ]);
         series.push(vec![i as f64, stream, latency]);
     }
-    crate::emit(&series, "ext_cluster_modes");
+    emit(&series, "ext_cluster_modes");
     print!("{}", table.render());
     println!(
         "
 (KNL cluster-mode what-if for a NUMA-oblivious application, §3.3)"
     );
+}
+
+fn sharing_app(name: &str, fp: f64, ai: f64, prefetch: f64) -> AccessProfile {
+    let bytes = fp * 4.0;
+    let mut ph = Phase::new(name, bytes * ai, bytes);
+    ph.tiers = vec![Tier::new(fp, 1.0)];
+    ph.prefetch = prefetch;
+    ph.stream_prefetch = prefetch;
+    ph.threads = 128;
+    AccessProfile::single(name, ph, fp)
+}
+
+/// Multi-tenant OPM (paper §8 future work): how should an OS divide
+/// MCDRAM among co-scheduled applications? Sweeps three co-run
+/// scenarios across the sharing policies and reports per-app progress,
+/// system throughput and Jain fairness; writes `ext_opm_sharing.csv`.
+pub fn ext_opm_sharing() {
+    let scenarios: Vec<(&str, Vec<AccessProfile>)> = vec![
+        (
+            "two-streams",
+            vec![
+                sharing_app("stream-a", 6.0 * GIB, 1.0 / 16.0, 0.95),
+                sharing_app("stream-b", 6.0 * GIB, 1.0 / 16.0, 0.95),
+            ],
+        ),
+        (
+            "stream+compute",
+            vec![
+                sharing_app("stream", 6.0 * GIB, 1.0 / 16.0, 0.95),
+                sharing_app("gemm-ish", 2.0 * GIB, 16.0, 0.95),
+            ],
+        ),
+        (
+            "big+small",
+            vec![
+                sharing_app("big", 14.0 * GIB, 0.1, 0.9),
+                sharing_app("small", 1.0 * GIB, 0.1, 0.9),
+            ],
+        ),
+    ];
+    let policies: Vec<(&str, SharingPolicy)> = vec![
+        ("equal", SharingPolicy::EqualPartition),
+        (
+            "weighted-3:1",
+            SharingPolicy::WeightedPartition(vec![3.0, 1.0]),
+        ),
+        ("shared", SharingPolicy::Shared),
+        ("priority-0", SharingPolicy::Priority(0)),
+    ];
+    let mut table = TextTable::new(vec![
+        "scenario",
+        "policy",
+        "app0 progress",
+        "app1 progress",
+        "system",
+        "fairness",
+    ]);
+    let mut series = Series::new(vec![
+        "scenario_index",
+        "policy_index",
+        "progress_app0",
+        "progress_app1",
+        "system_throughput",
+        "fairness",
+    ]);
+    for (si, (sname, apps)) in scenarios.iter().enumerate() {
+        for (pi, (pname, policy)) in policies.iter().enumerate() {
+            let out = evaluate_sharing(OpmConfig::Knl(McdramMode::Flat), apps, policy);
+            table.push(vec![
+                sname.to_string(),
+                pname.to_string(),
+                format!("{:.2}", out.apps[0].progress),
+                format!("{:.2}", out.apps[1].progress),
+                format!("{:.2}", out.system_throughput),
+                format!("{:.3}", out.fairness),
+            ]);
+            series.push(vec![
+                si as f64,
+                pi as f64,
+                out.apps[0].progress,
+                out.apps[1].progress,
+                out.system_throughput,
+                out.fairness,
+            ]);
+        }
+    }
+    emit(&series, "ext_opm_sharing");
+    print!("{}", table.render());
+    println!("\n(paper §8: OPM distribution among applications — fairness vs efficiency)");
 }
 
 #[cfg(test)]
@@ -340,7 +535,6 @@ mod tests {
 
     #[test]
     fn quadrant_is_best_for_oblivious_software() {
-        use opm_core::platform::McdramMode;
         let fp = 4.0 * GIB;
         let mut ph = Phase::new("probe", fp / 4.0, fp * 4.0);
         ph.tiers = vec![Tier::new(fp, 1.0)];

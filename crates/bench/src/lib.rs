@@ -1,9 +1,12 @@
 //! # opm-bench
 //!
-//! The figure/table regeneration harness: shared sweep plumbing used by the
-//! per-figure binaries (`fig01_gemm_pdf` … `table5_mcdram_summary`) and the
-//! Criterion microbenchmarks. Every binary writes CSV series (and aligned
-//! text tables) under `results/` (override with `OPM_RESULTS`).
+//! The figure/table regeneration harness behind the one `opm` binary:
+//! the figure registry ([`manifest`], `opm figures`), the studies
+//! ([`extensions::STUDIES`], `opm study`), the report renderer
+//! ([`plot::write_report`], `opm report`), the sharded campaign
+//! supervisor, the query service, and the shared sweep plumbing the
+//! Criterion microbenchmarks use too. Everything writes CSV series (and
+//! aligned text tables) under `results/` (override with `OPM_RESULTS`).
 
 #![warn(missing_docs)]
 

@@ -135,7 +135,10 @@ impl LoadReport {
         s.push_str(&format!("  \"concurrency\": {},\n", self.concurrency));
         s.push_str(&format!("  \"batch\": {},\n", self.batch));
         s.push_str(&format!("  \"rate_rps\": {},\n", json_f64(self.rate_rps)));
-        s.push_str(&format!("  \"duration_s\": {},\n", json_f64(self.duration_s)));
+        s.push_str(&format!(
+            "  \"duration_s\": {},\n",
+            json_f64(self.duration_s)
+        ));
         s.push_str(&format!(
             "  \"throughput_rps\": {},\n",
             json_f64(self.throughput_rps)
@@ -332,7 +335,11 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> Result<LoadReport, String> {
     latencies.sort_by(|a, b| a.total_cmp(b));
     let requests = latencies.len() as u64;
     let report = LoadReport {
-        mode: if opts.rate.is_some() { "open" } else { "closed" },
+        mode: if opts.rate.is_some() {
+            "open"
+        } else {
+            "closed"
+        },
         requests,
         queries: requests * opts.batch as u64,
         ok: ok.load(Ordering::Relaxed),

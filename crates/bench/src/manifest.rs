@@ -1,11 +1,11 @@
 //! The figure registry and the run manifest.
 //!
-//! Every figure/table pipeline is registered here by name, so the
-//! `all_figures` driver and each per-figure binary run through the same
-//! path: execute the pipeline on the global [`Engine`], attribute its
-//! sweep stages, wall time and profile-cache traffic, print a progress
-//! line to stderr, and write the accumulated observability data to
-//! `results/run_manifest.csv`.
+//! Every figure/table pipeline is registered here by name, so `opm
+//! figures` — whole campaign, `--only` selection or one campaign shard —
+//! runs through one path: execute the pipeline on the global [`Engine`],
+//! attribute its sweep stages, wall time and profile-cache traffic, print
+//! a progress line to stderr, and write the accumulated observability
+//! data to `results/run_manifest.csv`.
 //!
 //! Runs are fault-tolerant end to end: each pipeline executes under
 //! `catch_unwind` (one crashing figure does not kill the campaign), a
@@ -115,7 +115,7 @@ fn fig27() {
     figures::power_figure(Machine::Knl, "fig27_power_knl");
 }
 
-/// Every figure/table pipeline, in paper order (the order `all_figures`
+/// Every figure/table pipeline, in paper order (the order `opm figures`
 /// runs them).
 pub const ALL_FIGURES: &[FigureSpec] = &[
     FigureSpec {
@@ -593,15 +593,9 @@ pub fn write_manifest(reports: &[FigureReport]) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Run the named pipelines (or all of them) and write the run manifest —
-/// the shared entry point of the per-figure binaries.
-pub fn run_and_write(names: Option<&[String]>) {
-    run_and_write_opt(names, &RunOptions::default());
-}
-
-/// [`run_and_write`] with explicit [`RunOptions`] (the `all_figures`
-/// entry point: `--resume` lands here). Also writes `run_errors.csv` and
-/// prints a failure/quarantine summary.
+/// Run the named pipelines (or all of them) and write the run manifest
+/// and `run_errors.csv`, printing a failure/quarantine summary — the
+/// body of `opm figures` (`--resume` lands in `options`).
 pub fn run_and_write_opt(names: Option<&[String]>, options: &RunOptions) {
     let engine = Engine::global();
     let cfg = engine.config();

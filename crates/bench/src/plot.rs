@@ -1,9 +1,12 @@
-//! Terminal/markdown plotting: ASCII line charts and heat maps used by the
-//! `report_figures` binary to turn the regenerated CSV series into a
-//! human-readable `REPORT.md` without any plotting dependency.
+//! Terminal/markdown plotting: ASCII line charts and heat maps, and
+//! [`write_report`] (`opm report`), which turns the regenerated CSV
+//! series into a human-readable `REPORT.md` without any plotting
+//! dependency.
 
 use opm_core::report::Series;
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+use Section::{Curve, Dense, Structure, Table};
 
 /// Glyphs assigned to successive series of a line chart.
 const GLYPHS: [char; 6] = ['*', 'o', '+', 'x', '#', '@'];
@@ -229,6 +232,117 @@ pub fn series_to_lines(s: &Series, x_col: &str, y_cols: &[&str]) -> Vec<(String,
             )
         })
         .collect()
+}
+
+/// How [`write_report`] renders one section of `REPORT.md`.
+#[derive(Debug, Clone, Copy)]
+enum Section {
+    /// Line chart of every column against the first (`true` = log y).
+    Curve(bool),
+    /// Heat map of a dense (n, tile) sweep, first OPM-enabled column.
+    Dense,
+    /// Heat map of a sparse (rows, nnz) structure grid.
+    Structure,
+    /// An aligned text table (`<name>.txt`), inlined.
+    Table,
+}
+
+/// The sections of `REPORT.md`, in order: (file stem, rendering, title).
+#[rustfmt::skip]
+const REPORT_SECTIONS: &[(&str, Section, &str)] = &[
+    ("fig12_stream_broadwell",       Curve(true),  "Fig. 12 — Stream on Broadwell (GFlop/s vs footprint MB)"),
+    ("fig13_stencil_broadwell",      Curve(false), "Fig. 13 — Stencil on Broadwell"),
+    ("fig14_fft_broadwell",          Curve(false), "Fig. 14 — FFT on Broadwell"),
+    ("fig23_stream_knl",             Curve(true),  "Fig. 23 — Stream on KNL (four MCDRAM modes)"),
+    ("fig24_stencil_knl",            Curve(true),  "Fig. 24 — Stencil on KNL"),
+    ("fig25_fft_knl",                Curve(true),  "Fig. 25 — FFT on KNL"),
+    ("fig28_edram_guideline",        Curve(true),  "Fig. 28 — eDRAM guideline curves"),
+    ("fig29_mcdram_guideline",       Curve(true),  "Fig. 29 — MCDRAM guideline curves"),
+    ("fig30_hw_tuning",              Curve(true),  "Fig. 30 — OPM hardware tuning what-if"),
+    ("fig01_gemm_pdf",               Curve(false), "Fig. 1 — GEMM throughput PDF (x = GFlop/s)"),
+    ("validate_model_broadwell",     Curve(true),  "Validation — sim vs model (Broadwell, GB/s)"),
+    ("validate_model_knl",           Curve(true),  "Validation — sim vs model (KNL, GB/s)"),
+    ("fig07_gemm_broadwell",         Dense,        "Fig. 7 — GEMM heat map, Broadwell (w/ eDRAM)"),
+    ("fig08_cholesky_broadwell",     Dense,        "Fig. 8 — Cholesky heat map, Broadwell (w/ eDRAM)"),
+    ("fig15_gemm_knl",               Dense,        "Fig. 15 — GEMM heat map, KNL (flat mode)"),
+    ("fig16_cholesky_knl",           Dense,        "Fig. 16 — Cholesky heat map, KNL (flat mode)"),
+    ("fig20_spmv_knl_structure",     Structure,    "Fig. 20 — SpMV structure map, KNL"),
+    ("fig21_sptrans_knl_structure",  Structure,    "Fig. 21 — SpTRANS structure map, KNL"),
+    ("fig22_sptrsv_knl_structure",   Structure,    "Fig. 22 — SpTRSV structure map, KNL"),
+    ("table4_edram_summary",         Table,        "Table 4 — eDRAM summary"),
+    ("table5_mcdram_flat_summary",   Table,        "Table 5 — MCDRAM flat mode"),
+    ("table5_mcdram_cache_summary",  Table,        "Table 5 — MCDRAM cache mode"),
+    ("table5_mcdram_hybrid_summary", Table,        "Table 5 — MCDRAM hybrid mode"),
+];
+
+/// Render the CSV series and text tables under `dir` into
+/// `dir/REPORT.md`: ASCII charts for every curve figure, heat maps for
+/// the dense and structure figures, and the summary tables inline. A
+/// missing input becomes a `_missing_` note, not an error. Returns the
+/// report's path.
+pub fn write_report(dir: &Path) -> Result<PathBuf, String> {
+    let mut md = format!(
+        "# Reproduction report\n\nGenerated by `opm report` from the CSV series in `{}`.\n\
+         Regenerate the inputs with `cargo run --release -p opm-bench --bin opm -- figures`.\n\n",
+        dir.display()
+    );
+    for &(name, section, title) in REPORT_SECTIONS {
+        let _ = match render_section(dir, name, title, section) {
+            Ok(body) => writeln!(md, "## {title}\n\n```text\n{body}```\n"),
+            Err(e) => writeln!(md, "## {title}\n\n_missing: {e}_\n"),
+        };
+    }
+    let out = dir.join("REPORT.md");
+    std::fs::write(&out, md).map_err(|e| format!("writing {}: {e}", out.display()))?;
+    Ok(out)
+}
+
+fn render_section(dir: &Path, name: &str, title: &str, section: Section) -> Result<String, String> {
+    let csv = || read_series(&dir.join(format!("{name}.csv")));
+    match section {
+        Curve(log_y) => {
+            let s = csv()?;
+            let x = s.columns.first().ok_or("no columns")?.clone();
+            let ys: Vec<&str> = s.columns[1..].iter().map(String::as_str).collect();
+            if ys.is_empty() {
+                return Err("no series columns".into());
+            }
+            let lines = series_to_lines(&s, &x, &ys);
+            Ok(line_chart(
+                title,
+                &lines,
+                ChartOpts {
+                    log_y,
+                    ..ChartOpts::default()
+                },
+            ))
+        }
+        Dense => {
+            let s = csv()?;
+            let ni = s.column("n").ok_or("no n column")?;
+            let ti = s.column("tile").ok_or("no tile column")?;
+            // Prefer an OPM-enabled column.
+            let vi = s
+                .columns
+                .iter()
+                .position(|c| c.contains("edram") && !c.contains("no-edram") || c.contains("flat"))
+                .unwrap_or(2);
+            let pts: Vec<(f64, f64, f64)> = s.rows.iter().map(|r| (r[ni], r[ti], r[vi])).collect();
+            Ok(heat_map(title, &pts, 64, 16, false))
+        }
+        Structure => {
+            let s = csv()?;
+            let ri = s.column("log10_rows").ok_or("no rows column")?;
+            let ni = s.column("log10_nnz").ok_or("no nnz column")?;
+            let vi = s.column("mean_gflops").ok_or("no value column")?;
+            let pts: Vec<(f64, f64, f64)> = s.rows.iter().map(|r| (r[ni], r[ri], r[vi])).collect();
+            Ok(heat_map(title, &pts, 48, 14, false))
+        }
+        Table => {
+            let path = dir.join(format!("{name}.txt"));
+            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))
+        }
+    }
 }
 
 #[cfg(test)]

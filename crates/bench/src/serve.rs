@@ -25,7 +25,7 @@ use opm_core::api::{
 };
 use opm_core::guideline::{explain_mcdram, recommend_mcdram, Workload};
 use opm_core::perf::PerfModel;
-use opm_core::platform::{Machine, McdramMode, PlatformSpec};
+use opm_core::platform::{Machine, McdramMode, OpmConfig, PlatformSpec};
 use opm_core::power::PowerModel;
 use opm_core::profile::{AccessProfile, ProfileKey};
 use opm_core::units::MIB;
@@ -85,7 +85,11 @@ fn positive_f64(v: Option<f64>, default: f64, name: &str) -> Result<f64, ApiErro
 
 impl Resolved {
     fn new(kernel: KernelId, machine: Machine, q: &Query) -> Result<Resolved, ApiError> {
-        let dense_n = if matches!(kernel, KernelId::Fft) { 400 } else { 8192 };
+        let dense_n = if matches!(kernel, KernelId::Fft) {
+            400
+        } else {
+            8192
+        };
         Ok(Resolved {
             n: positive_usize(q.n, dense_n, "n")?,
             tile: positive_usize(q.tile, 384, "tile")?,
@@ -150,9 +154,7 @@ fn build_profile(kernel: KernelId, p: &Resolved, cores: usize) -> AccessProfile 
         KernelId::Cholesky => opm_dense::cholesky_profile(p.n, p.tile, p.threads, cores),
         KernelId::Spmv => opm_sparse::spmv_profile(p.rows, p.nnz, p.span, p.threads),
         KernelId::Sptrans => opm_sparse::sptrans_profile(p.rows, p.nnz, p.threads),
-        KernelId::Sptrsv => {
-            opm_sparse::sptrsv_profile(p.rows, p.nnz, p.span, p.levels, p.threads)
-        }
+        KernelId::Sptrsv => opm_sparse::sptrsv_profile(p.rows, p.nnz, p.span, p.levels, p.threads),
         KernelId::Fft => opm_fft::fft3d_profile(p.n, p.threads, cores),
         KernelId::Stencil => {
             opm_stencil::stencil_profile(p.grid, p.grid, p.grid, (64, 64, 96), p.threads, cores)
@@ -163,17 +165,33 @@ fn build_profile(kernel: KernelId, p: &Resolved, cores: usize) -> AccessProfile 
     }
 }
 
-/// Answer one query: resolve, profile (through the engine's coalescing
-/// cache), evaluate, price, and recommend. Every failure is a typed
-/// [`ApiError`].
-pub fn answer_query(engine: &Engine, q: &Query) -> Result<Advice, ApiError> {
+/// Resolve a query's kernel, configuration and parameters against the
+/// documented defaults, rejecting unknown names and unusable values.
+fn resolve(q: &Query) -> Result<(KernelId, OpmConfig, Resolved), ApiError> {
     let kernel =
         parse_kernel(&q.kernel).ok_or_else(|| ApiError::UnknownKernel(q.kernel.clone()))?;
     let config =
         parse_config(&q.config).ok_or_else(|| ApiError::UnknownConfig(q.config.clone()))?;
+    let p = Resolved::new(kernel, config.machine(), q)?;
+    Ok((kernel, config, p))
+}
+
+/// Build a query's access profile directly, outside any engine cache
+/// (the `opm model` path): the same resolution and checks as
+/// [`answer_query`].
+pub fn query_profile(q: &Query) -> Result<(KernelId, OpmConfig, AccessProfile), ApiError> {
+    let (kernel, config, p) = resolve(q)?;
+    let cores = PlatformSpec::for_machine(config.machine()).cores;
+    Ok((kernel, config, build_profile(kernel, &p, cores)))
+}
+
+/// Answer one query: resolve, profile (through the engine's coalescing
+/// cache), evaluate, price, and recommend. Every failure is a typed
+/// [`ApiError`].
+pub fn answer_query(engine: &Engine, q: &Query) -> Result<Advice, ApiError> {
+    let (kernel, config, p) = resolve(q)?;
     let machine = config.machine();
     let cores = PlatformSpec::for_machine(machine).cores;
-    let p = Resolved::new(kernel, machine, q)?;
     if let Some(hot) = q.hot_mb {
         if !(hot > 0.0 && hot.is_finite()) {
             return Err(ApiError::BadParam(
@@ -271,9 +289,8 @@ pub fn respond(engine: &Engine, req: &Request) -> Response {
         .queries
         .iter()
         .map(|q| {
-            let answer = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                answer_query(engine, q)
-            }));
+            let answer =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| answer_query(engine, q)));
             match answer {
                 Ok(Ok(a)) => QueryResult::Ok(Box::new(a)),
                 Ok(Err(e)) => QueryResult::Err(e),
@@ -304,7 +321,9 @@ fn shed(req: &Request) -> Response {
     let n = req.queries.len().max(1);
     Response {
         id: req.id,
-        results: (0..n).map(|_| QueryResult::Err(ApiError::Overloaded)).collect(),
+        results: (0..n)
+            .map(|_| QueryResult::Err(ApiError::Overloaded))
+            .collect(),
     }
 }
 
@@ -448,7 +467,9 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared, addr: SocketAd
             }
             Ok(req) => {
                 shared.requests.fetch_add(1, Ordering::Relaxed);
-                shared.queries.fetch_add(req.queries.len() as u64, Ordering::Relaxed);
+                shared
+                    .queries
+                    .fetch_add(req.queries.len() as u64, Ordering::Relaxed);
                 tele.counter("serve_requests_total").inc();
                 tele.counter("serve_queries_total")
                     .add(req.queries.len() as u64);
@@ -493,12 +514,10 @@ fn admit(shared: &ServerShared) -> Option<Permit<'_>> {
         if cur >= shared.max_inflight {
             return None;
         }
-        match shared.inflight.compare_exchange(
-            cur,
-            cur + 1,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        ) {
+        match shared
+            .inflight
+            .compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst)
+        {
             Ok(_) => return Some(Permit(&shared.inflight)),
             Err(now) => cur = now,
         }
@@ -602,10 +621,16 @@ mod tests {
         ));
         let mut q = gemm_query();
         q.n = Some(0);
-        assert!(matches!(answer_query(&engine, &q), Err(ApiError::BadParam(_))));
+        assert!(matches!(
+            answer_query(&engine, &q),
+            Err(ApiError::BadParam(_))
+        ));
         let mut q = gemm_query();
         q.hot_mb = Some(-3.0);
-        assert!(matches!(answer_query(&engine, &q), Err(ApiError::BadParam(_))));
+        assert!(matches!(
+            answer_query(&engine, &q),
+            Err(ApiError::BadParam(_))
+        ));
     }
 
     #[test]

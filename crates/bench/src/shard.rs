@@ -1,5 +1,5 @@
-//! Deterministic campaign sharding and the shard-worker side of the
-//! supervision protocol.
+//! Deterministic campaign sharding and the worker side of the
+//! supervision protocol (`opm figures --shard i/N`).
 //!
 //! A campaign over the figure registry splits into `--shard i/N` slices
 //! by round-robin over the *selected* figure list: shard `i` of `N` owns
@@ -271,34 +271,13 @@ pub fn start_snapshots(path: PathBuf, interval: Duration) {
     }
 }
 
-/// Entry point of `opm shard-worker`: run this shard's slice of the
-/// campaign in-process. The supervisor points `OPM_RESULTS` at the
-/// shard's private results dir and `OPM_HEARTBEAT` at its heartbeat
-/// file; run standalone (no heartbeat env) it is simply a deterministic
-/// slice runner — `--shard 0/1` reproduces the whole single-process
-/// campaign.
-pub fn run_worker(args: &crate::cli::Args) -> Result<String, String> {
-    let spec = match args.options.get("shard") {
-        Some(s) => ShardSpec::parse(s)?,
-        None => ShardSpec { index: 0, count: 1 },
-    };
-    let names: Option<Vec<String>> = match args.options.get("only") {
-        Some(list) => {
-            let listed: Vec<String> = list.split(',').map(str::to_string).collect();
-            for name in &listed {
-                if manifest::find(name).is_none() {
-                    return Err(format!("unknown figure {name:?}"));
-                }
-            }
-            Some(listed)
-        }
-        None => None,
-    };
-    let resume = args
-        .options
-        .get("resume")
-        .map(|v| v == "true")
-        .unwrap_or(false);
+/// Body of `opm figures`: run this shard's slice of the selected
+/// figures (`None` = the whole registry) in-process and write the run
+/// manifest. The campaign supervisor points `OPM_RESULTS` at the shard's
+/// private results dir and `OPM_HEARTBEAT` at its heartbeat file; run
+/// standalone (no heartbeat env) it is simply a deterministic slice
+/// runner — shard `0/1` is the whole single-process campaign.
+pub fn run_worker(spec: ShardSpec, names: Option<&[String]>, resume: bool) -> String {
     let started = Instant::now();
     let mut snap: Option<PathBuf> = None;
     if let Ok(hb) = std::env::var("OPM_HEARTBEAT") {
@@ -314,12 +293,11 @@ pub fn run_worker(args: &crate::cli::Args) -> Result<String, String> {
         }
         start_heartbeat(hb, Duration::from_millis(interval));
     }
-    let mine = spec.assigned_figures(names.as_deref());
+    let mine = spec.assigned_figures(names);
     eprintln!(
         "shard {spec}: {} of {} selected figure(s){}",
         mine.len(),
         names
-            .as_ref()
             .map(|n| n.len())
             .unwrap_or(manifest::ALL_FIGURES.len()),
         if resume { ", resuming" } else { "" },
@@ -330,7 +308,7 @@ pub fn run_worker(args: &crate::cli::Args) -> Result<String, String> {
     if let Some(path) = &snap {
         write_snapshot(path, started.elapsed());
     }
-    Ok(format!("shard {spec} completed {} figure(s)", mine.len()))
+    format!("shard {spec} completed {} figure(s)", mine.len())
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! The campaign supervisor: spawns one `opm shard-worker` process per
+//! The campaign supervisor: spawns one `opm figures --shard i/N` process per
 //! shard, watches their heartbeat files, and restarts crashed or hung
 //! workers from their checkpoints with bounded exponential backoff.
 //!
@@ -56,7 +56,7 @@ pub struct CampaignOptions {
     /// Merge shard outputs into `dir` after the run (`opm merge-shards`).
     pub merge: bool,
     /// Worker executable; defaults to `OPM_WORKER_EXE` or the current
-    /// executable (the `opm` binary re-invoked as `shard-worker`).
+    /// executable (the `opm` binary re-invoked as `figures --shard i/N`).
     pub worker_exe: Option<PathBuf>,
 }
 
@@ -155,7 +155,7 @@ fn spawn_worker(opts: &CampaignOptions, exe: &PathBuf, w: &mut Worker) -> Result
         .try_clone()
         .map_err(|e| format!("shard {spec} log: {e}"))?;
     let mut cmd = Command::new(exe);
-    cmd.arg("shard-worker")
+    cmd.arg("figures")
         .arg("--shard")
         .arg(spec.to_string())
         .env("OPM_RESULTS", &results)

@@ -409,9 +409,7 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < b.len()
-        && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
+    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
         *pos += 1;
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad number".to_string())?;
@@ -452,8 +450,8 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                             .ok_or("truncated \\u escape".to_string())?;
                         let hex =
                             std::str::from_utf8(hex).map_err(|_| "bad \\u escape".to_string())?;
-                        let cp =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_string())?;
+                        let cp = u32::from_str_radix(hex, 16)
+                            .map_err(|_| "bad \\u escape".to_string())?;
                         *pos += 4;
                         // Surrogate pair handling: a high surrogate must
                         // be followed by \uDCxx; lone surrogates are
@@ -464,12 +462,9 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                                     if let Ok(lo_hex) = std::str::from_utf8(lo_hex) {
                                         if let Ok(lo) = u32::from_str_radix(lo_hex, 16) {
                                             if (0xdc00..0xe000).contains(&lo) {
-                                                let c = 0x10000
-                                                    + ((cp - 0xd800) << 10)
-                                                    + (lo - 0xdc00);
-                                                out.push(
-                                                    char::from_u32(c).unwrap_or('\u{fffd}'),
-                                                );
+                                                let c =
+                                                    0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
+                                                out.push(char::from_u32(c).unwrap_or('\u{fffd}'));
                                                 *pos += 7;
                                                 continue;
                                             }
@@ -490,7 +485,10 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 // Consume one UTF-8 character (input is a &str, so
                 // boundaries are valid by construction).
                 let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| "bad utf-8".to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string".to_string())?;
+                let c = rest
+                    .chars()
+                    .next()
+                    .ok_or("unterminated string".to_string())?;
                 if (c as u32) < 0x20 {
                     return Err("raw control character in string".to_string());
                 }
@@ -695,7 +693,9 @@ impl Request {
 fn check_version(j: &Json) -> Result<(), String> {
     match j.get("v").and_then(Json::as_str) {
         Some(v) if v == VERSION => Ok(()),
-        Some(v) => Err(format!("unsupported protocol version {v:?} (this is {VERSION})")),
+        Some(v) => Err(format!(
+            "unsupported protocol version {v:?} (this is {VERSION})"
+        )),
         None => Err(format!("missing \"v\" (expected {VERSION:?})")),
     }
 }
@@ -1016,16 +1016,19 @@ mod tests {
     fn request_round_trips() {
         let req = Request {
             id: 42,
-            queries: vec![sample_query(), Query {
-                kernel: "SpTRSV".into(),
-                config: "knl-ddr".into(),
-                rows: Some(1_000_000),
-                nnz: Some(15_000_000),
-                span: Some(400_000.0),
-                levels: Some(300.0),
-                latency_bound: Some(true),
-                ..Query::default()
-            }],
+            queries: vec![
+                sample_query(),
+                Query {
+                    kernel: "SpTRSV".into(),
+                    config: "knl-ddr".into(),
+                    rows: Some(1_000_000),
+                    nnz: Some(15_000_000),
+                    span: Some(400_000.0),
+                    levels: Some(300.0),
+                    latency_bound: Some(true),
+                    ..Query::default()
+                },
+            ],
             shutdown: false,
         };
         let text = req.render();
@@ -1068,7 +1071,9 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_rejected() {
-        let req = Request::default().render().replace("opm-api/v1", "opm-api/v9");
+        let req = Request::default()
+            .render()
+            .replace("opm-api/v1", "opm-api/v9");
         assert!(Request::parse(&req).unwrap_err().contains("version"));
         assert!(Request::parse("{\"id\":1}").unwrap_err().contains("v"));
     }

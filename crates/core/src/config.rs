@@ -125,9 +125,7 @@ impl Config {
 
     /// Parse from an arbitrary variable source (tests inject maps here
     /// so malformed-value coverage never races the real environment).
-    pub fn from_lookup(
-        lookup: impl Fn(&str) -> Option<String>,
-    ) -> Result<Config, ConfigError> {
+    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Config, ConfigError> {
         // Empty string == unset, uniformly.
         let get = |name: &str| lookup(name).filter(|v| !v.trim().is_empty());
         let d = Config::default();
@@ -167,7 +165,9 @@ impl Config {
             )?,
             run_id: get("OPM_RUN_ID"),
             fault_spec: get("OPM_FAULT_SPEC"),
-            results_dir: get("OPM_RESULTS").map(PathBuf::from).unwrap_or(d.results_dir),
+            results_dir: get("OPM_RESULTS")
+                .map(PathBuf::from)
+                .unwrap_or(d.results_dir),
             corpus: parse_opt(get("OPM_CORPUS"), "OPM_CORPUS", ANY_USIZE)?,
         })
     }
@@ -265,7 +265,12 @@ mod tests {
 
     #[test]
     fn empty_values_count_as_unset() {
-        let c = cfg(&[("OPM_THREADS", ""), ("OPM_RUN_ID", " "), ("OPM_FAULT_SPEC", "")]).unwrap();
+        let c = cfg(&[
+            ("OPM_THREADS", ""),
+            ("OPM_RUN_ID", " "),
+            ("OPM_FAULT_SPEC", ""),
+        ])
+        .unwrap();
         assert_eq!(c, Config::default());
     }
 

@@ -50,8 +50,8 @@ pub const TAG_LATENCY_NS: f64 = 10.0;
 pub const STRADDLE_PENALTY: f64 = 0.06;
 
 /// Tunable parameters of the performance model, defaulting to the
-/// calibrated constants. The ablation harness
-/// (`opm-bench --bin ablation_model`) sweeps these to show which modeled
+/// calibrated constants. The ablation study
+/// (`opm study ablation_model`) sweeps these to show which modeled
 /// findings depend on which design choice.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelParams {

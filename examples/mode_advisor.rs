@@ -21,7 +21,10 @@ use opm_kernels::Engine;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let kernel = args.get(1).cloned().unwrap_or_else(|| "GEMM".to_string());
-    let config = args.get(2).cloned().unwrap_or_else(|| "knl-flat".to_string());
+    let config = args
+        .get(2)
+        .cloned()
+        .unwrap_or_else(|| "knl-flat".to_string());
 
     // One batched request touring the queried kernel across every KNL
     // memory mode (plus whatever config was asked for).

@@ -136,7 +136,7 @@ fn main() {
     }
 
     println!(
-        "\nFull regeneration: `cargo run --release -p opm-bench --bin all_figures`,\n\
-         then `report_figures` for the ASCII-chart REPORT.md."
+        "\nFull regeneration: `cargo run --release -p opm-bench --bin opm -- figures`,\n\
+         then `opm report` for the ASCII-chart REPORT.md."
     );
 }

@@ -66,6 +66,6 @@ fn main() {
         fmt_bytes(3.0 * (big_n * big_n) as f64 * 8.0)
     );
     print!("{}", table.render());
-    println!("\nnext steps: `cargo run --release -p opm-bench --bin all_figures` regenerates");
+    println!("\nnext steps: `cargo run --release -p opm-bench --bin opm -- figures` regenerates");
     println!("every table and figure of the paper into results/.");
 }

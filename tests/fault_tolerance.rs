@@ -4,7 +4,7 @@
 //! checkpoint written under a different configuration, and a non-resume
 //! run must clear stale journals.
 //!
-//! These tests drive the real `all_figures` code path
+//! These tests drive the real `opm figures` code path
 //! ([`opm_bench::manifest::run_figures_opt`]) in-process on the global
 //! engine. The engine's thread count is fixed per process (set to 2
 //! here); thread-count independence of the resumed bytes is covered by

@@ -112,9 +112,6 @@ fn tables_power_and_extensions_regenerate() {
     opm_bench::figures::power_figure(Machine::Knl, "fig27_power_knl");
     opm_bench::figures::table4_edram_summary();
     opm_bench::figures::table5_mcdram_summary();
-    opm_bench::ablation::run();
-    opm_bench::extensions::ext_skylake_edram();
-    opm_bench::extensions::ext_energy_objectives();
     g.csv("fig26_power_broadwell");
     g.csv("fig27_power_knl");
     let t4 = g.csv("table4_edram_summary");
@@ -122,9 +119,32 @@ fn tables_power_and_extensions_regenerate() {
     g.csv("table5_mcdram_flat_summary");
     g.csv("table5_mcdram_cache_summary");
     g.csv("table5_mcdram_hybrid_summary");
-    g.csv("ablation_model");
-    g.csv("ext_skylake_edram");
-    g.csv("ext_energy_objectives");
     // The text renditions exist too.
     assert!(g.dir.join("table4_edram_summary.txt").exists());
+    // Every `opm study` writes its CSV(s), named after the study.
+    for (name, run) in opm_bench::extensions::STUDIES {
+        run();
+        let stems: Vec<String> = fs::read_dir(&g.dir)
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter_map(|f| f.strip_suffix(".csv").map(str::to_string))
+            .filter(|stem| stem == name || stem.starts_with(&format!("{name}_")))
+            .collect();
+        assert!(!stems.is_empty(), "study {name} wrote no CSV");
+        for stem in stems {
+            g.csv(&stem);
+        }
+    }
+    assert!(g.dir.join("validate_model_broadwell.csv").exists());
+    assert!(g.dir.join("validate_model_knl.csv").exists());
+    // `opm report` renders what is there and notes what is missing.
+    let report = opm_bench::plot::write_report(&g.dir).unwrap();
+    assert_eq!(report, g.dir.join("REPORT.md"));
+    let text = fs::read_to_string(&report).unwrap();
+    assert!(text.starts_with("# Reproduction report"), "{text}");
+    assert!(text.contains("## Table 4 — eDRAM summary\n\n```text\n"));
+    assert!(text.contains("## Validation — sim vs model (KNL, GB/s)\n\n```text\n"));
+    assert!(
+        text.contains("## Fig. 12 — Stream on Broadwell (GFlop/s vs footprint MB)\n\n_missing:")
+    );
 }

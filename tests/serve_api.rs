@@ -212,7 +212,10 @@ fn oversized_length_prefix_is_rejected_without_allocation() {
 fn version_mismatch_is_a_decode_error() {
     let text = r#"{"v":"opm-api/v0","id":1,"queries":[]}"#;
     let err = Request::parse(text).unwrap_err();
-    assert!(err.contains("opm-api/v1"), "error names the supported version: {err}");
+    assert!(
+        err.contains("opm-api/v1"),
+        "error names the supported version: {err}"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -282,20 +285,22 @@ fn served_response_is_byte_identical_to_advise() {
 
     let (addr, handle) = spawn_server(Arc::clone(&engine), 8);
     let mut client = Client::connect(&addr).unwrap();
-    let served = client.roundtrip_raw(&req.render()).expect("served roundtrip");
+    let served = client
+        .roundtrip_raw(&req.render())
+        .expect("served roundtrip");
     client.roundtrip(&shutdown_request()).expect("shutdown");
     handle.join().unwrap();
 
-    assert_eq!(local, served, "opm advise and opm serve must agree byte-for-byte");
+    assert_eq!(
+        local, served,
+        "opm advise and opm serve must agree byte-for-byte"
+    );
 
     // And through the CLI advise path (its own global engine — the
     // rendering is deterministic, so bytes still match).
-    let cli_out = opm_bench::cli::run(&[
-        "advise".to_string(),
-        "--request".to_string(),
-        req.render(),
-    ])
-    .expect("opm advise");
+    let cli_out =
+        opm_bench::cli::run(&["advise".to_string(), "--request".to_string(), req.render()])
+            .expect("opm advise");
     assert_eq!(cli_out, served);
 }
 
@@ -341,7 +346,10 @@ fn concurrent_identical_queries_compute_one_profile() {
         );
     }
     let cache = engine.cache_stats();
-    assert_eq!(cache.misses, 1, "identical queries must share one profile computation");
+    assert_eq!(
+        cache.misses, 1,
+        "identical queries must share one profile computation"
+    );
     assert_eq!(cache.hits, n as u64 - 1);
     assert_eq!(stats.queries, n as u64);
 }
@@ -353,7 +361,9 @@ fn overloaded_server_sheds_with_typed_error() {
     let engine = test_engine();
     let (addr, handle) = spawn_server(engine, 0); // zero in-flight slots: shed everything
     let mut client = Client::connect(&addr).unwrap();
-    let resp = client.roundtrip(&sample_request(3)).expect("shed roundtrip");
+    let resp = client
+        .roundtrip(&sample_request(3))
+        .expect("shed roundtrip");
     assert_eq!(resp.results.len(), 3);
     for r in &resp.results {
         assert_eq!(*r, QueryResult::Err(ApiError::Overloaded));
@@ -450,7 +460,16 @@ fn bad_queries_get_typed_per_query_errors() {
             shutdown: false,
         },
     );
-    assert!(matches!(resp.results[0], QueryResult::Err(ApiError::UnknownKernel(_))));
-    assert!(matches!(resp.results[1], QueryResult::Err(ApiError::UnknownConfig(_))));
-    assert!(matches!(resp.results[2], QueryResult::Err(ApiError::BadParam(_))));
+    assert!(matches!(
+        resp.results[0],
+        QueryResult::Err(ApiError::UnknownKernel(_))
+    ));
+    assert!(matches!(
+        resp.results[1],
+        QueryResult::Err(ApiError::UnknownConfig(_))
+    ));
+    assert!(matches!(
+        resp.results[2],
+        QueryResult::Err(ApiError::BadParam(_))
+    ));
 }

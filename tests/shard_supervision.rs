@@ -97,7 +97,7 @@ fn baseline() -> &'static Path {
     DIR.get_or_init(|| {
         let dir = test_dir("baseline");
         let (ok, log) = run_opm(
-            &["shard-worker", "--shard", "0/1", "--only", FIGS],
+            &["figures", "--shard", "0/1", "--only", FIGS],
             &[("OPM_RESULTS", dir.to_str().unwrap())],
         );
         assert!(ok, "baseline worker failed:\n{log}");
@@ -341,6 +341,19 @@ fn permanently_failing_shard_is_quarantined_with_error_row() {
     // The quarantined shard (0of2 per the error row above) left a
     // flight dump from its final doomed attempt.
     assert_flight_dump(&dir, 0, 2, Some("kill"));
+}
+
+#[test]
+fn malformed_fault_spec_from_the_environment_stops_the_campaign_before_spawning() {
+    let dir = test_dir("bad_fault_spec");
+    let (ok, log) = run_opm(
+        &["campaign", "--shards", "1", "--out", dir.to_str().unwrap()],
+        &[("OPM_FAULT_SPEC", "bogus@@")],
+    );
+    assert!(!ok, "a malformed spec must fail the campaign:\n{log}");
+    assert!(log.contains("fault spec"), "{log}");
+    assert!(!log.contains("panicked"), "{log}");
+    assert!(!dir.join("shards").exists(), "no worker may start:\n{log}");
 }
 
 /// `shards/supervisor.status` (kept in sync with
