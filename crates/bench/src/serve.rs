@@ -21,7 +21,7 @@
 use crate::cli::{parse_config, parse_kernel};
 use opm_core::api::{
     read_frame, write_frame, Advice, ApiError, FrameError, LevelTraffic, Query, QueryResult,
-    Request, Response,
+    Request, Response, MAX_FRAME_LEN,
 };
 use opm_core::guideline::{explain_mcdram, recommend_mcdram, Workload};
 use opm_core::perf::PerfModel;
@@ -484,7 +484,7 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared, addr: SocketAd
                 (resp, req.shutdown)
             }
         };
-        let ok = write_frame(&mut stream, &resp.render()).is_ok();
+        let ok = write_response(&mut stream, &resp).is_ok();
         drop(span);
         if stop {
             shared.shutdown.store(true, Ordering::SeqCst);
@@ -496,6 +496,25 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared, addr: SocketAd
             return;
         }
     }
+}
+
+/// Write `resp` as one frame. A reply too large for a frame (a huge
+/// batch, or an error echoing a huge name) is answered instead with one
+/// typed `bad-param` result naming its size and the cap, so the client
+/// gets an answer and the connection stays usable.
+fn write_response(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
+    let text = resp.render();
+    if text.len() <= MAX_FRAME_LEN as usize {
+        return write_frame(stream, &text);
+    }
+    let too_large = Response {
+        id: resp.id,
+        results: vec![QueryResult::Err(ApiError::BadParam(format!(
+            "reply of {} bytes exceeds the {MAX_FRAME_LEN}-byte frame cap; split the batch",
+            text.len()
+        )))],
+    };
+    write_frame(stream, &too_large.render())
 }
 
 /// RAII in-flight permit; admission fails (→ load-shed) once

@@ -33,17 +33,21 @@
 //!
 //! The encoding is hand-rolled (the build has no crates.io access, so
 //! no serde): [`Json`] is a minimal strict JSON document model whose
-//! renderer emits the canonical form described above.
+//! renderer emits the canonical form described above. Decode and encode
+//! are both linear in the frame size: strings are scanned and copied in
+//! runs between the bytes that need escaping, so even a frame at
+//! [`MAX_FRAME_LEN`] holding one long string decodes in milliseconds.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{self, Read, Write};
 
 /// Protocol version tag carried by every document.
 pub const VERSION: &str = "opm-api/v1";
 
-/// Hard cap on one frame's payload length (4 MiB — a batch of thousands
-/// of queries fits comfortably; anything larger is a protocol error or
-/// an attack, not a workload).
+/// Hard cap on one frame's payload length, in both directions (4 MiB).
+/// An advice renders to about 720 bytes, so one reply holds at most
+/// about 5,800 answered queries; a daemon answers a batch whose reply
+/// would exceed the cap with one typed `bad-param` error instead.
 pub const MAX_FRAME_LEN: u32 = 4 << 20;
 
 /// Largest integer a wire field (request ids, integral query fields)
@@ -202,8 +206,10 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => out.push_str(&render_num(*v)),
-            Json::Str(s) => render_string(s, out),
+            Json::Num(v) => render_num(*v, out),
+            Json::Str(s) => {
+                let _ = write!(out, "{}", JsonStr(s));
+            }
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -220,8 +226,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    render_string(k, out);
-                    out.push(':');
+                    let _ = write!(out, "{}:", JsonStr(k));
                     v.render_into(out);
                 }
                 out.push('}');
@@ -290,33 +295,49 @@ impl Json {
 /// shortest-round-trip `Display`. Non-finite values (which valid
 /// [`Advice`] never produces) degrade to `null` rather than emit invalid
 /// JSON.
-fn render_num(v: f64) -> String {
+fn render_num(v: f64, out: &mut String) {
     if !v.is_finite() {
-        return "null".to_string();
-    }
-    if v.fract() == 0.0 && v.abs() <= 9_007_199_254_740_992.0 {
-        format!("{}", v as i64)
+        out.push_str("null");
+    } else if v.fract() == 0.0 && v.abs() <= 9_007_199_254_740_992.0 {
+        let _ = write!(out, "{}", v as i64);
     } else {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+/// A string displayed as a quoted JSON string literal: the one escaper
+/// shared by the canonical renderer and the telemetry JSONL sink.
+/// `"`, `\` and control characters are escaped; the unescaped runs
+/// between them are copied whole.
+pub(crate) struct JsonStr<'a>(pub(crate) &'a str);
+
+impl fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = self.0;
+        f.write_str("\"")?;
+        let mut run = 0;
+        for (i, &byte) in s.as_bytes().iter().enumerate() {
+            let escape = match byte {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            // Every escaped byte is ASCII, so `i` is a char boundary.
+            f.write_str(&s[run..i])?;
+            if escape.is_empty() {
+                write!(f, "\\u{byte:04x}")?;
+            } else {
+                f.write_str(escape)?;
             }
-            c => out.push(c),
+            run = i + 1;
         }
+        f.write_str(&s[run..])?;
+        f.write_str("\"")
     }
-    out.push('"');
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -413,6 +434,11 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad number".to_string())?;
+    // `f64::from_str` also takes `01`, `1.`, `-.5` and `1.e5`: check the
+    // JSON grammar first.
+    if !is_json_number(text.as_bytes()) {
+        return Err(format!("invalid number {text:?} at byte {start}"));
+    }
     let v: f64 = text
         .parse()
         .map_err(|_| format!("invalid number {text:?} at byte {start}"))?;
@@ -422,11 +448,59 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     Ok(Json::Num(v))
 }
 
+/// Whether `s` is exactly one RFC 8259 number:
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
+fn is_json_number(s: &[u8]) -> bool {
+    let mut i = 0;
+    let digits = |i: &mut usize| {
+        let from = *i;
+        while s.get(*i).is_some_and(u8::is_ascii_digit) {
+            *i += 1;
+        }
+        *i > from
+    };
+    if s.get(i) == Some(&b'-') {
+        i += 1;
+    }
+    match s.get(i) {
+        Some(b'0') => i += 1,
+        Some(b'1'..=b'9') => {
+            digits(&mut i);
+        }
+        _ => return false,
+    }
+    if s.get(i) == Some(&b'.') {
+        i += 1;
+        if !digits(&mut i) {
+            return false;
+        }
+    }
+    if matches!(s.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(s.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        if !digits(&mut i) {
+            return false;
+        }
+    }
+    i == s.len()
+}
+
+/// Decode the string literal starting at the `"` under `pos`. Linear in
+/// its length: each run of plain characters up to the next `"`, `\` or
+/// control byte is validated and copied once. All three stop bytes are
+/// ASCII, so every run starts and ends on a char boundary.
 fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     debug_assert_eq!(b.get(*pos), Some(&b'"'));
     *pos += 1;
     let mut out = String::new();
     loop {
+        let run = *pos;
+        while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\' | 0..=0x1f) {
+            *pos += 1;
+        }
+        out.push_str(std::str::from_utf8(&b[run..*pos]).map_err(|_| "bad utf-8".to_string())?);
         match b.get(*pos) {
             None => return Err("unterminated string".to_string()),
             Some(b'"') => {
@@ -434,8 +508,9 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 return Ok(out);
             }
             Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
+                let escape = b.get(*pos + 1);
+                *pos += 2;
+                match escape {
                     Some(b'"') => out.push('"'),
                     Some(b'\\') => out.push('\\'),
                     Some(b'/') => out.push('/'),
@@ -445,58 +520,48 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{0008}'),
                     Some(b'f') => out.push('\u{000c}'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape".to_string())?;
-                        let hex =
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape".to_string())?;
-                        let cp = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
+                        let cp = hex4(b, *pos)?;
                         *pos += 4;
                         // Surrogate pair handling: a high surrogate must
                         // be followed by \uDCxx; lone surrogates are
                         // replaced (never a panic).
                         if (0xd800..0xdc00).contains(&cp) {
-                            if b.get(*pos + 1..*pos + 3) == Some(b"\\u") {
-                                if let Some(lo_hex) = b.get(*pos + 3..*pos + 7) {
-                                    if let Ok(lo_hex) = std::str::from_utf8(lo_hex) {
-                                        if let Ok(lo) = u32::from_str_radix(lo_hex, 16) {
-                                            if (0xdc00..0xe000).contains(&lo) {
-                                                let c =
-                                                    0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
-                                                out.push(char::from_u32(c).unwrap_or('\u{fffd}'));
-                                                *pos += 7;
-                                                continue;
-                                            }
-                                        }
-                                    }
+                            let lo = match b.get(*pos..*pos + 2) {
+                                Some(b"\\u") => hex4(b, *pos + 2).ok(),
+                                _ => None,
+                            };
+                            match lo {
+                                Some(lo) if (0xdc00..0xe000).contains(&lo) => {
+                                    let c = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
+                                    out.push(char::from_u32(c).unwrap_or('\u{fffd}'));
+                                    *pos += 6;
                                 }
+                                _ => out.push('\u{fffd}'),
                             }
-                            out.push('\u{fffd}');
                         } else {
                             out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
                         }
                     }
                     _ => return Err("invalid escape".to_string()),
                 }
-                *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 character (input is a &str, so
-                // boundaries are valid by construction).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| "bad utf-8".to_string())?;
-                let c = rest
-                    .chars()
-                    .next()
-                    .ok_or("unterminated string".to_string())?;
-                if (c as u32) < 0x20 {
-                    return Err("raw control character in string".to_string());
-                }
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            Some(_) => return Err("raw control character in string".to_string()),
         }
     }
+}
+
+/// The code unit of a `\u` escape: exactly four ASCII hex digits at
+/// `at` (no sign, unlike `u32::from_str_radix`).
+fn hex4(b: &[u8], at: usize) -> Result<u32, String> {
+    let digits = b
+        .get(at..at + 4)
+        .ok_or("truncated \\u escape".to_string())?;
+    digits.iter().try_fold(0, |cp, &d| {
+        let d = (d as char)
+            .to_digit(16)
+            .ok_or("bad \\u escape".to_string())?;
+        Ok(cp << 4 | d)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1000,6 +1065,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_query() -> Query {
         Query {
@@ -1098,6 +1164,12 @@ mod tests {
             "nul",
             "{\"v\":\"opm-api/v1\"} trailing",
             "\u{0}\u{1}",
+            r#"{"v":"opm-api/v1","queries":[{"kernel":"\u+041","config":"knl-flat"}]}"#,
+            r#"{"v":"opm-api/v1","queries":[{"kernel":"\ud83d\u+e00","config":"knl-flat"}]}"#,
+            r#"{"v":"opm-api/v1","id":01}"#,
+            r#"{"v":"opm-api/v1","id":1.}"#,
+            r#"{"v":"opm-api/v1","queries":[{"kernel":"GEMM","config":"knl-flat","span":-.5}]}"#,
+            r#"{"v":"opm-api/v1","queries":[{"kernel":"GEMM","config":"knl-flat","span":1.e5}]}"#,
         ] {
             assert!(Request::parse(text).is_err(), "accepted {text:?}");
         }
@@ -1146,18 +1218,241 @@ mod tests {
 
     #[test]
     fn canonical_numbers_render_integers_without_fraction() {
-        assert_eq!(render_num(3.0), "3");
-        assert_eq!(render_num(-2.0), "-2");
-        assert_eq!(render_num(0.5), "0.5");
-        assert_eq!(render_num(f64::NAN), "null");
+        assert_eq!(Json::Num(3.0).render(), "3");
+        assert_eq!(Json::Num(-2.0).render(), "-2");
+        assert_eq!(Json::Num(0.5).render(), "0.5");
+        assert_eq!(Json::Num(f64::NAN).render(), "null");
     }
 
     #[test]
     fn string_escapes_round_trip() {
         let s = "a\"b\\c\nd\te\u{0008}\u{1F600} é";
-        let mut out = String::new();
-        render_string(s, &mut out);
-        let parsed = Json::parse(&out).unwrap();
+        let parsed = Json::parse(&JsonStr(s).to_string()).unwrap();
         assert_eq!(parsed.as_str(), Some(s));
+    }
+
+    #[test]
+    fn json_str_escapes_quotes_and_controls() {
+        assert_eq!(JsonStr("a\"b\\c\nd").to_string(), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(JsonStr("\u{1}").to_string(), "\"\\u0001\"");
+        assert_eq!(
+            JsonStr("\r\t\u{1f}é\u{7f}").to_string(),
+            "\"\\r\\t\\u001fé\u{7f}\""
+        );
+        assert_eq!(JsonStr("").to_string(), "\"\"");
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for text in ["-01", "1e", "1e+", "-", "+1", ".5", "1..2", "0x10", "1E5.5"] {
+            assert!(Json::parse(text).is_err(), "accepted {text:?}");
+        }
+        for (text, v) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("10", 10.0),
+            ("-1.25", -1.25),
+            ("1e5", 1e5),
+            ("2.5E-3", 2.5e-3),
+            ("0.5e+1", 5.0),
+        ] {
+            assert_eq!(Json::parse(text), Ok(Json::Num(v)), "{text}");
+        }
+    }
+
+    /// The decoder this module shipped before strings were decoded in
+    /// runs: one UTF-8 check of the rest of the document per character.
+    /// Kept as the oracle of `string_decoder_matches_the_per_character_oracle`.
+    fn parse_string_per_char(b: &[u8], pos: &mut usize) -> Result<String, String> {
+        *pos += 1;
+        let mut out = String::new();
+        loop {
+            match b.get(*pos) {
+                None => return Err("unterminated string".to_string()),
+                Some(b'"') => {
+                    *pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    *pos += 1;
+                    match b.get(*pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{0008}'),
+                        Some(b'f') => out.push('\u{000c}'),
+                        Some(b'u') => {
+                            let hex = b
+                                .get(*pos + 1..*pos + 5)
+                                .ok_or("truncated \\u escape".to_string())?;
+                            let hex = std::str::from_utf8(hex)
+                                .map_err(|_| "bad \\u escape".to_string())?;
+                            let cp = u32::from_str_radix(hex, 16)
+                                .map_err(|_| "bad \\u escape".to_string())?;
+                            *pos += 4;
+                            if (0xd800..0xdc00).contains(&cp) {
+                                if b.get(*pos + 1..*pos + 3) == Some(b"\\u") {
+                                    if let Some(lo_hex) = b.get(*pos + 3..*pos + 7) {
+                                        if let Ok(lo_hex) = std::str::from_utf8(lo_hex) {
+                                            if let Ok(lo) = u32::from_str_radix(lo_hex, 16) {
+                                                if (0xdc00..0xe000).contains(&lo) {
+                                                    let c = 0x10000
+                                                        + ((cp - 0xd800) << 10)
+                                                        + (lo - 0xdc00);
+                                                    out.push(
+                                                        char::from_u32(c).unwrap_or('\u{fffd}'),
+                                                    );
+                                                    *pos += 7;
+                                                    continue;
+                                                }
+                                            }
+                                        }
+                                    }
+                                }
+                                out.push('\u{fffd}');
+                            } else {
+                                out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
+                            }
+                        }
+                        _ => return Err("invalid escape".to_string()),
+                    }
+                    *pos += 1;
+                }
+                Some(_) => {
+                    let rest =
+                        std::str::from_utf8(&b[*pos..]).map_err(|_| "bad utf-8".to_string())?;
+                    let c = rest
+                        .chars()
+                        .next()
+                        .ok_or("unterminated string".to_string())?;
+                    if (c as u32) < 0x20 {
+                        return Err("raw control character in string".to_string());
+                    }
+                    out.push(c);
+                    *pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// One piece of a generated string literal, chosen by `kind` and
+    /// filled from `bits`.
+    fn literal_piece(kind: u64, bits: u64) -> String {
+        const HEX: &[u8] = b"0123456789abcdefABCDEF";
+        let hex = |n: usize| -> String {
+            (0..n)
+                .map(|i| HEX[(bits >> (5 * i)) as usize % HEX.len()] as char)
+                .collect()
+        };
+        let unit = |lo: u64, span: u64| format!("\\u{:04X}", lo + bits % span);
+        match kind {
+            // Plain ASCII. `+` is left out: the oracle accepts `\u+041`
+            // (a bug the run decoder fixes; see the malformed cases).
+            0 => {
+                let c = (0x20 + bits % 0x5f) as u8 as char;
+                if matches!(c, '"' | '\\' | '+') {
+                    "a".into()
+                } else {
+                    c.into()
+                }
+            }
+            1 => [
+                "é",
+                "ß",
+                "€",
+                "中",
+                "😀",
+                "\u{10ffff}",
+                "\u{7f}",
+                "\u{80}",
+                "\u{2028}",
+            ][bits as usize % 9]
+                .into(),
+            2 => {
+                ["\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t"][bits as usize % 8].into()
+            }
+            3 => format!("\\u{}", hex(4)),
+            4 => unit(0xd800, 0x400) + &unit(0xdc00, 0x400),
+            5 => unit(0xd800, 0x400),
+            6 => unit(0xdc00, 0x400),
+            7 => char::from((bits % 0x20) as u8).into(),
+            8 => {
+                ["\\", "\\x", "\\u", "\\U0041"][bits as usize % 4].to_string()
+                    + &hex(bits as usize % 4)
+            }
+            _ => "\"".into(),
+        }
+    }
+
+    fn arb_literal() -> impl Strategy<Value = String> {
+        (
+            collection::vec((0u64..10, 0u64..u64::MAX), 0..24),
+            0u64..2,
+            0usize..512,
+        )
+            .prop_map(|(pieces, closed, cut)| {
+                let mut text = String::from("\"");
+                for (kind, bits) in pieces {
+                    text += &literal_piece(kind, bits);
+                }
+                if closed == 1 {
+                    text.push('"');
+                }
+                // Truncate at a char boundary (the input is a `&str`).
+                let mut cut = cut.min(text.len());
+                while !text.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                text.truncate(cut.max(1));
+                text
+            })
+    }
+
+    fn arb_string() -> impl Strategy<Value = String> {
+        collection::vec(0u64..u64::MAX, 0..40).prop_map(|units| {
+            units
+                .into_iter()
+                .map(|u| match u % 4 {
+                    0 => char::from((u >> 8) as u8 % 0x80),
+                    1 => char::from_u32((u >> 8) as u32 % 0x11_0000).unwrap_or('\u{fffd}'),
+                    _ => ['"', '\\', '\n', '\u{0}', 'x', 'é', '😀'][(u >> 8) as usize % 7],
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn string_decoder_matches_the_per_character_oracle(text in arb_literal()) {
+            let b = text.as_bytes();
+            let (mut fast_pos, mut oracle_pos) = (0, 0);
+            let fast = parse_string(b, &mut fast_pos);
+            let oracle = parse_string_per_char(b, &mut oracle_pos);
+            match (&fast, &oracle) {
+                (Ok(f), Ok(o)) => {
+                    prop_assert_eq!(f, o, "{:?}", text);
+                    prop_assert_eq!(fast_pos, oracle_pos, "{:?}", text);
+                }
+                (Err(_), Err(_)) => {}
+                _ => panic!("{text:?}: run decoder {fast:?}, oracle {oracle:?}"),
+            }
+        }
+
+        #[test]
+        fn render_then_parse_is_the_identity(s in arb_string(), bits in 0u64..u64::MAX) {
+            let rendered = Json::Str(s.clone()).render();
+            prop_assert_eq!(Json::parse(&rendered), Ok(Json::Str(s)));
+            let v = f64::from_bits(bits);
+            let v = if v.is_finite() { v } else { bits as f64 };
+            for v in [v, v.trunc(), (bits >> 11) as f64, (bits % 1_000_000) as f64 / 64.0] {
+                let rendered = Json::Num(v).render();
+                prop_assert_eq!(Json::parse(&rendered), Ok(Json::Num(v)), "{}", rendered);
+            }
+        }
     }
 }

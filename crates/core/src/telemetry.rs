@@ -27,6 +27,7 @@
 //! spans are inert no-ops and counter increments are single relaxed
 //! atomic adds.
 
+use crate::api::JsonStr;
 use crate::stats::{log2_bucket_index, log2_bucket_le, LOG2_BUCKETS};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -921,32 +922,13 @@ fn bucket_index_of_le(le: &str) -> Option<usize> {
     (log2_bucket_le(idx.min(LOG2_BUCKETS - 1)) == Some(v)).then_some(idx)
 }
 
-/// Minimal JSON string escaping for the JSONL sink.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn render_args(args: &[(String, String)]) -> String {
     let mut out = String::from("{");
     for (i, (k, v)) in args.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":\"{}\"", json_escape(k), json_escape(v));
+        let _ = write!(out, "{}:{}", JsonStr(k), JsonStr(v));
     }
     out.push('}');
     out
@@ -963,10 +945,10 @@ fn render_schema_line() -> String {
 
 fn render_span_begin_line(name: &str, cat: &str, path: &str, ts_us: u64, tid: u64) -> String {
     format!(
-        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"B\",\"ts\":{ts_us},\"pid\":1,\"tid\":{tid},\"args\":{{\"path\":\"{}\"}}}}",
-        json_escape(name),
-        json_escape(cat),
-        json_escape(path),
+        "{{\"name\":{},\"cat\":{},\"ph\":\"B\",\"ts\":{ts_us},\"pid\":1,\"tid\":{tid},\"args\":{{\"path\":{}}}}}",
+        JsonStr(name),
+        JsonStr(cat),
+        JsonStr(path),
     )
 }
 
@@ -985,9 +967,9 @@ fn render_span_end_line(r: &SpanRecord) -> String {
         String::new()
     };
     format!(
-        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{ph}\",\"ts\":{ts}{dur},\"pid\":1,\"tid\":{},\"args\":{}}}",
-        json_escape(&r.name),
-        json_escape(r.cat),
+        "{{\"name\":{},\"cat\":{},\"ph\":\"{ph}\",\"ts\":{ts}{dur},\"pid\":1,\"tid\":{},\"args\":{}}}",
+        JsonStr(&r.name),
+        JsonStr(r.cat),
         r.tid,
         render_args(&args),
     )
@@ -995,23 +977,23 @@ fn render_span_end_line(r: &SpanRecord) -> String {
 
 fn render_instant_line(name: &str, args: &[(String, String)], ts_us: u64, tid: u64) -> String {
     format!(
-        "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":{ts_us},\"pid\":1,\"tid\":{tid},\"s\":\"g\",\"args\":{}}}",
-        json_escape(name),
+        "{{\"name\":{},\"cat\":\"event\",\"ph\":\"i\",\"ts\":{ts_us},\"pid\":1,\"tid\":{tid},\"s\":\"g\",\"args\":{}}}",
+        JsonStr(name),
         render_args(args),
     )
 }
 
 fn render_counter_line(series: &str, value: u64, ts_us: u64) -> String {
     format!(
-        "{{\"name\":\"{}\",\"cat\":\"counter\",\"ph\":\"C\",\"ts\":{ts_us},\"pid\":1,\"args\":{{\"value\":{value}}}}}",
-        json_escape(series),
+        "{{\"name\":{},\"cat\":\"counter\",\"ph\":\"C\",\"ts\":{ts_us},\"pid\":1,\"args\":{{\"value\":{value}}}}}",
+        JsonStr(series),
     )
 }
 
 fn render_histogram_line(h: &HistogramSnapshot, ts_us: u64) -> String {
     format!(
-        "{{\"name\":\"{}\",\"cat\":\"histogram\",\"ph\":\"C\",\"ts\":{ts_us},\"pid\":1,\"args\":{{\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}}}",
-        json_escape(&h.series()),
+        "{{\"name\":{},\"cat\":\"histogram\",\"ph\":\"C\",\"ts\":{ts_us},\"pid\":1,\"args\":{{\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}}}",
+        JsonStr(&h.series()),
         h.count,
         h.sum,
         h.quantile(0.50),
@@ -1422,12 +1404,6 @@ mod tests {
             );
         }
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn json_escaping_handles_quotes_and_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

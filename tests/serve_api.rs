@@ -473,3 +473,47 @@ fn bad_queries_get_typed_per_query_errors() {
         QueryResult::Err(ApiError::BadParam(_))
     ));
 }
+
+/// A request holding one string just under the frame cap decodes in
+/// linear time (the decoder used to re-validate the rest of the frame
+/// per character, pinning a daemon thread for minutes). The unknown
+/// kernel is echoed in the error, so the reply exceeds the cap and must
+/// come back as one typed `bad-param` result; the same connection then
+/// answers a normal query.
+#[test]
+fn frame_sized_string_is_answered_promptly_and_the_connection_serves_on() {
+    let engine = test_engine();
+    let (addr, handle) = spawn_server(engine, 4);
+    let client = Client::connect(&addr).unwrap();
+    let head = r#"{"v":"opm-api/v1","id":11,"queries":[{"kernel":""#;
+    let tail = r#"","config":"knl-flat"}]}"#;
+    let name_len = MAX_FRAME_LEN as usize - head.len() - tail.len();
+    let doc = format!("{head}{}{tail}", "k".repeat(name_len));
+    assert_eq!(doc.len(), MAX_FRAME_LEN as usize);
+
+    // Answered from a helper thread so a regression fails the test
+    // instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = client;
+        let resp = client.roundtrip_text(&doc);
+        let _ = tx.send((client, resp));
+    });
+    let (mut client, resp) = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("a frame-sized request is answered within 60 s");
+    let resp = resp.expect("over-cap reply roundtrip");
+    assert_eq!(resp.id, 11);
+    match &resp.results[..] {
+        [QueryResult::Err(ApiError::BadParam(m))] => {
+            assert!(m.contains(&MAX_FRAME_LEN.to_string()), "{m}")
+        }
+        other => panic!("got {other:?}"),
+    }
+
+    let ok = client.roundtrip(&sample_request(12)).expect("follow-up");
+    assert_eq!(ok.id, 12);
+    assert!(matches!(ok.results[0], QueryResult::Ok(_)));
+    client.roundtrip(&shutdown_request()).expect("shutdown");
+    handle.join().unwrap();
+}
