@@ -101,8 +101,6 @@ pub fn valid_lines(text: &str) -> Vec<&str> {
 
 /// The configuration signature recorded in (and checked against) every
 /// journal: anything that changes the *bytes* of the figure CSVs.
-/// Thread count and the profile cache are deliberately absent — the
-/// engine is deterministic across both.
 pub fn config_signature(engine: &Engine) -> String {
     let fault = std::env::var("OPM_FAULT_SPEC").unwrap_or_default();
     format!(
@@ -154,8 +152,8 @@ pub fn clear_all() {
 }
 
 /// An open journal for one figure, receiving the engine's progress
-/// events. Writes are line-buffered behind a mutex (progress events
-/// arrive from every worker thread) and flushed on each event, so the
+/// events. Writes are line-buffered behind a mutex (the journal is
+/// shared through the engine) and flushed on each event, so the
 /// journal survives a `kill -9` up to the last completed point range.
 pub struct FigureCheckpoint {
     figure: String,
@@ -287,8 +285,6 @@ mod tests {
                 label: "stage_a".into(),
                 points: 128,
                 wall_ns: 1,
-                cache_hits: 0,
-                cache_misses: 0,
             });
             // In-progress journal is not "done".
             assert!(!figure_is_done("figx", sig));
@@ -411,9 +407,10 @@ mod tests {
     fn checkpoint_feeds_from_engine_journal_hook() {
         with_tmp_results("enginehook", || {
             let sig = "reduced=false corpus=48 fault=";
-            let mut config = opm_kernels::EngineConfig::serial();
-            config.checkpoint_every = 4;
-            let engine = Engine::new(config);
+            let engine = Engine::new(opm_kernels::EngineConfig {
+                checkpoint_every: 4,
+                ..Default::default()
+            });
             let ck = Arc::new(FigureCheckpoint::begin("figy", sig).unwrap());
             engine.set_journal(Some(ck.clone()));
             engine.run_stage("hooked_stage", |e| {

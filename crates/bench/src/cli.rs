@@ -11,13 +11,12 @@
 //!
 //! ## Globals and exit codes
 //!
-//! Every subcommand accepts the shared globals `--threads <n>`,
-//! `--telemetry <off|summary|full>`, `--reduced`, `--no-cache`,
-//! `--fault-spec <spec>`, `--max-retries <n>` and `--out <path>`; they
-//! are applied (via the corresponding `OPM_*` variables, which remain the
-//! configuration source for worker processes) before the subcommand
-//! runs, and the merged configuration — fault spec included — is
-//! validated once up front. The process exits with:
+//! Every subcommand accepts the shared globals
+//! `--telemetry <off|summary|full>`, `--reduced`, `--fault-spec <spec>`,
+//! `--max-retries <n>` and `--out <path>`; they are applied (via the
+//! corresponding `OPM_*` variables, which remain the configuration source
+//! for worker processes) before the subcommand runs, and the merged
+//! configuration — fault spec included — is validated once up front. The process exits with:
 //!
 //! * `0` — success;
 //! * `1` — runtime failure (evaluation, I/O);
@@ -191,10 +190,8 @@ impl From<&str> for CliFailure {
 /// one sets: `(flag, variable, value of the bare flag)`. Value-less
 /// switches carry the value they set; the rest take the flag's value.
 const ENV_FLAGS: &[(&str, &str, Option<&str>)] = &[
-    ("threads", "OPM_THREADS", None),
     ("telemetry", "OPM_TELEMETRY", None),
     ("reduced", "OPM_REDUCED", Some("1")),
-    ("no-cache", "OPM_PROFILE_CACHE", Some("off")),
     ("fault-spec", "OPM_FAULT_SPEC", None),
     ("max-retries", "OPM_MAX_RETRIES", None),
 ];
@@ -281,10 +278,8 @@ const HELP: &str = "\
 opm — query the OPM reproduction models
 
 GLOBAL OPTIONS (accepted by every subcommand; --key=value works too):
-  --threads <n>        engine worker threads (applies OPM_THREADS)
   --telemetry <mode>   off | summary | full (applies OPM_TELEMETRY)
   --reduced            reduced harness grids (applies OPM_REDUCED=1)
-  --no-cache           no profile memoization (applies OPM_PROFILE_CACHE=off)
   --fault-spec <spec>  fault injection, e.g. panic@rate:0.1:seed:7
                        (applies OPM_FAULT_SPEC)
   --max-retries <n>    transient-failure retry budget (applies OPM_MAX_RETRIES)
@@ -987,6 +982,36 @@ mod tests {
             crate::extensions::STUDIES.len(),
             "{studies}"
         );
+    }
+
+    #[test]
+    fn retired_engine_flags_are_unknown_and_stray_variables_ignored() {
+        // The engine has no pool and sweeps no profile memo: the old
+        // switches are unknown flags now.
+        assert_eq!(exit_code("figures --threads 2 --list"), 2);
+        assert_eq!(exit_code("figures --no-cache --list"), 2);
+        // `--threads` stays a query field of the advisor.
+        let by_flag = run_str("advise --kernel GEMM --config knl-flat --threads 8").unwrap();
+        let by_field = run_str("advise --kernel GEMM --config knl-flat --query-threads 8").unwrap();
+        assert_eq!(by_flag, by_field);
+        let default = run_str("advise --kernel GEMM --config knl-flat").unwrap();
+        assert_ne!(by_flag, default, "the thread count reaches the query");
+        // Leftover variables from old scripts, even malformed ones,
+        // change nothing.
+        let _lock = crate::TEST_ENV_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let retired = ["OPM_THREADS", "OPM_PROFILE_CACHE", "OPM_CACHE_SHARDS"];
+        for var in retired {
+            std::env::set_var(var, "bogus");
+        }
+        let listed = exit_code("figures --list");
+        let advised = run_str("advise --kernel GEMM --config knl-flat");
+        for var in retired {
+            std::env::remove_var(var);
+        }
+        assert_eq!(listed, 0);
+        assert_eq!(advised.unwrap(), default);
     }
 
     #[test]

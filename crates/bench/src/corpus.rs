@@ -62,7 +62,7 @@ impl CorpusLoad {
 /// Load one `.mtx` file with transient-failure retry, consulting the
 /// engine's fault plan under the file stem (so
 /// `OPM_FAULT_SPEC=io@matrix:simple3` injects an I/O failure into
-/// `simple3.mtx` at any thread count).
+/// `simple3.mtx`).
 fn load_one(engine: &Engine, path: &Path) -> Result<CsrMatrix, QuarantinedMatrix> {
     let stem = path
         .file_stem()
@@ -158,7 +158,7 @@ mod tests {
         fs::write(dir.join("b_bad.mtx"), BAD).unwrap();
         fs::write(dir.join("c_good.mtx"), GOOD).unwrap();
         fs::write(dir.join("ignored.txt"), "not a matrix").unwrap();
-        let engine = Engine::new(EngineConfig::serial());
+        let engine = Engine::new(EngineConfig::default());
         let load = load_corpus_dir(&engine, &dir).unwrap();
         assert_eq!(load.loaded.len(), 2);
         assert_eq!(load.loaded[0].0, "a_good");
@@ -178,7 +178,7 @@ mod tests {
         // io@matrix fires only on attempt 0 (non-persistent), so the
         // first retry reads the perfectly good file.
         let plan = FaultPlan::parse("io@matrix:victim").unwrap();
-        let engine = Engine::new(EngineConfig::serial().with_fault_plan(plan));
+        let engine = Engine::new(EngineConfig::default().with_fault_plan(plan));
         let load = load_corpus_dir(&engine, &dir).unwrap();
         assert_eq!(load.loaded.len(), 1);
         assert!(load.quarantined.is_empty());
@@ -191,7 +191,7 @@ mod tests {
         fs::write(dir.join("victim.mtx"), GOOD).unwrap();
         fs::write(dir.join("other.mtx"), GOOD).unwrap();
         let plan = FaultPlan::parse("io@matrix:victim:persist").unwrap();
-        let mut config = EngineConfig::serial().with_fault_plan(plan);
+        let mut config = EngineConfig::default().with_fault_plan(plan);
         config.max_retries = 2;
         config.backoff_base_us = 0;
         let engine = Engine::new(config);
@@ -213,7 +213,7 @@ mod tests {
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         std::env::set_var("OPM_RESULTS", &results);
-        let engine = Engine::new(EngineConfig::serial());
+        let engine = Engine::new(EngineConfig::default());
         let load = load_corpus_dir(&engine, &dir).unwrap();
         let path = load.write_manifest().unwrap();
         std::env::remove_var("OPM_RESULTS");

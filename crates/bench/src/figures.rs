@@ -11,7 +11,6 @@ use crate::{
 use opm_core::perf::PerfModel;
 use opm_core::platform::{EdramMode, Machine, McdramMode, OpmConfig, PlatformSpec};
 use opm_core::power::{breakeven_gain, opm_saves_energy};
-use opm_core::profile::ProfileKey;
 use opm_core::report::{Series, TextTable};
 use opm_core::roofline::Roofline;
 use opm_core::stats::{gaussian_kde, linspace, silverman_bandwidth, summarize};
@@ -52,16 +51,9 @@ pub fn fig01_gemm_pdf() {
                 &label,
                 &samples,
                 |&(n, tile)| {
-                    let prof = eng.profile(
-                        ProfileKey::Gemm {
-                            n,
-                            tile,
-                            threads: 4,
-                            cores: 4,
-                        },
-                        || opm_dense::gemm_profile(n, tile, 4, 4),
-                    );
-                    model.evaluate(&prof).gflops
+                    model
+                        .evaluate(&opm_dense::gemm_profile(n, tile, 4, 4))
+                        .gflops
                 },
                 |_, _| f64::NAN,
             );

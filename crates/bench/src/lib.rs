@@ -180,9 +180,9 @@ pub fn representative_profile(kernel: KernelId, machine: Machine) -> AccessProfi
 
 /// The full sweep of modeled throughputs for one kernel under one
 /// configuration, aligned across configurations of the same machine (used
-/// by Tables 4 and 5). Runs on the global [`Engine`], so profiles computed
-/// for the baseline configuration are reused by every OPM configuration of
-/// the same machine.
+/// by Tables 4 and 5). Runs on the global [`Engine`]; each configuration
+/// builds its own profiles (a fraction of a microsecond each) instead of
+/// sharing a memo.
 pub fn kernel_sweep_gflops(kernel: KernelId, config: OpmConfig) -> Vec<f64> {
     let machine = config.machine();
     match kernel {

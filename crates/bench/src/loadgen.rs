@@ -13,7 +13,7 @@
 //! The query mix cycles deterministically through every kernel ×
 //! configuration pair, so repeated requests exercise the daemon's
 //! cross-request profile cache the way a real advisory workload would
-//! (misses on first contact, coalesced hits after).
+//! (misses on first contact, hits after).
 
 use crate::serve::Client;
 use opm_core::api::{ApiError, Query, QueryResult, Request};

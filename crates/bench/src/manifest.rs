@@ -3,9 +3,9 @@
 //! Every figure/table pipeline is registered here by name, so `opm
 //! figures` — whole campaign, `--only` selection or one campaign shard —
 //! runs through one path: execute the pipeline on the global [`Engine`],
-//! attribute its sweep stages, wall time and profile-cache traffic, print
-//! a progress line to stderr, and write the accumulated observability
-//! data to `results/run_manifest.csv`.
+//! attribute its sweep stages and wall time, print a progress line to
+//! stderr, and write the accumulated observability data to
+//! `results/run_manifest.csv`.
 //!
 //! Runs are fault-tolerant end to end: each pipeline executes under
 //! `catch_unwind` (one crashing figure does not kill the campaign), a
@@ -278,10 +278,6 @@ pub struct FigureReport {
     /// (summed over the pipeline's engine stages), or — for stage-less
     /// model-evaluation figures — the CSV rows produced.
     pub points: usize,
-    /// Profile-cache hits during the pipeline.
-    pub cache_hits: u64,
-    /// Profile-cache misses during the pipeline.
-    pub cache_misses: u64,
     /// Point/figure failures recorded during the pipeline (recovered
     /// retries included).
     pub failures: usize,
@@ -299,17 +295,6 @@ impl FigureReport {
             0.0
         } else {
             self.points as f64 / self.wall_secs()
-        }
-    }
-
-    /// Profile-cache hit rate over the pipeline (0 when it computed no
-    /// profiles).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
         }
     }
 }
@@ -373,8 +358,6 @@ pub fn run_figures_opt(names: Option<&[String]>, options: &RunOptions) -> Vec<Fi
                     status: FigureStatus::Resumed,
                     wall_ns: 0,
                     points: done_points,
-                    cache_hits: 0,
-                    cache_misses: 0,
                     failures: 0,
                 });
                 continue;
@@ -383,7 +366,6 @@ pub fn run_figures_opt(names: Option<&[String]>, options: &RunOptions) -> Vec<Fi
         let stage_mark = engine.stage_count();
         let rows_mark = crate::emitted_rows();
         let failure_mark = engine.failure_count();
-        let cache_before = engine.cache_stats();
         let journal = match checkpoint::FigureCheckpoint::begin(spec.name, &signature) {
             Ok(j) => {
                 let j = Arc::new(j);
@@ -402,7 +384,6 @@ pub fn run_figures_opt(names: Option<&[String]>, options: &RunOptions) -> Vec<Fi
         let outcome = catch_unwind(AssertUnwindSafe(spec.run));
         let wall_ns = start.elapsed().as_nanos();
         engine.set_journal(None);
-        let cache = engine.cache_stats().since(cache_before);
         let stage_points: usize = engine
             .stages_since(stage_mark)
             .iter()
@@ -452,8 +433,6 @@ pub fn run_figures_opt(names: Option<&[String]>, options: &RunOptions) -> Vec<Fi
             status,
             wall_ns,
             points,
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
             failures: engine.failure_count() - failure_mark,
         };
         span.arg("status", report.status.label());
@@ -464,7 +443,7 @@ pub fn run_figures_opt(names: Option<&[String]>, options: &RunOptions) -> Vec<Fi
         // sees totals advance figure by figure.
         engine.telemetry().publish_counters();
         eprintln!(
-            "[{}/{}] {} [{}]: {:.2}s, {} points ({:.0} pts/s), cache {}h/{}m{}",
+            "[{}/{}] {} [{}]: {:.2}s, {} points ({:.0} pts/s){}",
             i + 1,
             total,
             report.name,
@@ -472,8 +451,6 @@ pub fn run_figures_opt(names: Option<&[String]>, options: &RunOptions) -> Vec<Fi
             report.wall_secs(),
             report.points,
             report.points_per_sec(),
-            report.cache_hits,
-            report.cache_misses,
             if report.failures > 0 {
                 format!(", {} failure(s)", report.failures)
             } else {
@@ -487,7 +464,7 @@ pub fn run_figures_opt(names: Option<&[String]>, options: &RunOptions) -> Vec<Fi
 
 /// Write `run_errors.csv` under [`out_dir`]: one row per recorded
 /// point/figure failure, sorted by (stage, point, message) so the file is
-/// byte-identical at every thread count. Always written — a header-only
+/// byte-identical from run to run. Always written — a header-only
 /// file is the positive signal that a run completed failure-free.
 ///
 /// Columns: `stage` (sweep-stage label, or `figure/<name>` for a pipeline
@@ -528,28 +505,18 @@ pub fn write_run_errors(failures: &[PointFailure]) -> std::io::Result<PathBuf> {
 
 /// Write `run_manifest.csv` under [`out_dir`]: one row per executed
 /// figure plus a `TOTAL` row, with wall time, evaluated points,
-/// throughput, and profile-cache traffic/hit rate.
+/// throughput, and failures.
 pub fn write_manifest(reports: &[FigureReport]) -> std::io::Result<PathBuf> {
     let dir = out_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join("run_manifest.csv");
-    let mut out = String::from(
-        "figure,status,wall_s,points,points_per_s,cache_hits,cache_misses,cache_hit_rate,failures\n",
-    );
-    #[allow(clippy::too_many_arguments)]
-    let mut push_row = |name: &str,
-                        status: &str,
-                        wall_s: f64,
-                        points: usize,
-                        pps: f64,
-                        hits: u64,
-                        misses: u64,
-                        rate: f64,
-                        failures: usize| {
-        out.push_str(&format!(
-            "{name},{status},{wall_s:.6},{points},{pps:.1},{hits},{misses},{rate:.4},{failures}\n"
-        ));
-    };
+    let mut out = String::from("figure,status,wall_s,points,points_per_s,failures\n");
+    let mut push_row =
+        |name: &str, status: &str, wall_s: f64, points: usize, pps: f64, failures: usize| {
+            out.push_str(&format!(
+                "{name},{status},{wall_s:.6},{points},{pps:.1},{failures}\n"
+            ));
+        };
     for r in reports {
         push_row(
             r.name,
@@ -557,16 +524,11 @@ pub fn write_manifest(reports: &[FigureReport]) -> std::io::Result<PathBuf> {
             r.wall_secs(),
             r.points,
             r.points_per_sec(),
-            r.cache_hits,
-            r.cache_misses,
-            r.cache_hit_rate(),
             r.failures,
         );
     }
     let wall_ns: u128 = reports.iter().map(|r| r.wall_ns).sum();
     let points: usize = reports.iter().map(|r| r.points).sum();
-    let hits: u64 = reports.iter().map(|r| r.cache_hits).sum();
-    let misses: u64 = reports.iter().map(|r| r.cache_misses).sum();
     let failures: usize = reports.iter().map(|r| r.failures).sum();
     let wall_s = wall_ns as f64 / 1e9;
     push_row(
@@ -578,13 +540,6 @@ pub fn write_manifest(reports: &[FigureReport]) -> std::io::Result<PathBuf> {
             0.0
         } else {
             points as f64 / wall_s
-        },
-        hits,
-        misses,
-        if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
         },
         failures,
     );
@@ -600,9 +555,7 @@ pub fn run_and_write_opt(names: Option<&[String]>, options: &RunOptions) {
     let engine = Engine::global();
     let cfg = engine.config();
     eprintln!(
-        "engine: {} thread(s), profile cache {}, {} grids{}{}, telemetry {}",
-        cfg.threads,
-        if cfg.cache_enabled { "on" } else { "off" },
+        "engine: {} grids{}{}, telemetry {}",
         if cfg.reduced { "reduced" } else { "full" },
         if options.resume { ", resuming" } else { "" },
         if cfg.fault_plan.is_some() {
@@ -628,14 +581,6 @@ pub fn run_and_write_opt(names: Option<&[String]>, options: &RunOptions) {
     if !failures.is_empty() {
         eprintln!("failures: {quarantined} quarantined, {recovered} recovered by retry");
     }
-    let cache = engine.cache_stats();
-    eprintln!(
-        "profile cache: {} distinct profiles, {}/{} lookups hit ({:.1}%)",
-        engine.cache_len(),
-        cache.hits,
-        cache.total(),
-        100.0 * cache.hit_rate(),
-    );
     if let Some(run) = telemetry_run {
         run.finish();
     }
@@ -666,14 +611,11 @@ mod tests {
             status: FigureStatus::Completed,
             wall_ns: 2_000_000_000,
             points: 100,
-            cache_hits: 75,
-            cache_misses: 25,
             failures: 0,
         }];
         let r = &reports[0];
         assert!((r.wall_secs() - 2.0).abs() < 1e-12);
         assert!((r.points_per_sec() - 50.0).abs() < 1e-9);
-        assert!((r.cache_hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(r.status.label(), "ok");
         assert_eq!(FigureStatus::Failed.label(), "failed");
         assert_eq!(FigureStatus::Resumed.label(), "resumed");

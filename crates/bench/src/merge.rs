@@ -27,8 +27,8 @@
 //!
 //! The determinism gate in `tests/shard_supervision.rs` holds merged
 //! output byte-identical to a fault-free single-process run for the
-//! sweep CSVs, and identical up to process-local timing/cache columns
-//! for the manifest.
+//! sweep CSVs, and identical up to process-local timing columns for the
+//! manifest.
 
 use crate::manifest::ALL_FIGURES;
 use crate::shard;
@@ -96,11 +96,9 @@ fn registry_key(name: &str) -> (usize, String) {
 /// Merge the per-shard `run_manifest.csv` files: shard figure rows kept
 /// verbatim in registry order, `TOTAL` recomputed across all shards.
 fn merge_manifests(manifests: &[(String, String)]) -> Result<String, String> {
-    const HEADER: &str =
-        "figure,status,wall_s,points,points_per_s,cache_hits,cache_misses,cache_hit_rate,failures";
+    const HEADER: &str = "figure,status,wall_s,points,points_per_s,failures";
     let mut rows: Vec<(usize, String, String)> = Vec::new();
-    let (mut wall_s, mut points, mut hits, mut misses, mut failures) =
-        (0.0f64, 0u64, 0u64, 0u64, 0u64);
+    let (mut wall_s, mut points, mut failures) = (0.0f64, 0u64, 0u64);
     for (label, text) in manifests {
         let mut lines = text.lines();
         match lines.next() {
@@ -116,7 +114,7 @@ fn merge_manifests(manifests: &[(String, String)]) -> Result<String, String> {
                 continue;
             }
             let cells: Vec<&str> = line.split(',').collect();
-            if cells.len() != 9 {
+            if cells.len() != 6 {
                 return Err(format!("shard {label}: malformed manifest row {line:?}"));
             }
             if cells[0] == "TOTAL" {
@@ -129,9 +127,7 @@ fn merge_manifests(manifests: &[(String, String)]) -> Result<String, String> {
             };
             wall_s += parse(2)?;
             points += parse(3)? as u64;
-            hits += parse(5)? as u64;
-            misses += parse(6)? as u64;
-            failures += parse(8)? as u64;
+            failures += parse(5)? as u64;
             let (pos, tie) = registry_key(cells[0]);
             rows.push((pos, tie, line.to_string()));
         }
@@ -147,13 +143,8 @@ fn merge_manifests(manifests: &[(String, String)]) -> Result<String, String> {
     } else {
         0.0
     };
-    let rate = if hits + misses > 0 {
-        hits as f64 / (hits + misses) as f64
-    } else {
-        0.0
-    };
     out.push_str(&format!(
-        "TOTAL,-,{wall_s:.6},{points},{pps:.1},{hits},{misses},{rate:.4},{failures}\n"
+        "TOTAL,-,{wall_s:.6},{points},{pps:.1},{failures}\n"
     ));
     Ok(out)
 }
@@ -351,8 +342,7 @@ mod tests {
         }
     }
 
-    const HEADER: &str =
-        "figure,status,wall_s,points,points_per_s,cache_hits,cache_misses,cache_hit_rate,failures\n";
+    const HEADER: &str = "figure,status,wall_s,points,points_per_s,failures\n";
     const ERR_HEADER: &str = "stage,point,kind,attempts,transient,outcome,message\n";
 
     #[test]
@@ -377,8 +367,8 @@ mod tests {
             &[(
                 "run_manifest.csv",
                 &format!(
-                    "{HEADER}fig04_ai_spectrum,ok,2.000000,10,5.0,4,6,0.4000,0\n\
-                     TOTAL,-,2.000000,10,5.0,4,6,0.4000,0\n"
+                    "{HEADER}fig04_ai_spectrum,ok,2.000000,10,5.0,0\n\
+                     TOTAL,-,2.000000,10,5.0,0\n"
                 ),
             )],
         );
@@ -388,8 +378,8 @@ mod tests {
             &[(
                 "run_manifest.csv",
                 &format!(
-                    "{HEADER}fig01_gemm_pdf,ok,1.000000,20,20.0,6,4,0.6000,1\n\
-                     TOTAL,-,1.000000,20,20.0,6,4,0.6000,1\n"
+                    "{HEADER}fig01_gemm_pdf,ok,1.000000,20,20.0,1\n\
+                     TOTAL,-,1.000000,20,20.0,1\n"
                 ),
             )],
         );
@@ -398,10 +388,7 @@ mod tests {
         let lines: Vec<&str> = merged.lines().collect();
         assert!(lines[1].starts_with("fig01_gemm_pdf,"), "{merged}");
         assert!(lines[2].starts_with("fig04_ai_spectrum,"), "{merged}");
-        assert_eq!(
-            lines[3], "TOTAL,-,3.000000,30,10.0,10,10,0.5000,1",
-            "{merged}"
-        );
+        assert_eq!(lines[3], "TOTAL,-,3.000000,30,10.0,1", "{merged}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

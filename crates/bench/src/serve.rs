@@ -9,9 +9,10 @@
 //! evaluation code path to drift.
 //!
 //! Profiles are memoized in the serving engine's sharded cross-request
-//! cache: concurrent identical queries coalesce onto one computation
-//! (the engine's pending-marker scheme), and `OPM_CACHE_CAP` bounds the
-//! daemon's memory by evicting least-recently-used profiles.
+//! cache ([`Engine::profile`]), and `OPM_CACHE_CAP` bounds the daemon's
+//! memory by evicting least-recently-used profiles. Concurrent identical
+//! misses each build the profile (well under a microsecond) rather than
+//! wait on one another.
 //!
 //! Backpressure is load-shedding, not stalling: requests beyond the
 //! `--max-inflight` bound receive an immediate typed `overloaded`
@@ -40,10 +41,9 @@ use std::sync::Arc;
 /// load-sheds with `overloaded`.
 pub const DEFAULT_MAX_INFLIGHT: usize = 64;
 
-/// Default profile-cache bound for a serving engine. Sweep campaigns
-/// run the cache unbounded (their key set is finite); a daemon fed by
-/// arbitrary clients is not, so `opm serve` bounds it unless
-/// `OPM_CACHE_CAP` says otherwise.
+/// Default profile-cache bound for a serving engine: a daemon fed by
+/// arbitrary clients sees an unbounded key population, so `opm serve`
+/// bounds its memo unless `OPM_CACHE_CAP` says otherwise.
 pub const DEFAULT_SERVE_CACHE_CAP: usize = 4096;
 
 // ---------------------------------------------------------------------
@@ -185,8 +185,8 @@ pub fn query_profile(q: &Query) -> Result<(KernelId, OpmConfig, AccessProfile), 
     Ok((kernel, config, build_profile(kernel, &p, cores)))
 }
 
-/// Answer one query: resolve, profile (through the engine's coalescing
-/// cache), evaluate, price, and recommend. Every failure is a typed
+/// Answer one query: resolve, profile (through the engine's memo),
+/// evaluate, price, and recommend. Every failure is a typed
 /// [`ApiError`].
 pub fn answer_query(engine: &Engine, q: &Query) -> Result<Advice, ApiError> {
     let (kernel, config, p) = resolve(q)?;
@@ -592,10 +592,7 @@ mod tests {
     use opm_kernels::engine::EngineConfig;
 
     fn test_engine() -> Arc<Engine> {
-        Arc::new(Engine::new(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        }))
+        Arc::new(Engine::new(EngineConfig::default()))
     }
 
     fn gemm_query() -> Query {

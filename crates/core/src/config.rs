@@ -3,7 +3,7 @@
 //!
 //! Before this module each consumer read its own variable with an
 //! `.ok().and_then(parse).unwrap_or(default)` chain, so a typo'd value
-//! (`OPM_THREADS=fuor`, `OPM_TELEMETRY=ful`) silently fell back to the
+//! (`OPM_MAX_RETRIES=tow`, `OPM_TELEMETRY=ful`) silently fell back to the
 //! default and the misconfiguration surfaced — if ever — as a puzzling
 //! performance or observability gap. [`Config::from_env`] instead
 //! rejects the first malformed value with a [`ConfigError`] naming the
@@ -27,14 +27,11 @@ use crate::telemetry::TelemetryMode;
 use std::fmt;
 use std::path::PathBuf;
 
-/// Default shard count of the engine's memoized profile cache.
-pub const DEFAULT_CACHE_SHARDS: usize = 16;
-
 /// One malformed configuration value: which variable, what it held, and
 /// what a valid value looks like.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
-    /// The environment variable name, e.g. `OPM_THREADS`.
+    /// The environment variable name, e.g. `OPM_TELEMETRY`.
     pub var: &'static str,
     /// The malformed value as found in the environment.
     pub value: String,
@@ -57,20 +54,10 @@ impl std::error::Error for ConfigError {}
 /// The process configuration: every `OPM_*` knob, typed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Config {
-    /// `OPM_THREADS` — engine worker threads (`None` = available
-    /// parallelism).
-    pub threads: Option<usize>,
-    /// `OPM_PROFILE_CACHE` — whether the engine memoizes profiles
-    /// (default on).
-    pub profile_cache: bool,
-    /// `OPM_CACHE_SHARDS` — shard count of the profile cache (rounded
-    /// up to a power of two by the engine; default
-    /// [`DEFAULT_CACHE_SHARDS`]).
-    pub cache_shards: usize,
-    /// `OPM_CACHE_CAP` — bound on memoized profiles (`None` =
-    /// unbounded). When set, the engine evicts least-recently-used
-    /// entries; `opm serve` uses this to keep a long-running daemon's
-    /// cross-request cache from growing without limit.
+    /// `OPM_CACHE_CAP` — bound on the profiles `opm serve` memoizes
+    /// across requests (`None` = the daemon's default bound). Past it the
+    /// engine evicts least-recently-used entries. Sweeps memoize nothing,
+    /// so only the daemon reads this.
     pub cache_capacity: Option<usize>,
     /// `OPM_REDUCED` — reduced harness grids (default off).
     pub reduced: bool,
@@ -99,9 +86,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            threads: None,
-            profile_cache: true,
-            cache_shards: DEFAULT_CACHE_SHARDS,
             cache_capacity: None,
             reduced: false,
             max_retries: 2,
@@ -130,19 +114,6 @@ impl Config {
         let get = |name: &str| lookup(name).filter(|v| !v.trim().is_empty());
         let d = Config::default();
         Ok(Config {
-            threads: parse_opt(get("OPM_THREADS"), "OPM_THREADS", POSITIVE_USIZE)?,
-            profile_cache: parse_or(
-                get("OPM_PROFILE_CACHE"),
-                "OPM_PROFILE_CACHE",
-                d.profile_cache,
-                BOOL,
-            )?,
-            cache_shards: parse_or(
-                get("OPM_CACHE_SHARDS"),
-                "OPM_CACHE_SHARDS",
-                d.cache_shards,
-                POSITIVE_USIZE,
-            )?,
             cache_capacity: parse_opt(get("OPM_CACHE_CAP"), "OPM_CACHE_CAP", POSITIVE_USIZE)?,
             reduced: parse_or(get("OPM_REDUCED"), "OPM_REDUCED", d.reduced, BOOL)?,
             max_retries: parse_or(
@@ -266,7 +237,7 @@ mod tests {
     #[test]
     fn empty_values_count_as_unset() {
         let c = cfg(&[
-            ("OPM_THREADS", ""),
+            ("OPM_CORPUS", ""),
             ("OPM_RUN_ID", " "),
             ("OPM_FAULT_SPEC", ""),
         ])
@@ -277,9 +248,6 @@ mod tests {
     #[test]
     fn well_formed_values_parse() {
         let c = cfg(&[
-            ("OPM_THREADS", "8"),
-            ("OPM_PROFILE_CACHE", "off"),
-            ("OPM_CACHE_SHARDS", "4"),
             ("OPM_CACHE_CAP", "512"),
             ("OPM_REDUCED", "1"),
             ("OPM_MAX_RETRIES", "0"),
@@ -291,9 +259,6 @@ mod tests {
             ("OPM_CORPUS", "48"),
         ])
         .unwrap();
-        assert_eq!(c.threads, Some(8));
-        assert!(!c.profile_cache);
-        assert_eq!(c.cache_shards, 4);
         assert_eq!(c.cache_capacity, Some(512));
         assert!(c.reduced);
         assert_eq!(c.max_retries, 0);
@@ -307,21 +272,21 @@ mod tests {
 
     #[test]
     fn malformed_values_yield_typed_errors_not_defaults() {
-        let err = cfg(&[("OPM_THREADS", "fuor")]).unwrap_err();
-        assert_eq!(err.var, "OPM_THREADS");
+        let err = cfg(&[("OPM_CKPT_EVERY", "fuor")]).unwrap_err();
+        assert_eq!(err.var, "OPM_CKPT_EVERY");
         assert_eq!(err.value, "fuor");
-        assert!(err.to_string().contains("OPM_THREADS"));
+        assert!(err.to_string().contains("OPM_CKPT_EVERY"));
         assert!(err.to_string().contains("positive integer"));
 
-        let err = cfg(&[("OPM_THREADS", "0")]).unwrap_err();
-        assert_eq!(err.var, "OPM_THREADS");
+        let err = cfg(&[("OPM_CKPT_EVERY", "0")]).unwrap_err();
+        assert_eq!(err.var, "OPM_CKPT_EVERY");
 
         let err = cfg(&[("OPM_TELEMETRY", "ful")]).unwrap_err();
         assert_eq!(err.var, "OPM_TELEMETRY");
         assert!(err.to_string().contains("off/summary/full"));
 
-        let err = cfg(&[("OPM_PROFILE_CACHE", "maybe")]).unwrap_err();
-        assert_eq!(err.var, "OPM_PROFILE_CACHE");
+        let err = cfg(&[("OPM_REDUCED", "maybe")]).unwrap_err();
+        assert_eq!(err.var, "OPM_REDUCED");
 
         let err = cfg(&[("OPM_CACHE_CAP", "-3")]).unwrap_err();
         assert_eq!(err.var, "OPM_CACHE_CAP");
@@ -329,7 +294,21 @@ mod tests {
 
     #[test]
     fn first_error_wins_over_later_valid_values() {
-        let err = cfg(&[("OPM_THREADS", "x"), ("OPM_TELEMETRY", "full")]).unwrap_err();
-        assert_eq!(err.var, "OPM_THREADS");
+        let err = cfg(&[("OPM_MAX_RETRIES", "x"), ("OPM_TELEMETRY", "full")]).unwrap_err();
+        assert_eq!(err.var, "OPM_MAX_RETRIES");
+    }
+
+    #[test]
+    fn retired_engine_knobs_are_ignored() {
+        // The engine has no thread pool and sweeps memoize nothing, so
+        // these former knobs are not configuration any more: stray
+        // values, malformed ones included, change nothing.
+        let c = cfg(&[
+            ("OPM_THREADS", "lots"),
+            ("OPM_PROFILE_CACHE", "maybe"),
+            ("OPM_CACHE_SHARDS", "0"),
+        ])
+        .unwrap();
+        assert_eq!(c, Config::default());
     }
 }

@@ -102,14 +102,22 @@ impl Series {
         self.rows.push(row);
     }
 
-    /// Render as CSV text.
+    /// Render as CSV text, every cell written straight into one
+    /// pre-sized buffer.
     pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.columns.join(","));
+        let header = self.columns.join(",");
+        let cells = self.rows.len() * self.columns.len();
+        // Typical cells are a sign, six-ish digits and a separator.
+        let mut out = String::with_capacity(header.len() + 1 + cells * 12);
+        out.push_str(&header);
         out.push('\n');
         for row in &self.rows {
-            let line: Vec<String> = row.iter().map(|v| format_num(*v)).collect();
-            out.push_str(&line.join(","));
+            for (i, &v) in row.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_num(&mut out, v);
+            }
             out.push('\n');
         }
         out
@@ -128,15 +136,25 @@ impl Series {
     }
 }
 
-fn format_num(v: f64) -> String {
+/// Append one CSV number: `0` for either zero, six-digit scientific
+/// notation outside `[1e-3, 1e7)`, otherwise six decimals with trailing
+/// zeros (and a bare trailing point) trimmed.
+fn push_num(out: &mut String, v: f64) {
     if v == 0.0 {
-        "0".to_string()
+        out.push('0');
     } else if v.abs() >= 1e7 || v.abs() < 1e-3 {
-        format!("{v:.6e}")
+        let _ = write!(out, "{v:.6e}");
     } else {
-        let s = format!("{v:.6}");
-        let s = s.trim_end_matches('0').trim_end_matches('.');
-        s.to_string()
+        let start = out.len();
+        let _ = write!(out, "{v:.6}");
+        // `{:.6}` always prints a decimal point for finite values, so
+        // trimming zeros stops at it or at a nonzero digit; NaN has no
+        // trailing zeros to trim.
+        let kept = out[start..]
+            .trim_end_matches('0')
+            .trim_end_matches('.')
+            .len();
+        out.truncate(start + kept);
     }
 }
 
@@ -390,11 +408,77 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The per-cell formatter `to_csv` used before it wrote into one
+    /// buffer: the byte-identity oracle for [`push_num`].
+    fn format_num(v: f64) -> String {
+        if v == 0.0 {
+            "0".to_string()
+        } else if v.abs() >= 1e7 || v.abs() < 1e-3 {
+            format!("{v:.6e}")
+        } else {
+            let s = format!("{v:.6}");
+            let s = s.trim_end_matches('0').trim_end_matches('.');
+            s.to_string()
+        }
+    }
+
+    fn pushed(v: f64) -> String {
+        let mut s = String::new();
+        push_num(&mut s, v);
+        s
+    }
+
     #[test]
     fn number_formatting() {
-        assert_eq!(format_num(1.5), "1.5");
-        assert_eq!(format_num(0.0), "0");
-        assert!(format_num(1e12).contains('e'));
-        assert!(format_num(1e-6).contains('e'));
+        assert_eq!(pushed(1.5), "1.5");
+        assert_eq!(pushed(0.0), "0");
+        assert!(pushed(1e12).contains('e'));
+        assert!(pushed(1e-6).contains('e'));
+    }
+
+    #[test]
+    fn one_buffer_csv_matches_the_per_cell_formatter() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            // Round-up cases: six decimals carry into the next digit.
+            9.9999996,
+            0.00099999996,
+            0.0009999995,
+            9_999_999.9999996,
+            0.5,
+            1.0,
+            100.0,
+            123.456789,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+        ];
+        // The notation switch points and their neighbours.
+        for edge in [1e-3f64, 1e7] {
+            values.extend([edge, edge.next_up(), edge.next_down()]);
+        }
+        // Integer grid values, as the sweeps write them.
+        values.extend((0..64).map(|i| (128 * i) as f64));
+        values.extend((0..40).map(|i| 1.7f64.powi(i - 20)));
+        let negatives: Vec<f64> = values.iter().map(|v| -v).collect();
+        values.extend(negatives);
+        for &v in &values {
+            assert_eq!(pushed(v), format_num(v), "{v:e}");
+        }
+        // And whole rows: the joined per-cell rendering, byte for byte.
+        let mut s = Series::new(vec!["a", "b", "c"]);
+        for chunk in values.chunks_exact(3) {
+            s.push(chunk.to_vec());
+        }
+        let mut expect = String::from("a,b,c\n");
+        for row in &s.rows {
+            let line: Vec<String> = row.iter().map(|v| format_num(*v)).collect();
+            expect.push_str(&line.join(","));
+            expect.push('\n');
+        }
+        assert_eq!(s.to_csv(), expect);
     }
 }

@@ -6,41 +6,42 @@
 //! kernel + problem parameters) and then evaluates it under one OPM
 //! configuration. This module factors that shape out once:
 //!
-//! * **Parallel work queue** — [`Engine::par_map`] dispatches grid points
-//!   to a pool of `std::thread::scope` workers through an atomic index.
-//!   Results are tagged with their point index and merged in sorted order,
-//!   so a run with any thread count produces *byte-identical* output to a
-//!   serial run.
+//! * **Sequential point runner** — [`Engine::par_map`] evaluates the
+//!   points of a stage in order on the calling thread. A campaign's model
+//!   work is microseconds per point, so a worker pool cost more in
+//!   spawning and shared-counter traffic than it could save; output order
+//!   is input order by construction. The engine is `Sync`: concurrent
+//!   callers (test threads, daemon connections) each run their own stages,
+//!   and the current stage lives in a thread-local, so they never see each
+//!   other's labels.
 //! * **Panic isolation** — every point evaluation runs inside
 //!   `catch_unwind`. [`Engine::par_map_isolated`] substitutes a
 //!   caller-supplied placeholder (NaN rows, in the figure sweeps) for a
-//!   failed point and records a [`PointFailure`] instead of killing the
-//!   worker pool; [`Engine::par_map`] keeps the strict contract but
-//!   propagates a *structured* panic after the surviving workers have
-//!   drained the queue. Failures classified as transient (injected
-//!   faults, I/O errors) are retried with bounded deterministic backoff
-//!   before they are quarantined.
-//! * **Profile memoization** — [`Engine::profile`] caches computed access
-//!   profiles under a [`ProfileKey`]. Profiles do not depend on the OPM
-//!   configuration, so one computation is reused across eDRAM on/off and
-//!   all four MCDRAM modes (and across every figure sweeping the same
-//!   grid). Lock poisoning is always recovered ([`lock_recover`]): the
-//!   caches hold plain data whose invariants hold between operations, so
-//!   a panic elsewhere must not wedge every later stage.
+//!   failed point and records a [`PointFailure`]; [`Engine::par_map`]
+//!   keeps the strict contract but propagates a *structured* panic after
+//!   every point has run, with every failure recorded. Failures
+//!   classified as transient (injected faults, I/O errors) are retried
+//!   with bounded deterministic backoff before they are quarantined.
+//! * **Profile memo for the daemon** — sweeps build each point's profile
+//!   in place ([`PlannedProfile::compute`], a fraction of a microsecond).
+//!   [`Engine::profile`] is the bounded LRU that `opm serve` answers
+//!   repeated queries from (`OPM_CACHE_CAP`). Lock poisoning is always
+//!   recovered ([`lock_recover`]): the locks guard plain data whose
+//!   invariants hold between operations, so a panic elsewhere must not
+//!   wedge every later stage.
 //! * **Observability** — [`Engine::run_stage`] wraps each sweep with wall
-//!   time, point count, and cache hit/miss deltas, accumulated as
-//!   [`StageRecord`]s for the run-manifest emitted by `opm-bench`; an
-//!   optional [`StageJournal`] receives periodic completed-point-range
-//!   flushes for the checkpoint/resume machinery.
+//!   time and point count, accumulated as [`StageRecord`]s for the
+//!   run-manifest emitted by `opm-bench`; an optional [`StageJournal`]
+//!   receives periodic completed-point-range flushes for the
+//!   checkpoint/resume machinery.
 //!
 //! The process-wide instance ([`Engine::global`]) is configured from the
-//! environment: `OPM_THREADS` (worker count, default = available
-//! parallelism), `OPM_PROFILE_CACHE` (`0`/`off`/`false` disables
-//! memoization), `OPM_REDUCED` (`1`/`on`/`true` selects the reduced
+//! environment: `OPM_REDUCED` (`1`/`on`/`true` selects the reduced
 //! harness grids in `opm-bench`), `OPM_MAX_RETRIES` (transient-failure
 //! retry budget, default 2), `OPM_CKPT_EVERY` (points between checkpoint
-//! progress flushes, default 64), and `OPM_FAULT_SPEC` (deterministic
-//! fault injection; see [`crate::faultinject`]).
+//! progress flushes, default 64), `OPM_CACHE_CAP` (profile-memo bound)
+//! and `OPM_FAULT_SPEC` (deterministic fault injection; see
+//! [`crate::faultinject`]).
 
 use crate::faultinject::{FaultKind, FaultPlan, InjectedFault};
 use opm_core::perf::{EvalPlan, ProfilePlan};
@@ -48,13 +49,12 @@ use opm_core::profile::{AccessProfile, ProfileKey};
 use opm_core::roofline::Attribution;
 use opm_core::telemetry::{Counter, Telemetry, TelemetryMode};
 use std::any::Any;
-use std::cell::Cell;
-use std::collections::hash_map::Entry;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Acquire a mutex, recovering the guard if a previous holder panicked.
@@ -68,10 +68,20 @@ pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The stage running on one thread: its label (fault-plan and failure-log
+/// key) and its telemetry span path (parent of per-point spans, label of
+/// the latency histogram; empty when telemetry is off).
+struct StageCtx {
+    label: String,
+    path: String,
+}
+
 thread_local! {
     /// Set while this thread is inside isolated point evaluation, where
     /// panics are caught and recorded rather than reported by the hook.
     static SUPPRESS_PANIC_HOOK: Cell<bool> = const { Cell::new(false) };
+    /// The stage [`Engine::run_stage`] is running on this thread.
+    static STAGE: RefCell<Option<StageCtx>> = const { RefCell::new(None) };
 }
 
 /// Chain a panic hook (once per process) that stays silent for panics
@@ -116,10 +126,9 @@ impl Drop for QuietPanicGuard {
 /// process.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads for [`Engine::par_map`] (1 = serial).
+    /// Threads a stage's points run on: always 1, the calling thread.
+    /// Reported by the benchmark harness; the engine has no pool.
     pub threads: usize,
-    /// Whether [`Engine::profile`] memoizes computed profiles.
-    pub cache_enabled: bool,
     /// Whether harness binaries should use reduced sweep grids.
     pub reduced: bool,
     /// Retry budget for transient point failures (0 = no retries).
@@ -131,17 +140,10 @@ pub struct EngineConfig {
     /// Completed-point interval between [`StageJournal::progress`]
     /// flushes.
     pub checkpoint_every: usize,
-    /// Shard count of the profile cache (rounded up to a power of two,
-    /// minimum 1). More shards means less lock contention between
-    /// concurrent workers missing on different keys.
-    pub cache_shards: usize,
-    /// Bound on memoized profiles across all shards (`None` =
-    /// unbounded, the sweep-campaign default — a campaign's key set is
-    /// finite and reuse is the whole point). Long-running serving
-    /// processes (`opm serve`) set a bound; the cache then evicts the
-    /// least-recently-used entry of the inserting shard. In-flight
-    /// (pending) computations never count against the bound and are
-    /// never evicted.
+    /// Bound on profiles memoized by [`Engine::profile`] (`None` =
+    /// unbounded). Only `opm serve` looks profiles up through the memo;
+    /// past the bound it evicts the least-recently-used entry of the
+    /// inserting shard.
     pub cache_capacity: Option<usize>,
     /// Deterministic fault-injection plan (tests, CI smoke runs).
     pub fault_plan: Option<Arc<FaultPlan>>,
@@ -153,8 +155,7 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Read `OPM_THREADS` / `OPM_PROFILE_CACHE` / `OPM_REDUCED` /
-    /// `OPM_MAX_RETRIES` / `OPM_CKPT_EVERY` / `OPM_CACHE_SHARDS` /
+    /// Read `OPM_REDUCED` / `OPM_MAX_RETRIES` / `OPM_CKPT_EVERY` /
     /// `OPM_CACHE_CAP` / `OPM_FAULT_SPEC` through the typed
     /// [`opm_core::config::Config`]; a malformed value stops the
     /// process with the variable named instead of silently selecting a
@@ -167,24 +168,11 @@ impl EngineConfig {
     /// CLI parses once at startup and passes the struct down).
     pub fn from_config(cfg: &opm_core::config::Config) -> Self {
         EngineConfig {
-            threads: cfg.threads.unwrap_or_else(default_threads),
-            cache_enabled: cfg.profile_cache,
             reduced: cfg.reduced,
             max_retries: cfg.max_retries,
-            backoff_base_us: 50,
             checkpoint_every: cfg.checkpoint_every.max(1),
-            cache_shards: cfg.cache_shards,
             cache_capacity: cfg.cache_capacity,
             fault_plan: FaultPlan::from_config(cfg).map(Arc::new),
-            telemetry: None,
-        }
-    }
-
-    /// Serial, cache-enabled, full-grid config (useful as a baseline in
-    /// determinism tests).
-    pub fn serial() -> Self {
-        EngineConfig {
-            threads: 1,
             ..EngineConfig::default()
         }
     }
@@ -206,13 +194,11 @@ impl EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            threads: default_threads(),
-            cache_enabled: true,
+            threads: 1,
             reduced: false,
             max_retries: 2,
             backoff_base_us: 50,
             checkpoint_every: 64,
-            cache_shards: DEFAULT_CACHE_SHARDS,
             cache_capacity: None,
             fault_plan: None,
             telemetry: None,
@@ -220,18 +206,12 @@ impl Default for EngineConfig {
     }
 }
 
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Lifetime profile-cache counters of one engine, with the derived
+/// Lifetime profile-memo counters of one engine, with the derived
 /// ratios every consumer was previously recomputing from a bare
 /// `(u64, u64)` tuple.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Profile lookups served from the memo cache.
+    /// Profile lookups served from the memo.
     pub hits: u64,
     /// Profile lookups that computed a fresh profile.
     pub misses: u64,
@@ -272,10 +252,6 @@ pub struct StageRecord {
     pub points: usize,
     /// Wall-clock time of the stage.
     pub wall_ns: u128,
-    /// Profile-cache hits attributed to the stage.
-    pub cache_hits: u64,
-    /// Profile-cache misses attributed to the stage.
-    pub cache_misses: u64,
 }
 
 impl StageRecord {
@@ -302,7 +278,8 @@ pub struct PointFailure {
     /// Stage label the point belonged to.
     pub stage: String,
     /// Point index within the stage (`usize::MAX` for failures not
-    /// attributable to a single point, e.g. a crashed worker).
+    /// attributable to a single point, e.g. a figure that panicked
+    /// outside point isolation).
     pub index: usize,
     /// Failure classification.
     pub kind: FaultKind,
@@ -388,24 +365,16 @@ impl EngineCounters {
     }
 }
 
-/// Default shard count of the profile cache (16 shards keep the odds of
-/// two of 8–64 workers colliding on one lock low while the whole shard
-/// array still fits two cache lines of mutex headers). The value lives
-/// in [`opm_core::config`] with the rest of the knob defaults.
-pub use opm_core::config::DEFAULT_CACHE_SHARDS;
-
-/// A memoized access profile together with its folded evaluation plan.
+/// An access profile together with its folded evaluation plan.
 ///
-/// The plan ([`ProfilePlan`]) is configuration-independent, so one fold is
-/// reused across eDRAM on/off and all four MCDRAM modes exactly like the
-/// profile itself; sweeps pair it with a per-configuration
-/// [`opm_core::perf::EvalPlan`] to evaluate points without re-walking the
-/// tier vectors.
+/// The plan ([`ProfilePlan`]) is configuration-independent; sweeps pair
+/// it with a per-configuration [`opm_core::perf::EvalPlan`] to evaluate
+/// points without re-walking the tier vectors.
 ///
-/// Profile and plan share one allocation: the cache's cold-miss path pays
-/// a single `Arc::new`, a clone is one refcount bump, and a cache slot is
-/// pointer-sized. Dereferences to the profile, so existing
-/// `AccessProfile` call sites read fields and pass `&pp` unchanged.
+/// Profile and plan share one allocation, so a memo slot is
+/// pointer-sized and a clone is one refcount bump. Dereferences to the
+/// profile, so `AccessProfile` call sites read fields and pass `&pp`
+/// unchanged.
 #[derive(Clone)]
 pub struct PlannedProfile {
     inner: Arc<PlannedInner>,
@@ -417,7 +386,10 @@ struct PlannedInner {
 }
 
 impl PlannedProfile {
-    fn compute(compute: impl FnOnce() -> AccessProfile) -> Self {
+    /// Build a profile with `compute` and fold its plan. Panics, naming
+    /// the kernel, if the profile is invalid — inside a sweep the panic
+    /// quarantines that one point.
+    pub fn compute(compute: impl FnOnce() -> AccessProfile) -> Self {
         let profile = compute();
         let plan = ProfilePlan::new(&profile)
             .unwrap_or_else(|e| panic!("invalid profile for {}: {e}", profile.kernel));
@@ -435,13 +407,6 @@ impl PlannedProfile {
     pub fn plan(&self) -> &ProfilePlan {
         &self.inner.plan
     }
-
-    /// Whether two handles share the one memoized allocation (the
-    /// contention proptest pins that every caller of a coalesced compute
-    /// receives the same memoized value, not an equal copy).
-    pub fn ptr_eq(&self, other: &PlannedProfile) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
 impl std::ops::Deref for PlannedProfile {
@@ -450,42 +415,6 @@ impl std::ops::Deref for PlannedProfile {
     fn deref(&self) -> &AccessProfile {
         &self.inner.profile
     }
-}
-
-/// State of one in-flight profile computation, shared between the
-/// computing caller and any coalesced waiters.
-enum InFlight {
-    /// The first caller is still running `compute`.
-    Computing,
-    /// The computation finished; every waiter receives this value.
-    Done(PlannedProfile),
-    /// The computing caller panicked; waiters must retry from scratch
-    /// (one of them becomes the new computer).
-    Abandoned,
-}
-
-/// The condvar pair coalesced waiters block on. Allocated *lazily* by
-/// the first waiter, not by the computing caller: the common cold-sweep
-/// case (every key missed exactly once, no concurrent lookups of the
-/// same key) then pays neither the allocation nor the `notify_all`
-/// futex wake on its miss path.
-type FlightPair = Arc<(Mutex<InFlight>, Condvar)>;
-
-/// One pending-entry slot in a cache shard.
-enum Slot {
-    /// Memoized profile, served lock-free of any compute. `stamp` is
-    /// the cache-global LRU tick of the last lookup that served it
-    /// (only consulted when a capacity bound is set).
-    Ready {
-        /// The memoized value.
-        profile: PlannedProfile,
-        /// Last-use tick for LRU eviction.
-        stamp: u64,
-    },
-    /// A computation for this key is in flight; arrivals coalesce onto
-    /// it instead of duplicating the work. `None` until the first
-    /// waiter installs the [`FlightPair`] it wants to block on.
-    Pending(Option<FlightPair>),
 }
 
 /// Deterministic multiply-rotate hasher (FxHash-style) used both for
@@ -561,22 +490,27 @@ impl std::hash::BuildHasher for FastBuild {
     }
 }
 
-type ShardMap = HashMap<ProfileKey, Slot, FastBuild>;
+/// One memoized profile and the LRU tick of the last lookup that served
+/// it.
+struct Memo {
+    profile: PlannedProfile,
+    stamp: u64,
+}
 
-/// N-way sharded, compute-coalescing profile cache.
+type ShardMap = HashMap<ProfileKey, Memo, FastBuild>;
+
+/// Shard count of the profile memo. Daemon connections look profiles up
+/// concurrently; sixteen independent locks keep them apart and keep each
+/// shard's LRU scan short.
+const CACHE_SHARDS: usize = 16;
+
+/// The sharded, optionally bounded profile memo behind
+/// [`Engine::profile`].
 ///
-/// Keys are distributed over `shards` independent `Mutex<HashMap>`s by
-/// key hash, so concurrent workers touching different keys almost never
-/// contend on a lock. A miss installs a [`Slot::Pending`] marker and
-/// computes *outside* the shard lock; concurrent lookups of the same key
-/// block on the marker's condvar and receive the one computed value —
-/// `compute` runs at most once per key, at every thread count.
-///
-/// Counter semantics (pinned by the engine tests and the contention
-/// proptest): every lookup increments exactly one of hits/misses — the
-/// caller that runs `compute` counts a miss, a caller served a memoized
-/// or coalesced value counts a hit. A panicking `compute` counts as the
-/// miss it started and wakes its waiters to retry.
+/// A miss computes outside every lock and then publishes. Two
+/// concurrent misses on one key both compute (a fraction of a
+/// microsecond) and the later publish wins; every lookup counts exactly
+/// one hit or one miss.
 struct ShardedCache {
     shards: Box<[Mutex<ShardMap>]>,
     mask: usize,
@@ -584,33 +518,19 @@ struct ShardedCache {
     /// eviction order only needs to roughly track recency, never to
     /// order across threads.
     tick: AtomicU64,
-    /// Per-shard bound on `Ready` entries (`None` = unbounded).
+    /// Per-shard bound on entries (`None` = unbounded).
     shard_cap: Option<usize>,
 }
 
 impl ShardedCache {
-    /// Initial per-shard capacity. A cold sweep inserts tens of keys per
-    /// shard back to back; pre-sizing keeps the miss path free of the
-    /// incremental grow-and-rehash steps a default-capacity map would
-    /// take right in the measured loop.
-    const SHARD_CAPACITY: usize = 64;
-
     fn new(shards: usize, capacity: Option<usize>) -> Self {
         let n = shards.max(1).next_power_of_two();
         ShardedCache {
-            shards: (0..n)
-                .map(|_| {
-                    Mutex::new(ShardMap::with_capacity_and_hasher(
-                        Self::SHARD_CAPACITY,
-                        FastBuild,
-                    ))
-                })
-                .collect(),
+            shards: (0..n).map(|_| Mutex::new(ShardMap::default())).collect(),
             mask: n - 1,
             tick: AtomicU64::new(0),
             // Ceil-divide the global bound across shards, at least one
-            // entry each, so the configured total is honored however
-            // keys hash.
+            // entry each.
             shard_cap: capacity.map(|c| (c.div_ceil(n)).max(1)),
         }
     }
@@ -620,98 +540,43 @@ impl ShardedCache {
         self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Evict least-recently-used `Ready` entries of one shard until it
-    /// is back under its capacity share. Pending markers are never
-    /// evicted (waiters hold the condvar pair) and never counted. The
-    /// linear min-scan is fine here: eviction only happens on a miss,
-    /// which just paid a full profile computation — orders of magnitude
-    /// above an O(shard) walk.
+    /// Evict least-recently-used entries of one shard until it is back
+    /// under its capacity share. The linear min-scan is fine here:
+    /// eviction only happens on a miss, which just paid a full profile
+    /// computation.
     fn enforce_cap(&self, map: &mut ShardMap) {
         let Some(cap) = self.shard_cap else { return };
-        loop {
-            let ready = map
-                .values()
-                .filter(|s| matches!(s, Slot::Ready { .. }))
-                .count();
-            if ready <= cap {
+        while map.len() > cap {
+            let Some(victim) = map.iter().min_by_key(|(_, m)| m.stamp).map(|(k, _)| *k) else {
                 return;
-            }
-            let victim = map
-                .iter()
-                .filter_map(|(k, s)| match s {
-                    Slot::Ready { stamp, .. } => Some((*stamp, *k)),
-                    Slot::Pending(_) => None,
-                })
-                .min_by_key(|(stamp, _)| *stamp)
-                .map(|(_, k)| k);
-            match victim {
-                Some(k) => {
-                    map.remove(&k);
-                }
-                None => return,
-            }
+            };
+            map.remove(&victim);
         }
     }
 
     fn shard(&self, key: &ProfileKey) -> &Mutex<ShardMap> {
         // One FastHasher pass; bits 32.. select the shard so the map's
         // own bucket index (low bits of the same hash) stays uncorrelated
-        // with shard placement. Placement is deterministic (not that
-        // determinism depends on it — every shard holds the same
-        // (key, profile) pairs a single map would).
+        // with shard placement.
         let mut h = FastHasher::default();
         key.hash(&mut h);
         &self.shards[((h.finish() >> 32) as usize) & self.mask]
     }
 
-    /// Memoized entries (in-flight computations are not counted).
     fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                lock_recover(s)
-                    .values()
-                    .filter(|v| matches!(v, Slot::Ready { .. }))
-                    .count()
-            })
-            .sum()
+        self.shards.iter().map(|s| lock_recover(s).len()).sum()
     }
 
     fn clear(&self) {
         for s in &self.shards {
-            lock_recover(s).retain(|_, v| matches!(v, Slot::Pending(_)));
+            lock_recover(s).clear();
         }
     }
 }
 
-/// Removes the pending marker and wakes waiters if `compute` unwinds, so
-/// a panicking profile constructor can never wedge coalesced callers.
-///
-/// While the computer runs, the slot for `key` is always *its* pending
-/// entry (only waiters touch it, and only to install a [`FlightPair`]),
-/// so the guard may remove unconditionally on unwind.
-struct PendingGuard<'a> {
-    shard: &'a Mutex<ShardMap>,
-    key: ProfileKey,
-    armed: bool,
-}
-
-impl Drop for PendingGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let removed = lock_recover(self.shard).remove(&self.key);
-        if let Some(Slot::Pending(Some(flight))) = removed {
-            *lock_recover(&flight.0) = InFlight::Abandoned;
-            flight.1.notify_all();
-        }
-    }
-}
-
-/// The sweep-execution engine: a worker pool plus the memoized profile
-/// cache, the stage log, and the point-failure log. See the module docs
-/// for the design.
+/// The sweep-execution engine: the sequential point runner plus the
+/// daemon's profile memo, the stage log, and the point-failure log. See
+/// the module docs for the design.
 pub struct Engine {
     config: EngineConfig,
     cache: ShardedCache,
@@ -719,10 +584,6 @@ pub struct Engine {
     misses: AtomicU64,
     stages: Mutex<Vec<StageRecord>>,
     failures: Mutex<Vec<PointFailure>>,
-    current_stage: Mutex<Option<String>>,
-    /// Span path of the currently-open stage span (parent for per-point
-    /// spans opened on worker threads).
-    current_stage_path: Mutex<Option<String>>,
     journal: Mutex<Option<Arc<dyn StageJournal>>>,
     tele: Arc<Telemetry>,
     counters: EngineCounters,
@@ -736,7 +597,7 @@ impl Engine {
             .clone()
             .unwrap_or_else(|| Telemetry::global().clone());
         let counters = EngineCounters::resolve(&tele);
-        let cache = ShardedCache::new(config.cache_shards, config.cache_capacity);
+        let cache = ShardedCache::new(CACHE_SHARDS, config.cache_capacity);
         Engine {
             config,
             cache,
@@ -744,8 +605,6 @@ impl Engine {
             misses: AtomicU64::new(0),
             stages: Mutex::new(Vec::new()),
             failures: Mutex::new(Vec::new()),
-            current_stage: Mutex::new(None),
-            current_stage_path: Mutex::new(None),
             journal: Mutex::new(None),
             tele,
             counters,
@@ -758,8 +617,8 @@ impl Engine {
     }
 
     /// The process-wide engine, created from the environment on first use.
-    /// Set `OPM_THREADS` / `OPM_PROFILE_CACHE` / `OPM_REDUCED` /
-    /// `OPM_FAULT_SPEC` before the first sweep to take effect.
+    /// Set `OPM_REDUCED` / `OPM_FAULT_SPEC` before the first sweep to take
+    /// effect.
     pub fn global() -> &'static Engine {
         static GLOBAL: OnceLock<Engine> = OnceLock::new();
         GLOBAL.get_or_init(Engine::from_env)
@@ -782,115 +641,45 @@ impl Engine {
     }
 
     /// Look up (or compute and memoize) the access profile for `key`,
-    /// returned with its folded evaluation plan ([`PlannedProfile`] —
-    /// the plan is computed once per key and shared across every
-    /// configuration sweeping the same grid).
+    /// returned with its folded evaluation plan. This is the daemon's
+    /// cross-request memo; sweeps build their profiles in place with
+    /// [`PlannedProfile::compute`].
     ///
-    /// `compute` must be the pure profile constructor matching `key`; it
-    /// runs at most once per key while the cache is enabled — concurrent
-    /// lookups of a key whose computation is in flight coalesce onto it
-    /// instead of duplicating the work (see [`ShardedCache`]). With the
-    /// cache disabled every call computes afresh, which is what the
-    /// determinism tests compare against.
+    /// `compute` must be the pure profile constructor matching `key`. A
+    /// `compute` that panics counts as the miss it started and memoizes
+    /// nothing.
     pub fn profile(
         &self,
         key: ProfileKey,
         compute: impl FnOnce() -> AccessProfile,
     ) -> PlannedProfile {
-        if !self.config.cache_enabled {
-            return PlannedProfile::compute(compute);
-        }
         let shard = self.cache.shard(&key);
-        loop {
-            let flight = {
-                let mut map = lock_recover(shard);
-                // One hash-and-probe covers hit, coalesce, and
-                // pending-marker install (the miss path's only other map
-                // op is publishing the Ready slot after compute).
-                match map.entry(key) {
-                    Entry::Occupied(mut occ) => match occ.get_mut() {
-                        Slot::Ready { profile, stamp } => {
-                            *stamp = self.cache.next_tick();
-                            let p = profile.clone();
-                            drop(map);
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            self.counters.cache_hits.inc();
-                            return p;
-                        }
-                        // First waiter on this computation installs the
-                        // pair everyone (computer included) synchronizes
-                        // through; later waiters share it.
-                        Slot::Pending(opt) => match opt {
-                            Some(f) => f.clone(),
-                            None => {
-                                let f: FlightPair =
-                                    Arc::new((Mutex::new(InFlight::Computing), Condvar::new()));
-                                *opt = Some(f.clone());
-                                f
-                            }
-                        },
-                    },
-                    Entry::Vacant(vac) => {
-                        vac.insert(Slot::Pending(None));
-                        drop(map);
-                        // This caller owns the computation: count the miss
-                        // (even if `compute` unwinds — the work was
-                        // started) and run it outside every lock.
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        self.counters.cache_misses.inc();
-                        let mut guard = PendingGuard {
-                            shard,
-                            key,
-                            armed: true,
-                        };
-                        let fresh = PlannedProfile::compute(compute);
-                        guard.armed = false;
-                        let stamp = self.cache.next_tick();
-                        let mut map = lock_recover(shard);
-                        let prev = map.insert(
-                            key,
-                            Slot::Ready {
-                                profile: fresh.clone(),
-                                stamp,
-                            },
-                        );
-                        self.cache.enforce_cap(&mut map);
-                        drop(map);
-                        // Only wake (and only then pay the futex syscall)
-                        // if a waiter actually coalesced while we computed.
-                        if let Some(Slot::Pending(Some(flight))) = prev {
-                            *lock_recover(&flight.0) = InFlight::Done(fresh.clone());
-                            flight.1.notify_all();
-                        }
-                        return fresh;
-                    }
-                }
-            };
-            // Coalesced path: block until the in-flight computation
-            // resolves. `Done` serves this lookup (a hit — the profile
-            // was not recomputed); `Abandoned` means the computer
-            // panicked, so retry from the top (at most one counter
-            // increment per lookup, attributed at resolution).
-            let mut state = lock_recover(&flight.0);
-            loop {
-                match &*state {
-                    InFlight::Done(p) => {
-                        let p = p.clone();
-                        drop(state);
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        self.counters.cache_hits.inc();
-                        return p;
-                    }
-                    InFlight::Abandoned => break,
-                    InFlight::Computing => {
-                        state = flight.1.wait(state).unwrap_or_else(PoisonError::into_inner);
-                    }
-                }
-            }
+        let hit = lock_recover(shard).get_mut(&key).map(|memo| {
+            memo.stamp = self.cache.next_tick();
+            memo.profile.clone()
+        });
+        if let Some(p) = hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.cache_hits.inc();
+            return p;
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.cache_misses.inc();
+        let fresh = PlannedProfile::compute(compute);
+        let stamp = self.cache.next_tick();
+        let mut map = lock_recover(shard);
+        map.insert(
+            key,
+            Memo {
+                profile: fresh.clone(),
+                stamp,
+            },
+        );
+        self.cache.enforce_cap(&mut map);
+        fresh
     }
 
-    /// Lifetime profile-cache counters of this engine.
+    /// Lifetime profile-memo counters of this engine.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -898,14 +687,12 @@ impl Engine {
         }
     }
 
-    /// Distinct profiles currently memoized (in-flight computations are
-    /// not counted).
+    /// Distinct profiles currently memoized.
     pub fn cache_len(&self) -> usize {
         self.cache.len()
     }
 
-    /// Drop every memoized profile (counters are kept; in-flight
-    /// computations complete and re-memoize normally).
+    /// Drop every memoized profile (counters are kept).
     pub fn clear_cache(&self) {
         self.cache.clear();
     }
@@ -976,7 +763,7 @@ impl Engine {
         span_parent: Option<&str>,
         index: usize,
         item: &T,
-        f: &(impl Fn(&T) -> R + Sync),
+        f: &impl Fn(&T) -> R,
     ) -> Result<R, PointFailure> {
         // One span per point (mode `full` only), covering every retry;
         // dropped on both the Ok and Err paths below.
@@ -1044,155 +831,60 @@ impl Engine {
         }
     }
 
-    /// Core parallel runner: map every item through [`Engine::eval_point`]
-    /// on the worker pool, preserving input order, flushing progress to
-    /// the journal, and never letting one point's failure take down the
-    /// pool. A worker that somehow dies outside point isolation is
-    /// recorded and the survivors drain the queue.
-    fn par_run<T, R, F>(&self, stage: &str, items: &[T], f: F) -> Vec<Result<R, PointFailure>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
+    /// Core runner: map every item through [`Engine::eval_point`] in
+    /// order on the calling thread, flushing progress to the journal.
+    /// One point's failure never stops the others.
+    fn par_run<T, R>(
+        &self,
+        stage: &str,
+        items: &[T],
+        f: impl Fn(&T) -> R,
+    ) -> Vec<Result<R, PointFailure>> {
         let journal = lock_recover(&self.journal).clone();
         let every = self.config.checkpoint_every.max(1);
         let total = items.len();
-        let done = AtomicUsize::new(0);
-        let tick = |journal: &Option<Arc<dyn StageJournal>>| {
-            let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-            if d.is_multiple_of(every) || d == total {
-                if let Some(j) = journal {
-                    j.progress(stage, d, total);
+        // Per-point spans only in `full` mode, under the stage span
+        // `run_stage` opened on this thread.
+        let span_parent = (self.tele.mode() == TelemetryMode::Full).then(|| {
+            STAGE
+                .with(|s| s.borrow().as_ref().map(|c| c.path.clone()))
+                .filter(|p| !p.is_empty())
+                .unwrap_or_else(|| stage.to_string())
+        });
+        let span_parent = span_parent.as_deref();
+        let mut out = Vec::with_capacity(total);
+        for (i, item) in items.iter().enumerate() {
+            out.push(self.eval_point(stage, span_parent, i, item, &f));
+            let done = i + 1;
+            if done.is_multiple_of(every) || done == total {
+                if let Some(j) = &journal {
+                    j.progress(stage, done, total);
                 }
                 if self.tele.enabled() {
                     self.tele.instant(
                         "progress",
                         &[
                             ("stage".to_string(), stage.to_string()),
-                            ("completed".to_string(), d.to_string()),
+                            ("completed".to_string(), done.to_string()),
                             ("total".to_string(), total.to_string()),
                         ],
                     );
                 }
             }
-        };
-        // Per-point spans only in `full` mode; they attach to the stage
-        // span opened by `run_stage` (worker threads never opened it, so
-        // the parent path is passed explicitly).
-        let span_parent = if self.tele.mode() == TelemetryMode::Full {
-            Some(
-                lock_recover(&self.current_stage_path)
-                    .clone()
-                    .unwrap_or_else(|| stage.to_string()),
-            )
-        } else {
-            None
-        };
-        let span_parent = span_parent.as_deref();
-        let threads = self.config.threads.clamp(1, items.len().max(1));
-        if threads == 1 {
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| {
-                    let r = self.eval_point(stage, span_parent, i, item, &f);
-                    tick(&journal);
-                    r
-                })
-                .collect();
         }
-        let next = AtomicUsize::new(0);
-        let parts: Vec<Vec<(usize, Result<R, PointFailure>)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| {
-                        // Every point lands in exactly one worker's bucket;
-                        // sizing for an even split avoids regrowth churn on
-                        // large sweeps (stragglers overflow at most once).
-                        let mut out = Vec::with_capacity(items.len() / threads + 1);
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= items.len() {
-                                break;
-                            }
-                            out.push((i, self.eval_point(stage, span_parent, i, &items[i], &f)));
-                            tick(&journal);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .filter_map(|h| match h.join() {
-                    Ok(part) => Some(part),
-                    // A worker died outside per-point isolation (engine
-                    // bug or allocator abort path). Record it; the other
-                    // workers have already drained the queue.
-                    Err(_) => {
-                        self.record_failure(PointFailure {
-                            stage: stage.to_string(),
-                            index: usize::MAX,
-                            kind: FaultKind::Panic,
-                            attempts: 1,
-                            transient: false,
-                            recovered: false,
-                            message: "engine worker crashed outside point isolation".to_string(),
-                        });
-                        None
-                    }
-                })
-                .collect()
-        });
-        let mut slots: Vec<Option<Result<R, PointFailure>>> =
-            (0..items.len()).map(|_| None).collect();
-        for (i, r) in parts.into_iter().flatten() {
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.unwrap_or_else(|| {
-                    let failure = PointFailure {
-                        stage: stage.to_string(),
-                        index: i,
-                        kind: FaultKind::Panic,
-                        attempts: 1,
-                        transient: false,
-                        recovered: false,
-                        message: "result lost to a crashed worker".to_string(),
-                    };
-                    self.record_failure(failure.clone());
-                    Err(failure)
-                })
-            })
-            .collect()
+        out
     }
 
-    /// Map `f` over `items` on the worker pool, preserving input order.
-    ///
-    /// Points are handed out through an atomic index (dynamic load
-    /// balancing — grid points vary widely in cost), each worker tags its
-    /// results with the point index, and the merged output is sorted by
-    /// that index. The result is therefore identical — element for
-    /// element — for every thread count, including 1.
+    /// Map `f` over `items` in order on the calling thread.
     ///
     /// This is the *strict* variant: a point that still fails after the
     /// transient-retry budget propagates a structured panic naming the
-    /// stage, point, and cause — but only after the surviving workers
-    /// have drained the queue, and with every failure recorded in the
-    /// failure log. Sweeps that prefer NaN placeholder rows over a panic
-    /// use [`Engine::par_map_isolated`].
-    pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        let stage = lock_recover(&self.current_stage)
-            .clone()
+    /// stage, point, and cause — but only after every point has run, and
+    /// with every failure recorded in the failure log. Sweeps that prefer
+    /// NaN placeholder rows over a panic use [`Engine::par_map_isolated`].
+    pub fn par_map<T, R>(&self, items: &[T], f: impl Fn(&T) -> R) -> Vec<R> {
+        let stage = STAGE
+            .with(|s| s.borrow().as_ref().map(|c| c.label.clone()))
             .unwrap_or_else(|| "adhoc".to_string());
         let mut out = Vec::with_capacity(items.len());
         let mut first_err: Option<PointFailure> = None;
@@ -1217,20 +909,14 @@ impl Engine {
     /// fails after the retry budget yields `placeholder(item, index)`
     /// instead of panicking, and the failure is recorded for the
     /// `run_errors.csv` manifest. Output order and length always match
-    /// `items`, at every thread count.
-    pub fn par_map_isolated<T, R, F, P>(
+    /// `items`.
+    pub fn par_map_isolated<T, R>(
         &self,
         stage: &str,
         items: &[T],
-        f: F,
-        placeholder: P,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-        P: Fn(&T, usize) -> R,
-    {
+        f: impl Fn(&T) -> R,
+        placeholder: impl Fn(&T, usize) -> R,
+    ) -> Vec<R> {
         self.par_run(stage, items, f)
             .into_iter()
             .enumerate()
@@ -1238,47 +924,37 @@ impl Engine {
             .collect()
     }
 
-    /// Run `f` as a named stage, recording wall time, its reported point
-    /// count, and the cache hit/miss delta. Stages are assumed to run
-    /// sequentially (parallelism lives *inside* a stage, in
-    /// [`Engine::par_map`]); overlapping stages would attribute each
-    /// other's cache traffic.
+    /// Run `f` as a named stage on this thread, recording wall time and
+    /// its reported point count. Concurrent callers each run their own
+    /// stage: the stage context is per thread.
     pub fn run_stage<R>(&self, label: &str, f: impl FnOnce(&Engine) -> (R, usize)) -> R {
-        struct StageGuard<'a>(&'a Engine);
-        impl Drop for StageGuard<'_> {
+        /// Restores the enclosing stage context, even when `f` unwinds.
+        struct StageGuard(Option<StageCtx>);
+        impl Drop for StageGuard {
             fn drop(&mut self) {
-                *lock_recover(&self.0.current_stage) = None;
-                *lock_recover(&self.0.current_stage_path) = None;
+                let outer = self.0.take();
+                STAGE.with(|s| *s.borrow_mut() = outer);
             }
         }
         // The span outlives the guard (declared first, dropped last), so
         // its end event carries the final stage args even when `f`
         // unwinds.
         let mut span = self.tele.span("stage", label);
-        *lock_recover(&self.current_stage) = Some(label.to_string());
-        *lock_recover(&self.current_stage_path) = if span.path().is_empty() {
-            None
-        } else {
-            Some(span.path().to_string())
+        let ctx = StageCtx {
+            label: label.to_string(),
+            path: span.path().to_string(),
         };
-        let _guard = StageGuard(self);
-        let before = self.cache_stats();
+        let _guard = StageGuard(STAGE.with(|s| s.borrow_mut().replace(ctx)));
         let start = Instant::now();
         let (out, points) = f(self);
-        let wall_ns = start.elapsed().as_nanos();
-        let delta = self.cache_stats().since(before);
         let record = StageRecord {
             label: label.to_string(),
             points,
-            wall_ns,
-            cache_hits: delta.hits,
-            cache_misses: delta.misses,
+            wall_ns: start.elapsed().as_nanos(),
         };
         self.counters.points.add(points as u64);
         self.counters.stages.inc();
         span.arg("points", points);
-        span.arg("cache_hits", delta.hits);
-        span.arg("cache_misses", delta.misses);
         lock_recover(&self.stages).push(record.clone());
         if let Some(journal) = lock_recover(&self.journal).clone() {
             journal.stage_done(&record);
@@ -1291,7 +967,7 @@ impl Engine {
     ///
     /// * the modeled point latency (`est.time_ns` — a deterministic
     ///   model output, never wall clock, so histograms are byte-identical
-    ///   across threads and shards) into the per-stage
+    ///   across runs and shards) into the per-stage
     ///   `opm_point_latency_ns` histogram, and
     /// * the point's roofline [`Attribution`] — per-level achieved GB/s,
     ///   arithmetic intensity, ceiling fraction, Eq. 1 break-even
@@ -1309,9 +985,16 @@ impl Engine {
             return plan.gflops_planned(pp);
         }
         let est = plan.evaluate_planned(pp);
-        let stage = lock_recover(&self.current_stage_path)
-            .clone()
-            .or_else(|| lock_recover(&self.current_stage).clone())
+        let stage = STAGE
+            .with(|s| {
+                s.borrow().as_ref().map(|c| {
+                    if c.path.is_empty() {
+                        c.label.clone()
+                    } else {
+                        c.path.clone()
+                    }
+                })
+            })
             .unwrap_or_else(|| "unknown".to_string());
         self.tele.observe(
             "opm_point_latency_ns",
@@ -1400,22 +1083,13 @@ mod tests {
         AccessProfile::single("probe", phase, 8.0 * n as f64)
     }
 
-    fn engine_with(threads: usize) -> Engine {
-        Engine::new(EngineConfig {
-            threads,
-            ..EngineConfig::default()
-        })
-    }
-
     #[test]
-    fn par_map_is_order_preserving_for_every_thread_count() {
+    fn par_map_is_order_preserving() {
         let items: Vec<usize> = (0..257).collect();
         let expect: Vec<usize> = items.iter().map(|&x| x * x).collect();
-        for threads in [1, 2, 3, 8, 64] {
-            let eng = engine_with(threads);
-            let got = eng.par_map(&items, |&x| x * x);
-            assert_eq!(got, expect, "threads={threads}");
-        }
+        let eng = Engine::new(EngineConfig::default());
+        assert_eq!(eng.par_map(&items, |&x| x * x), expect);
+        assert_eq!(eng.config().threads, 1);
     }
 
     #[test]
@@ -1427,7 +1101,7 @@ mod tests {
 
     #[test]
     fn profile_cache_hits_and_counts() {
-        let eng = Engine::new(EngineConfig::serial());
+        let eng = Engine::new(EngineConfig::default());
         let key = ProfileKey::Gemm {
             n: 64,
             tile: 16,
@@ -1436,47 +1110,23 @@ mod tests {
         };
         let a = eng.profile(key, || probe_profile(64));
         let b = eng.profile(key, || panic!("must not recompute"));
-        assert!(a.ptr_eq(&b));
+        assert_eq!(*a, *b);
         assert_eq!(eng.cache_stats(), CacheStats { hits: 1, misses: 1 });
         assert_eq!(eng.cache_len(), 1);
     }
 
     #[test]
-    fn disabled_cache_always_recomputes() {
-        let eng = Engine::new(EngineConfig {
-            threads: 1,
-            cache_enabled: false,
-            ..EngineConfig::default()
-        });
-        let key = ProfileKey::Stream {
-            n: 1024,
-            unroll: 4,
-            threads: 4,
-        };
-        let calls = AtomicU64::new(0);
-        for _ in 0..3 {
-            let _ = eng.profile(key, || {
-                calls.fetch_add(1, Ordering::Relaxed);
-                probe_profile(1024)
-            });
-        }
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
-        assert_eq!(eng.cache_stats(), CacheStats::default());
-        assert_eq!(eng.cache_len(), 0);
-    }
-
-    #[test]
     fn bounded_cache_evicts_least_recently_used() {
-        let eng = Engine::new(EngineConfig {
-            threads: 1,
-            cache_shards: 1,
-            cache_capacity: Some(2),
-            ..EngineConfig::default()
-        });
+        // One shard, so the two-entry bound is exact.
+        let cache = ShardedCache::new(1, Some(2));
         let key = |n: usize| ProfileKey::Stream {
             n,
             unroll: 4,
             threads: 1,
+        };
+        let eng = Engine {
+            cache,
+            ..Engine::new(EngineConfig::default())
         };
         let _ = eng.profile(key(1), || probe_profile(1));
         let _ = eng.profile(key(2), || probe_profile(2));
@@ -1496,7 +1146,7 @@ mod tests {
 
     #[test]
     fn unbounded_cache_keeps_everything() {
-        let eng = Engine::new(EngineConfig::serial());
+        let eng = Engine::new(EngineConfig::default());
         for n in 0..64 {
             let _ = eng.profile(
                 ProfileKey::Stream {
@@ -1508,57 +1158,85 @@ mod tests {
             );
         }
         assert_eq!(eng.cache_len(), 64);
+        eng.clear_cache();
+        assert_eq!(eng.cache_len(), 0);
+        assert_eq!(eng.cache_stats().misses, 64, "clearing keeps the counters");
     }
 
     #[test]
-    fn run_stage_records_points_and_cache_delta() {
-        let eng = Engine::new(EngineConfig::serial());
+    fn panicking_compute_memoizes_nothing() {
+        let eng = Engine::new(EngineConfig::default());
+        let key = ProfileKey::Fft3d {
+            n: 77,
+            threads: 1,
+            cores: 1,
+        };
+        let died = catch_unwind(AssertUnwindSafe(|| {
+            eng.profile(key, || panic!("first compute dies"))
+        }));
+        assert!(died.is_err());
+        assert_eq!(eng.cache_len(), 0);
+        let p = eng.profile(key, || probe_profile(77));
+        assert_eq!(p.footprint, probe_profile(77).footprint);
+        assert_eq!(eng.cache_stats(), CacheStats { hits: 0, misses: 2 });
+    }
+
+    #[test]
+    fn run_stage_records_points() {
+        let eng = Engine::new(EngineConfig::default());
         let out = eng.run_stage("probe", |e| {
-            let v: Vec<_> = (0..5)
-                .map(|i| {
-                    e.profile(
-                        ProfileKey::Gemm {
-                            n: 32,
-                            tile: 8,
-                            threads: 1,
-                            cores: 1,
-                        },
-                        || probe_profile(32 + i),
-                    )
-                })
-                .collect();
+            let v = e.par_map(&[1usize, 2, 3, 4, 5], |&i| i * 2);
             let n = v.len();
             (v, n)
         });
-        assert_eq!(out.len(), 5);
+        assert_eq!(out, vec![2, 4, 6, 8, 10]);
         let stages = eng.stages();
         assert_eq!(stages.len(), 1);
         assert_eq!(stages[0].label, "probe");
         assert_eq!(stages[0].points, 5);
-        assert_eq!(stages[0].cache_misses, 1);
-        assert_eq!(stages[0].cache_hits, 4);
     }
 
     #[test]
-    fn parallel_cache_converges_to_one_entry_per_key() {
-        let eng = engine_with(8);
-        let items: Vec<usize> = (0..200).collect();
-        let profs = eng.par_map(&items, |&i| {
-            eng.profile(
-                ProfileKey::Fft3d {
-                    n: i % 4,
-                    threads: 1,
-                    cores: 1,
-                },
-                || probe_profile(i % 4 + 1),
-            )
+    fn concurrent_callers_keep_their_own_stage_labels() {
+        // Two threads are inside their stages on one engine at once
+        // (the barrier holds each until both have entered); each failure
+        // must be filed under its own thread's stage.
+        let eng = Engine::new(EngineConfig::default());
+        let both_inside = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for label in ["left", "right"] {
+                let (eng, both_inside) = (&eng, &both_inside);
+                s.spawn(move || {
+                    eng.run_stage(label, |e| {
+                        both_inside.wait();
+                        let items: Vec<usize> = (0..50).collect();
+                        let v = catch_unwind(AssertUnwindSafe(|| {
+                            e.par_map(&items, |&x| {
+                                if x == 7 {
+                                    panic!("{label} point");
+                                }
+                                x
+                            })
+                        }));
+                        assert!(v.is_err());
+                        ((), items.len())
+                    })
+                });
+            }
         });
-        assert_eq!(eng.cache_len(), 4);
-        assert_eq!(eng.cache_stats().total(), 200);
-        // Every result for the same key is the same memoized profile.
-        for (i, p) in profs.iter().enumerate() {
-            assert_eq!(p.footprint, profs[i % 4].footprint);
-        }
+        let mut failures: Vec<(String, String)> = eng
+            .failures()
+            .into_iter()
+            .map(|f| (f.stage, f.message))
+            .collect();
+        failures.sort();
+        assert_eq!(
+            failures,
+            vec![
+                ("left".to_string(), "left point".to_string()),
+                ("right".to_string(), "right point".to_string()),
+            ]
+        );
     }
 
     #[test]
@@ -1576,7 +1254,7 @@ mod tests {
 
     #[test]
     fn par_map_propagates_a_structured_panic_and_engine_survives() {
-        let eng = engine_with(4);
+        let eng = Engine::new(EngineConfig::default());
         let items: Vec<usize> = (0..64).collect();
         let result = catch_unwind(AssertUnwindSafe(|| {
             eng.par_map(&items, |&x| {
@@ -1602,38 +1280,34 @@ mod tests {
 
     #[test]
     fn par_map_isolated_substitutes_placeholders_and_records() {
-        for threads in [1, 4, 8] {
-            let eng = engine_with(threads);
-            let items: Vec<usize> = (0..40).collect();
-            let got = eng.par_map_isolated(
-                "probe_stage",
-                &items,
-                |&x| {
-                    if x % 10 == 3 {
-                        panic!("bad point {x}");
-                    }
-                    x as i64
-                },
-                |_, i| -(i as i64),
-            );
-            let expect: Vec<i64> = (0..40)
-                .map(|x| if x % 10 == 3 { -(x as i64) } else { x as i64 })
-                .collect();
-            assert_eq!(got, expect, "threads={threads}");
-            let failures = eng.failures();
-            assert_eq!(failures.len(), 4, "threads={threads}");
-            let mut failed: Vec<usize> = failures.iter().map(|f| f.index).collect();
-            failed.sort_unstable();
-            assert_eq!(failed, vec![3, 13, 23, 33]);
-            assert!(failures.iter().all(|f| f.stage == "probe_stage"));
-            assert!(failures.iter().all(|f| !f.recovered));
-        }
+        let eng = Engine::new(EngineConfig::default());
+        let items: Vec<usize> = (0..40).collect();
+        let got = eng.par_map_isolated(
+            "probe_stage",
+            &items,
+            |&x| {
+                if x % 10 == 3 {
+                    panic!("bad point {x}");
+                }
+                x as i64
+            },
+            |_, i| -(i as i64),
+        );
+        let expect: Vec<i64> = (0..40)
+            .map(|x| if x % 10 == 3 { -(x as i64) } else { x as i64 })
+            .collect();
+        assert_eq!(got, expect);
+        let failures = eng.failures();
+        let failed: Vec<usize> = failures.iter().map(|f| f.index).collect();
+        assert_eq!(failed, vec![3, 13, 23, 33], "recorded in point order");
+        assert!(failures.iter().all(|f| f.stage == "probe_stage"));
+        assert!(failures.iter().all(|f| !f.recovered));
     }
 
     #[test]
     fn transient_injected_faults_are_retried_and_recovered() {
         let plan = FaultPlan::parse("panic@point:5").unwrap();
-        let eng = Engine::new(EngineConfig::serial().with_fault_plan(plan));
+        let eng = Engine::new(EngineConfig::default().with_fault_plan(plan));
         let items: Vec<usize> = (0..10).collect();
         let calls = AtomicU64::new(0);
         let got = eng.par_map_isolated(
@@ -1660,7 +1334,7 @@ mod tests {
     #[test]
     fn persistent_injected_faults_exhaust_retries_and_quarantine() {
         let plan = FaultPlan::parse("io@point:2:persist").unwrap();
-        let mut config = EngineConfig::serial().with_fault_plan(plan);
+        let mut config = EngineConfig::default().with_fault_plan(plan);
         config.max_retries = 3;
         config.backoff_base_us = 0;
         let eng = Engine::new(config);
@@ -1690,9 +1364,10 @@ mod tests {
                 lock_recover(&self.done).push(record.label.clone());
             }
         }
-        let mut config = EngineConfig::serial();
-        config.checkpoint_every = 8;
-        let eng = Engine::new(config);
+        let eng = Engine::new(EngineConfig {
+            checkpoint_every: 8,
+            ..EngineConfig::default()
+        });
         let probe = Arc::new(Probe::default());
         eng.set_journal(Some(probe.clone()));
         let items: Vec<usize> = (0..20).collect();
@@ -1705,102 +1380,6 @@ mod tests {
         assert_eq!(progress, vec![(8, 20), (16, 20), (20, 20)]);
         assert_eq!(lock_recover(&probe.done).clone(), vec!["journal_stage"]);
         eng.set_journal(None);
-    }
-
-    #[test]
-    fn coalescing_runs_compute_once_per_key_under_contention() {
-        // Many threads hammer the same hot key: the sharded cache must
-        // coalesce them onto one computation, with exactly one miss (the
-        // computer) and a hit for every other lookup.
-        let eng = engine_with(8);
-        let items: Vec<usize> = (0..400).collect();
-        let calls = AtomicU64::new(0);
-        let key = ProfileKey::Stream {
-            n: 4096,
-            unroll: 8,
-            threads: 8,
-        };
-        let _ = eng.par_map(&items, |_| {
-            eng.profile(key, || {
-                calls.fetch_add(1, Ordering::Relaxed);
-                // Widen the in-flight window so concurrent lookups really
-                // do arrive while the computation is running.
-                std::thread::sleep(Duration::from_millis(20));
-                probe_profile(4096)
-            })
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 1, "compute ran once");
-        assert_eq!(
-            eng.cache_stats(),
-            CacheStats {
-                hits: 399,
-                misses: 1
-            }
-        );
-        assert_eq!(eng.cache_len(), 1);
-    }
-
-    #[test]
-    fn panicking_compute_wakes_coalesced_waiters_for_retry() {
-        // The first computation of a key panics while waiters are
-        // coalesced on it: the pending marker must be removed and the
-        // waiters retried, so one of them recomputes and everyone gets a
-        // value — nobody deadlocks on an abandoned marker.
-        let eng = engine_with(4);
-        let items: Vec<usize> = (0..16).collect();
-        let failed_once = AtomicU64::new(0);
-        let key = ProfileKey::Fft3d {
-            n: 77,
-            threads: 1,
-            cores: 1,
-        };
-        let got = eng.par_map_isolated(
-            "poison_probe",
-            &items,
-            |_| {
-                eng.profile(key, || {
-                    if failed_once.fetch_add(1, Ordering::Relaxed) == 0 {
-                        std::thread::sleep(Duration::from_millis(10));
-                        panic!("first compute dies");
-                    }
-                    probe_profile(77)
-                })
-                .footprint
-            },
-            |_, _| f64::NAN,
-        );
-        // Every point except the one that owned the panicking compute
-        // resolves to the real profile.
-        assert!(got.iter().filter(|v| v.is_nan()).count() <= 1);
-        assert!(got.iter().any(|v| !v.is_nan()));
-        let s = eng.cache_stats();
-        assert_eq!(s.total(), 16, "each lookup counted exactly once");
-        assert_eq!(eng.cache_len(), 1);
-    }
-
-    #[test]
-    fn cache_shards_knob_is_normalized_and_preserves_behavior() {
-        for shards in [1usize, 3, 16, 64] {
-            let eng = Engine::new(EngineConfig {
-                threads: 4,
-                cache_shards: shards,
-                ..EngineConfig::default()
-            });
-            let items: Vec<usize> = (0..64).collect();
-            let _ = eng.par_map(&items, |&i| {
-                eng.profile(
-                    ProfileKey::Fft3d {
-                        n: i % 8,
-                        threads: 1,
-                        cores: 1,
-                    },
-                    || probe_profile(i % 8 + 1),
-                )
-            });
-            assert_eq!(eng.cache_len(), 8, "shards={shards}");
-            assert_eq!(eng.cache_stats().total(), 64, "shards={shards}");
-            assert_eq!(eng.cache_stats().misses, 8, "shards={shards}");
-        }
     }
 
     #[test]
@@ -1818,14 +1397,12 @@ mod tests {
 
     #[test]
     fn points_per_sec_is_zero_for_instantaneous_stage() {
-        // A fully memoized stage can complete in 0 ns of measured wall
-        // time; the rate must degrade to 0.0, never inf/NaN.
+        // A tiny stage can complete in 0 ns of measured wall time; the
+        // rate must degrade to 0.0, never inf/NaN.
         let r = StageRecord {
-            label: "memoized".to_string(),
+            label: "instant".to_string(),
             points: 128,
             wall_ns: 0,
-            cache_hits: 128,
-            cache_misses: 0,
         };
         assert_eq!(r.wall_secs(), 0.0);
         assert_eq!(r.points_per_sec(), 0.0);
@@ -1839,12 +1416,12 @@ mod tests {
     }
 
     #[test]
-    fn run_stage_emits_a_stage_span_with_cache_args() {
+    fn run_stage_emits_a_stage_span_with_its_points() {
         use opm_core::telemetry::{Aggregator, Telemetry, TelemetryMode};
         let tele = Telemetry::new(TelemetryMode::Summary);
         let agg = Aggregator::new();
         tele.add_sink(agg.clone());
-        let eng = Engine::new(EngineConfig::serial().with_telemetry(tele.clone()));
+        let eng = Engine::new(EngineConfig::default().with_telemetry(tele.clone()));
         eng.run_stage("span_stage", |e| {
             let key = ProfileKey::Gemm {
                 n: 8,
@@ -1865,34 +1442,29 @@ mod tests {
             args.contains(&("points".to_string(), "2".to_string())),
             "{args:?}"
         );
-        assert!(args.contains(&("cache_hits".to_string(), "1".to_string())));
-        assert!(args.contains(&("cache_misses".to_string(), "1".to_string())));
         assert_eq!(tele.counter("opm_points_total").get(), 2);
         assert_eq!(tele.counter("opm_stages_total").get(), 1);
         assert_eq!(tele.counter("opm_profile_cache_hits_total").get(), 1);
+        assert_eq!(tele.counter("opm_profile_cache_misses_total").get(), 1);
     }
 
     #[test]
     fn full_mode_emits_one_point_span_per_point_under_the_stage() {
         use opm_core::telemetry::{Aggregator, Telemetry, TelemetryMode};
-        for threads in [1, 4] {
-            let tele = Telemetry::new(TelemetryMode::Full);
-            let agg = Aggregator::new();
-            tele.add_sink(agg.clone());
-            let mut config = EngineConfig::serial().with_telemetry(tele);
-            config.threads = threads;
-            let eng = Engine::new(config);
-            let items: Vec<usize> = (0..9).collect();
-            eng.run_stage("pts", |e| {
-                let v = e.par_map(&items, |&x| x);
-                let n = v.len();
-                (v, n)
-            });
-            let mut expect: Vec<String> = (0..9).map(|i| format!("pts>point:{i}")).collect();
-            expect.push("pts".to_string());
-            expect.sort();
-            assert_eq!(agg.span_paths(), expect, "threads={threads}");
-        }
+        let tele = Telemetry::new(TelemetryMode::Full);
+        let agg = Aggregator::new();
+        tele.add_sink(agg.clone());
+        let eng = Engine::new(EngineConfig::default().with_telemetry(tele));
+        let items: Vec<usize> = (0..9).collect();
+        eng.run_stage("pts", |e| {
+            let v = e.par_map(&items, |&x| x);
+            let n = v.len();
+            (v, n)
+        });
+        let mut expect: Vec<String> = (0..9).map(|i| format!("pts>point:{i}")).collect();
+        expect.push("pts".to_string());
+        expect.sort();
+        assert_eq!(agg.span_paths(), expect);
     }
 
     #[test]
@@ -1900,7 +1472,7 @@ mod tests {
         use opm_core::telemetry::{Telemetry, TelemetryMode};
         let tele = Telemetry::new(TelemetryMode::Summary);
         let plan = FaultPlan::parse("panic@point:1,io@point:3:persist").unwrap();
-        let mut config = EngineConfig::serial()
+        let mut config = EngineConfig::default()
             .with_fault_plan(plan)
             .with_telemetry(tele.clone());
         config.max_retries = 2;

@@ -9,9 +9,8 @@
 //! stage label, point index, matrix name, and attempt number — whether a
 //! fault fires at a given site. Because the decision never involves wall
 //! clock, thread identity, or global mutable state, an injected run is
-//! reproducible at any thread count: the same points fault, the same
-//! points recover, and the output CSVs are byte-identical across
-//! `OPM_THREADS` settings.
+//! reproducible: the same points fault, the same points recover, and the
+//! output CSVs are byte-identical from run to run.
 //!
 //! # Spec grammar
 //!
@@ -246,8 +245,8 @@ impl FaultRule {
 }
 
 /// Deterministic per-(seed, stage, point) coin flip: FNV-1a over the seed,
-/// stage label, and point index, compared against `rate`. Thread count and
-/// evaluation order never enter the hash, so the same points fault in
+/// stage label, and point index, compared against `rate`. The calling thread
+/// and evaluation order never enter the hash, so the same points fault in
 /// every configuration.
 fn rate_hit(seed: u64, stage: &str, index: usize, rate: f64) -> bool {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed;

@@ -3,7 +3,7 @@
 //! The kernel registry and experiment drivers of the OPM reproduction:
 //! paper Table 2 as code ([`registry`]), the Appendix A parameter sweeps
 //! evaluated through the performance model ([`sweeps`]), the shared
-//! parallel/memoizing sweep-execution engine they run on ([`engine`]), the
+//! sweep-execution engine they run on ([`engine`]), the
 //! deterministic fault-injection harness that exercises its fault
 //! tolerance ([`faultinject`]), and the Table 4/5 summary machinery
 //! ([`summary`]).

@@ -4,10 +4,10 @@
 //! evaluated through the performance model for any OPM configuration.
 //!
 //! Every sweep executes on the shared [`Engine`] (see [`crate::engine`]):
-//! grid points run on its deterministic parallel work queue, access
-//! profiles are memoized across configurations, and each sweep is recorded
-//! as a timed stage. The `*_on` variants take an explicit engine; the
-//! original names run on [`Engine::global`].
+//! grid points run in order on the calling thread, each builds its access
+//! profile and folds its plan in place ([`PlannedProfile::compute`]), and
+//! each sweep is recorded as a timed stage. The `*_on` variants take an
+//! explicit engine; the original names run on [`Engine::global`].
 //!
 //! Sweeps run with **panic isolation**
 //! ([`Engine::par_map_isolated`]): a point that still fails after the
@@ -16,11 +16,10 @@
 //! is recorded on the engine for the `run_errors.csv` manifest, instead
 //! of aborting the whole sweep.
 
-use crate::engine::Engine;
+use crate::engine::{Engine, PlannedProfile};
 use crate::registry::KernelId;
 use opm_core::perf::PerfModel;
 use opm_core::platform::{Machine, OpmConfig, PlatformSpec};
-use opm_core::profile::ProfileKey;
 use opm_core::units::{GIB, MIB};
 use opm_sparse::gen::MatrixSpec;
 
@@ -114,26 +113,10 @@ fn dense_sweep_on(
     let plan = model.plan();
     engine.run_stage(&label, |eng| {
         let eval = |&(n, tile): &(usize, usize)| {
-            let pp = match kernel {
-                KernelId::Gemm => eng.profile(
-                    ProfileKey::Gemm {
-                        n,
-                        tile,
-                        threads,
-                        cores: c,
-                    },
-                    || opm_dense::gemm_profile(n, tile, threads, c),
-                ),
-                _ => eng.profile(
-                    ProfileKey::Cholesky {
-                        n,
-                        tile,
-                        threads,
-                        cores: c,
-                    },
-                    || opm_dense::cholesky_profile(n, tile, threads, c),
-                ),
-            };
+            let pp = PlannedProfile::compute(|| match kernel {
+                KernelId::Gemm => opm_dense::gemm_profile(n, tile, threads, c),
+                _ => opm_dense::cholesky_profile(n, tile, threads, c),
+            });
             HeatPoint {
                 n,
                 tile,
@@ -201,32 +184,19 @@ pub fn sparse_sweep_on(
     engine.run_stage(&label, |eng| {
         let eval = |spec: &MatrixSpec| {
             let est = spec.estimate();
-            let pp = match kernel {
-                SparseKernelId::Spmv => eng.profile(
-                    ProfileKey::spmv(est.rows, est.nnz, est.avg_col_span, threads),
-                    || opm_sparse::spmv_profile(est.rows, est.nnz, est.avg_col_span, threads),
+            let pp = PlannedProfile::compute(|| match kernel {
+                SparseKernelId::Spmv => {
+                    opm_sparse::spmv_profile(est.rows, est.nnz, est.avg_col_span, threads)
+                }
+                SparseKernelId::Sptrans => opm_sparse::sptrans_profile(est.rows, est.nnz, threads),
+                SparseKernelId::Sptrsv => opm_sparse::sptrsv_profile(
+                    est.rows,
+                    est.nnz,
+                    est.avg_col_span,
+                    est.levels,
+                    threads,
                 ),
-                SparseKernelId::Sptrans => eng.profile(
-                    ProfileKey::Sptrans {
-                        rows: est.rows,
-                        nnz: est.nnz,
-                        threads,
-                    },
-                    || opm_sparse::sptrans_profile(est.rows, est.nnz, threads),
-                ),
-                SparseKernelId::Sptrsv => eng.profile(
-                    ProfileKey::sptrsv(est.rows, est.nnz, est.avg_col_span, est.levels, threads),
-                    || {
-                        opm_sparse::sptrsv_profile(
-                            est.rows,
-                            est.nnz,
-                            est.avg_col_span,
-                            est.levels,
-                            threads,
-                        )
-                    },
-                ),
-            };
+            });
             SparsePoint {
                 spec: *spec,
                 footprint: pp.footprint,
@@ -263,14 +233,7 @@ pub fn stream_curve_on(engine: &Engine, config: OpmConfig, footprints: &[f64]) -
     engine.run_stage(&label, |eng| {
         let eval = |&fp: &f64| {
             let n = (fp / 24.0).max(64.0) as usize;
-            let pp = eng.profile(
-                ProfileKey::Stream {
-                    n,
-                    unroll: 4,
-                    threads,
-                },
-                || opm_stencil::stream_profile(n, 4, threads),
-            );
+            let pp = PlannedProfile::compute(|| opm_stencil::stream_profile(n, 4, threads));
             CurvePoint {
                 footprint: pp.footprint,
                 gflops: eng.observe_point(&plan, pp.plan(), Some(&format!("{:.0}", pp.footprint))),
@@ -309,15 +272,9 @@ pub fn stencil_curve_on(
     let plan = model.plan();
     engine.run_stage(&label, |eng| {
         let eval = |&(nx, ny, nz): &(usize, usize, usize)| {
-            let pp = eng.profile(
-                ProfileKey::Stencil {
-                    grid: (nx, ny, nz),
-                    block: (64, 64, 96),
-                    threads,
-                    cores: c,
-                },
-                || opm_stencil::stencil_profile(nx, ny, nz, (64, 64, 96), threads, c),
-            );
+            let pp = PlannedProfile::compute(|| {
+                opm_stencil::stencil_profile(nx, ny, nz, (64, 64, 96), threads, c)
+            });
             CurvePoint {
                 footprint: pp.footprint,
                 gflops: eng.observe_point(&plan, pp.plan(), Some(&format!("{nx}x{ny}x{nz}"))),
@@ -351,14 +308,7 @@ pub fn fft_curve_on(engine: &Engine, config: OpmConfig, sizes: &[usize]) -> Vec<
     let plan = model.plan();
     engine.run_stage(&label, |eng| {
         let eval = |&n: &usize| {
-            let pp = eng.profile(
-                ProfileKey::Fft3d {
-                    n,
-                    threads,
-                    cores: c,
-                },
-                || opm_fft::fft3d_profile(n, threads, c),
-            );
+            let pp = PlannedProfile::compute(|| opm_fft::fft3d_profile(n, threads, c));
             CurvePoint {
                 footprint: pp.footprint,
                 gflops: eng.observe_point(&plan, pp.plan(), Some(&n.to_string())),

@@ -4,23 +4,14 @@
 //! the `rayon::prelude` surface the workspace uses (`par_iter`,
 //! `par_iter_mut`, `into_par_iter`, `par_chunks_mut`, `flat_map_iter`) as
 //! **sequential** adapters over the standard iterators. Every call site
-//! keeps compiling and produces identical results in deterministic order;
-//! data-parallel execution of the experiment sweeps is provided one level
-//! up by `opm_kernels::engine`, which schedules whole sweep points across
-//! real threads instead of parallelizing inner loops.
+//! keeps compiling and produces identical results in deterministic order.
 
-/// Number of worker threads the process would use: `OPM_THREADS` override,
-/// else the machine's available parallelism.
+/// Number of worker threads the process would use: the machine's
+/// available parallelism.
 pub fn current_num_threads() -> usize {
-    std::env::var("OPM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Run two closures (sequentially here) and return both results — the

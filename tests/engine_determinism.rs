@@ -1,12 +1,19 @@
-//! Determinism guarantees of the sweep-execution engine: a parallel run
-//! must emit byte-identical CSVs to a serial run for every thread count,
-//! the memoized profile cache must return exactly the profiles an
-//! uncached computation would, and injected faults (quarantined NaN
-//! placeholders, recovered retries, the failure log itself) must land on
-//! the same points at every thread count — which is what makes a killed
-//! run resumable to byte-identical output.
+//! Determinism guarantees of the sweep-execution engine. A stage's
+//! points run in order on the calling thread, so the thread count that
+//! remains is the number of callers: one engine is shared by every thread
+//! of a process (`Engine::global`, this harness's parallel tests, the
+//! daemon's connections), and the CSV bytes a sweep produces must not
+//! depend on how many threads drive that engine at once. Injected faults
+//! (quarantined NaN placeholders, recovered retries, the failure log
+//! itself) must land on the same points however many callers share the
+//! engine — which is what makes a killed run resumable to byte-identical
+//! output. The daemon's memoized profiles must equal the profiles a
+//! sweep builds in place.
 
-use opm_core::platform::{EdramMode, Machine, McdramMode, OpmConfig};
+use opm_bench::serve::answer_query;
+use opm_core::api::Query;
+use opm_core::perf::PerfModel;
+use opm_core::platform::{EdramMode, Machine, McdramMode, OpmConfig, PlatformSpec};
 use opm_core::profile::ProfileKey;
 use opm_core::report::Series;
 use opm_kernels::engine::{Engine, EngineConfig};
@@ -14,14 +21,22 @@ use opm_kernels::sweeps::{
     cholesky_sweep_on, fft_curve_on, gemm_sweep_on, paper_fft_sizes, paper_stream_footprints,
     sparse_sweep_on, stream_curve_on, CurvePoint, HeatPoint, SparseKernelId, SparsePoint,
 };
-use opm_kernels::FaultPlan;
+use opm_kernels::{FaultPlan, KernelId};
 use opm_sparse::gen::corpus;
 
-fn engine(threads: usize, cache_enabled: bool) -> Engine {
-    Engine::new(EngineConfig {
-        threads,
-        cache_enabled,
-        ..EngineConfig::default()
+fn engine() -> Engine {
+    Engine::new(EngineConfig::default())
+}
+
+/// Run `f` on `threads` concurrent caller threads and collect every
+/// caller's result.
+fn on_threads<R: Send>(threads: usize, f: impl Fn() -> R + Sync) -> Vec<R> {
+    std::thread::scope(|s| {
+        let callers: Vec<_> = (0..threads).map(|_| s.spawn(&f)).collect();
+        callers
+            .into_iter()
+            .map(|c| c.join().expect("caller thread"))
+            .collect()
     })
 }
 
@@ -63,15 +78,14 @@ fn gemm_sweep_is_byte_identical_across_thread_counts() {
     let sizes = [256, 2304, 8448, 16128];
     let tiles = [128, 512, 1024, 4096];
     let config = OpmConfig::Broadwell(EdramMode::On);
-    let baseline = heat_csv(&gemm_sweep_on(&engine(1, true), config, &sizes, &tiles));
+    let baseline = heat_csv(&gemm_sweep_on(&engine(), config, &sizes, &tiles));
     for threads in THREAD_COUNTS {
-        let got = heat_csv(&gemm_sweep_on(
-            &engine(threads, true),
-            config,
-            &sizes,
-            &tiles,
-        ));
-        assert_eq!(got, baseline, "threads={threads}");
+        let shared = engine();
+        for got in on_threads(threads, || {
+            heat_csv(&gemm_sweep_on(&shared, config, &sizes, &tiles))
+        }) {
+            assert_eq!(got, baseline, "threads={threads}");
+        }
     }
 }
 
@@ -80,15 +94,14 @@ fn cholesky_sweep_is_byte_identical_across_thread_counts() {
     let sizes = [1280, 5376];
     let tiles = [256, 640, 2048];
     let config = OpmConfig::Knl(McdramMode::Cache);
-    let baseline = heat_csv(&cholesky_sweep_on(&engine(1, true), config, &sizes, &tiles));
+    let baseline = heat_csv(&cholesky_sweep_on(&engine(), config, &sizes, &tiles));
     for threads in THREAD_COUNTS {
-        let got = heat_csv(&cholesky_sweep_on(
-            &engine(threads, true),
-            config,
-            &sizes,
-            &tiles,
-        ));
-        assert_eq!(got, baseline, "threads={threads}");
+        let shared = engine();
+        for got in on_threads(threads, || {
+            heat_csv(&cholesky_sweep_on(&shared, config, &sizes, &tiles))
+        }) {
+            assert_eq!(got, baseline, "threads={threads}");
+        }
     }
 }
 
@@ -101,15 +114,14 @@ fn sparse_sweep_is_byte_identical_across_thread_counts() {
         SparseKernelId::Sptrans,
         SparseKernelId::Sptrsv,
     ] {
-        let baseline = sparse_csv(&sparse_sweep_on(&engine(1, true), config, kernel, &specs));
+        let baseline = sparse_csv(&sparse_sweep_on(&engine(), config, kernel, &specs));
         for threads in THREAD_COUNTS {
-            let got = sparse_csv(&sparse_sweep_on(
-                &engine(threads, true),
-                config,
-                kernel,
-                &specs,
-            ));
-            assert_eq!(got, baseline, "{kernel:?} threads={threads}");
+            let shared = engine();
+            for got in on_threads(threads, || {
+                sparse_csv(&sparse_sweep_on(&shared, config, kernel, &specs))
+            }) {
+                assert_eq!(got, baseline, "{kernel:?} threads={threads}");
+            }
         }
     }
 }
@@ -118,48 +130,41 @@ fn sparse_sweep_is_byte_identical_across_thread_counts() {
 fn curves_are_byte_identical_across_thread_counts() {
     let footprints = paper_stream_footprints(Machine::Broadwell, 24);
     let fft_sizes = paper_fft_sizes(Machine::Knl);
-    let stream_base = curve_csv(&stream_curve_on(
-        &engine(1, true),
-        OpmConfig::Broadwell(EdramMode::On),
-        &footprints,
-    ));
-    let fft_base = curve_csv(&fft_curve_on(
-        &engine(1, true),
-        OpmConfig::Knl(McdramMode::Flat),
-        &fft_sizes,
-    ));
+    let curves = |eng: &Engine| {
+        (
+            curve_csv(&stream_curve_on(
+                eng,
+                OpmConfig::Broadwell(EdramMode::On),
+                &footprints,
+            )),
+            curve_csv(&fft_curve_on(
+                eng,
+                OpmConfig::Knl(McdramMode::Flat),
+                &fft_sizes,
+            )),
+        )
+    };
+    let (stream_base, fft_base) = curves(&engine());
     for threads in THREAD_COUNTS {
-        let stream = curve_csv(&stream_curve_on(
-            &engine(threads, true),
-            OpmConfig::Broadwell(EdramMode::On),
-            &footprints,
-        ));
-        let fft = curve_csv(&fft_curve_on(
-            &engine(threads, true),
-            OpmConfig::Knl(McdramMode::Flat),
-            &fft_sizes,
-        ));
-        assert_eq!(stream, stream_base, "stream threads={threads}");
-        assert_eq!(fft, fft_base, "fft threads={threads}");
+        let shared = engine();
+        for (stream, fft) in on_threads(threads, || curves(&shared)) {
+            assert_eq!(stream, stream_base, "stream threads={threads}");
+            assert_eq!(fft, fft_base, "fft threads={threads}");
+        }
     }
 }
 
 /// Engine with a fault plan and no backoff sleep (the delays are real
 /// wall time and irrelevant to determinism).
-fn faulted_engine(threads: usize, spec: &str) -> Engine {
+fn faulted_engine(spec: &str) -> Engine {
     let plan = FaultPlan::parse(spec).expect("valid fault spec");
-    let mut config = EngineConfig {
-        threads,
-        cache_enabled: true,
-        ..EngineConfig::default()
-    }
-    .with_fault_plan(plan);
+    let mut config = EngineConfig::default().with_fault_plan(plan);
     config.backoff_base_us = 0;
     Engine::new(config)
 }
 
-/// The acceptance matrix for fault tolerance: serial, small-parallel,
-/// and wider-than-the-grid parallel.
+/// The acceptance matrix for fault tolerance: one caller, a few, and
+/// more callers than the machine has cores.
 const FAULT_THREADS: [usize; 3] = [1, 4, 8];
 
 #[test]
@@ -167,27 +172,23 @@ fn quarantined_points_are_byte_identical_across_thread_counts() {
     // Persistent faults exhaust the retry budget and quarantine the
     // point as a NaN placeholder; the seeded rate rule keys on (stage,
     // point index), never on scheduling, so the NaN rows must land on
-    // the same grid points at every thread count.
+    // the same grid points however many callers share the engine.
     let footprints = paper_stream_footprints(Machine::Knl, 24);
     let spec = "panic@rate:0.2:seed:11:persist";
     let config = OpmConfig::Knl(McdramMode::Cache);
-    let baseline = curve_csv(&stream_curve_on(
-        &faulted_engine(1, spec),
-        config,
-        &footprints,
-    ));
+    let baseline = curve_csv(&stream_curve_on(&faulted_engine(spec), config, &footprints));
     assert!(
         baseline.contains("NaN"),
         "a persistent 20% panic rate must quarantine some of {} points:\n{baseline}",
         footprints.len()
     );
     for threads in FAULT_THREADS {
-        let got = curve_csv(&stream_curve_on(
-            &faulted_engine(threads, spec),
-            config,
-            &footprints,
-        ));
-        assert_eq!(got, baseline, "threads={threads}");
+        let shared = faulted_engine(spec);
+        for got in on_threads(threads, || {
+            curve_csv(&stream_curve_on(&shared, config, &footprints))
+        }) {
+            assert_eq!(got, baseline, "threads={threads}");
+        }
     }
 }
 
@@ -198,11 +199,14 @@ fn recovered_faults_leave_output_identical_to_fault_free_run() {
     // run, with the recoveries visible only in the failure log.
     let footprints = paper_stream_footprints(Machine::Broadwell, 24);
     let config = OpmConfig::Broadwell(EdramMode::On);
-    let clean = curve_csv(&stream_curve_on(&engine(1, true), config, &footprints));
+    let clean = curve_csv(&stream_curve_on(&engine(), config, &footprints));
     for threads in FAULT_THREADS {
-        let eng = faulted_engine(threads, "io@rate:0.5:seed:3");
-        let got = curve_csv(&stream_curve_on(&eng, config, &footprints));
-        assert_eq!(got, clean, "threads={threads}");
+        let eng = faulted_engine("io@rate:0.5:seed:3");
+        for got in on_threads(threads, || {
+            curve_csv(&stream_curve_on(&eng, config, &footprints))
+        }) {
+            assert_eq!(got, clean, "threads={threads}");
+        }
         let failures = eng.failures();
         assert!(
             !failures.is_empty(),
@@ -219,8 +223,9 @@ fn recovered_faults_leave_output_identical_to_fault_free_run() {
 #[test]
 fn failure_log_is_identical_across_thread_counts() {
     // run_errors.csv is written from this log sorted by (stage, point,
-    // message); for that file to be byte-identical at any thread count,
-    // the sorted log itself must be.
+    // message); for that file to be byte-identical however the engine
+    // is driven, the sorted log itself must be: each caller files the
+    // same rows, whatever the interleaving.
     let footprints = paper_stream_footprints(Machine::Knl, 24);
     let config = OpmConfig::Knl(McdramMode::Flat);
     let spec = "panic@rate:0.3:seed:5:persist,io@point:2";
@@ -244,7 +249,7 @@ fn failure_log_is_identical_across_thread_counts() {
         rows.sort();
         rows
     };
-    let eng1 = faulted_engine(1, spec);
+    let eng1 = faulted_engine(spec);
     let _ = stream_curve_on(&eng1, config, &footprints);
     let baseline = render(&eng1);
     assert!(
@@ -252,14 +257,22 @@ fn failure_log_is_identical_across_thread_counts() {
         "{baseline:?}"
     );
     for threads in FAULT_THREADS {
-        let eng = faulted_engine(threads, spec);
-        let _ = stream_curve_on(&eng, config, &footprints);
-        assert_eq!(render(&eng), baseline, "threads={threads}");
+        let shared = faulted_engine(spec);
+        on_threads(threads, || stream_curve_on(&shared, config, &footprints));
+        let mut expect: Vec<String> = baseline
+            .iter()
+            .flat_map(|row| std::iter::repeat_n(row.clone(), threads))
+            .collect();
+        expect.sort();
+        assert_eq!(render(&shared), expect, "threads={threads}");
     }
 }
 
 #[test]
 fn cached_sweep_equals_uncached_sweep() {
+    // The daemon's path — profiles memoized by `Engine::profile`, served
+    // warm on the second pass — must reproduce the sweep, which builds
+    // every profile in place.
     let sizes = [256, 4352, 16128];
     let tiles = [128, 1152, 4096];
     let specs = corpus(16);
@@ -268,29 +281,64 @@ fn cached_sweep_equals_uncached_sweep() {
         OpmConfig::Broadwell(EdramMode::On),
         OpmConfig::Knl(McdramMode::Flat),
     ] {
-        let cached = engine(2, true);
-        let uncached = engine(2, false);
-        // Run each sweep twice on the cached engine so the second pass is
-        // answered from the cache, then demand equality with no-cache.
-        let _ = gemm_sweep_on(&cached, config, &sizes, &tiles);
-        let warm = gemm_sweep_on(&cached, config, &sizes, &tiles);
-        let cold = gemm_sweep_on(&uncached, config, &sizes, &tiles);
-        assert_eq!(heat_csv(&warm), heat_csv(&cold));
-        let _ = sparse_sweep_on(&cached, config, SparseKernelId::Spmv, &specs);
-        let warm = sparse_sweep_on(&cached, config, SparseKernelId::Spmv, &specs);
-        let cold = sparse_sweep_on(&uncached, config, SparseKernelId::Spmv, &specs);
-        assert_eq!(sparse_csv(&warm), sparse_csv(&cold));
+        let eng = engine();
+        let machine = config.machine();
+        let cores = PlatformSpec::for_machine(machine).cores;
+        let model = PerfModel::for_config(config);
+        let plan = model.plan();
+        let uncached_gemm = heat_csv(&gemm_sweep_on(&eng, config, &sizes, &tiles));
+        let spmv_threads = KernelId::Spmv.threads(machine);
+        let uncached_spmv =
+            sparse_csv(&sparse_sweep_on(&eng, config, SparseKernelId::Spmv, &specs));
+        assert_eq!(eng.cache_len(), 0, "sweeps memoize nothing");
+        for _pass in 0..2 {
+            let threads = KernelId::Gemm.threads(machine);
+            let gemm: Vec<HeatPoint> = sizes
+                .iter()
+                .flat_map(|&n| tiles.iter().map(move |&tile| (n, tile)))
+                .map(|(n, tile)| {
+                    let key = ProfileKey::Gemm {
+                        n,
+                        tile,
+                        threads,
+                        cores,
+                    };
+                    let pp = eng.profile(key, || opm_dense::gemm_profile(n, tile, threads, cores));
+                    HeatPoint {
+                        n,
+                        tile,
+                        gflops: plan.gflops_planned(pp.plan()),
+                    }
+                })
+                .collect();
+            assert_eq!(heat_csv(&gemm), uncached_gemm);
+            let spmv: Vec<SparsePoint> = specs
+                .iter()
+                .map(|spec| {
+                    let e = spec.estimate();
+                    let key = ProfileKey::spmv(e.rows, e.nnz, e.avg_col_span, spmv_threads);
+                    let pp = eng.profile(key, || {
+                        opm_sparse::spmv_profile(e.rows, e.nnz, e.avg_col_span, spmv_threads)
+                    });
+                    SparsePoint {
+                        spec: *spec,
+                        footprint: pp.footprint,
+                        gflops: plan.gflops_planned(pp.plan()),
+                    }
+                })
+                .collect();
+            assert_eq!(sparse_csv(&spmv), uncached_spmv);
+        }
         assert!(
-            cached.cache_stats().hits > 0,
+            eng.cache_stats().hits > 0,
             "second pass should hit the cache"
         );
-        assert_eq!(uncached.cache_stats(), opm_kernels::CacheStats::default());
     }
 }
 
 #[test]
 fn memoized_profile_equals_direct_computation() {
-    let eng = engine(1, true);
+    let eng = engine();
     for (n, tile) in [(256, 128), (8448, 1024)] {
         let key = ProfileKey::Gemm {
             n,
@@ -316,15 +364,32 @@ fn memoized_profile_equals_direct_computation() {
 
 #[test]
 fn profiles_are_shared_across_configs_of_one_machine() {
-    let eng = engine(1, true);
+    // The daemon keys its memo on kernel and problem only, so a what-if
+    // query asked again under another OPM mode of the same machine
+    // reuses the profile.
+    let eng = engine();
     let sizes = [2304, 8448];
     let tiles = [256, 1024];
-    let _ = gemm_sweep_on(&eng, OpmConfig::Broadwell(EdramMode::Off), &sizes, &tiles);
+    let ask = |config: &str| {
+        for &n in &sizes {
+            for &tile in &tiles {
+                let q = Query {
+                    kernel: "GEMM".into(),
+                    config: config.into(),
+                    n: Some(n),
+                    tile: Some(tile),
+                    ..Query::default()
+                };
+                answer_query(&eng, &q).expect("answer");
+            }
+        }
+    };
+    ask("brd-no-edram");
     let cold = eng.cache_stats();
     assert_eq!(cold.hits, 0);
     assert_eq!(cold.misses as usize, sizes.len() * tiles.len());
     // The second configuration re-uses every profile of the first.
-    let _ = gemm_sweep_on(&eng, OpmConfig::Broadwell(EdramMode::On), &sizes, &tiles);
+    ask("brd-edram");
     let warm = eng.cache_stats();
     assert_eq!(warm.misses, cold.misses, "no new profile computations");
     assert_eq!(warm.hits as usize, sizes.len() * tiles.len());
@@ -332,16 +397,15 @@ fn profiles_are_shared_across_configs_of_one_machine() {
 
 /// Rebuild the reduced Fig. 12 CSV (Stream on Broadwell, both eDRAM
 /// modes) exactly the way `opm_bench::figures::curve_figure` does, but on
-/// an explicit engine so the thread count can vary within one process.
-fn fig12_reduced_csv(threads: usize, cache_enabled: bool) -> String {
+/// an explicit engine.
+fn fig12_reduced_csv(eng: &Engine) -> String {
     // The reduced harness grid: `harness_stream_footprints` thins the
     // 64-sample paper sweep to `(64 / 3).max(12)` = 21 points.
     let footprints = paper_stream_footprints(Machine::Broadwell, 64 / 3);
-    let eng = engine(threads, cache_enabled);
     let configs = OpmConfig::broadwell_modes();
     let curves: Vec<Vec<CurvePoint>> = configs
         .iter()
-        .map(|&c| stream_curve_on(&eng, c, &footprints))
+        .map(|&c| stream_curve_on(eng, c, &footprints))
         .collect();
     let mut columns = vec!["footprint_mb".to_string()];
     columns.extend(configs.iter().map(|c| format!("gflops_{}", c.label())));
@@ -356,19 +420,19 @@ fn fig12_reduced_csv(threads: usize, cache_enabled: bool) -> String {
 
 #[test]
 fn reduced_figure_is_byte_identical_to_golden_at_every_thread_count() {
-    // The acceptance gate for the memsim hot-path optimization work: a
-    // reduced figure, serial and parallel, must reproduce the golden CSV
-    // byte for byte. Any diff here means simulator behaviour changed.
+    // A reduced figure, built by one caller or by several sharing the
+    // engine, must reproduce the golden CSV byte for byte. Any diff here
+    // means model or engine behaviour changed.
     let golden_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden/fig12_stream_broadwell.csv");
     let golden = std::fs::read_to_string(&golden_path)
         .unwrap_or_else(|e| panic!("read {}: {e}", golden_path.display()));
     for threads in [1usize, 4, 8] {
-        for cache_enabled in [true, false] {
+        let shared = engine();
+        for got in on_threads(threads, || fig12_reduced_csv(&shared)) {
             assert_eq!(
-                fig12_reduced_csv(threads, cache_enabled),
-                golden,
-                "threads={threads} cache={cache_enabled}: reduced fig12 CSV diverged from tests/golden/"
+                got, golden,
+                "threads={threads}: reduced fig12 CSV diverged from tests/golden/"
             );
         }
     }

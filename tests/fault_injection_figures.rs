@@ -27,10 +27,8 @@ fn run_lock() -> &'static Mutex<()> {
     static INIT: Once = Once::new();
     INIT.call_once(|| {
         std::env::set_var("OPM_REDUCED", "1");
-        std::env::set_var("OPM_THREADS", "2");
         std::env::set_var("OPM_FAULT_SPEC", SPEC);
         std::env::remove_var("OPM_CORPUS");
-        std::env::remove_var("OPM_PROFILE_CACHE");
     });
     &LOCK
 }

@@ -6,10 +6,7 @@
 //!
 //! These tests drive the real `opm figures` code path
 //! ([`opm_bench::manifest::run_figures_opt`]) in-process on the global
-//! engine. The engine's thread count is fixed per process (set to 2
-//! here); thread-count independence of the resumed bytes is covered by
-//! the explicit-engine determinism tests in `engine_determinism.rs`,
-//! which run the same sweeps at 1, 4, and 8 threads.
+//! engine.
 
 use opm_bench::checkpoint;
 use opm_bench::manifest::{run_figures_opt, FigureStatus, RunOptions};
@@ -24,9 +21,7 @@ fn run_lock() -> &'static Mutex<()> {
     static INIT: Once = Once::new();
     INIT.call_once(|| {
         std::env::set_var("OPM_REDUCED", "1");
-        std::env::set_var("OPM_THREADS", "2");
         std::env::remove_var("OPM_CORPUS");
-        std::env::remove_var("OPM_PROFILE_CACHE");
         std::env::remove_var("OPM_FAULT_SPEC");
     });
     &LOCK

@@ -22,9 +22,7 @@ fn run_lock() -> &'static Mutex<()> {
     static INIT: Once = Once::new();
     INIT.call_once(|| {
         std::env::set_var("OPM_REDUCED", "1");
-        std::env::set_var("OPM_THREADS", "2");
         std::env::remove_var("OPM_CORPUS");
-        std::env::remove_var("OPM_PROFILE_CACHE");
         let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("figure_outputs");
         std::fs::create_dir_all(&dir).expect("create results dir");
         std::env::set_var("OPM_RESULTS", &dir);

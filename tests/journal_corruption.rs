@@ -26,7 +26,6 @@ fn setup() {
             PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("journal_corruption"),
         );
         std::env::set_var("OPM_REDUCED", "1");
-        std::env::set_var("OPM_THREADS", "2");
         std::env::remove_var("OPM_FAULT_SPEC");
         std::env::remove_var("OPM_CORPUS");
     });

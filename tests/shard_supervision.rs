@@ -8,9 +8,8 @@
 //! Equivalence is asserted byte-for-byte on every sweep CSV and on
 //! `run_errors.csv`. `run_manifest.csv` is compared on its
 //! process-topology-independent columns (figure, status, points,
-//! failures): wall time, points/sec, and the profile-cache columns are
-//! legitimately different across process counts because the profile
-//! memo cache is per-process.
+//! failures): wall time and points/sec are legitimately different
+//! across process counts.
 
 use opm_repro::core::telemetry::parse_prom;
 use std::path::{Path, PathBuf};
@@ -67,7 +66,6 @@ fn run_opm(args: &[&str], envs: &[(&str, &str)]) -> (bool, String) {
         "OPM_FAULT_SPEC",
         "OPM_CORPUS",
         "OPM_TELEMETRY",
-        "OPM_PROFILE_CACHE",
         "OPM_HEARTBEAT",
         "OPM_HEARTBEAT_MS",
         "OPM_SHARD",
@@ -77,7 +75,7 @@ fn run_opm(args: &[&str], envs: &[(&str, &str)]) -> (bool, String) {
     ] {
         cmd.env_remove(var);
     }
-    cmd.env("OPM_REDUCED", "1").env("OPM_THREADS", "2");
+    cmd.env("OPM_REDUCED", "1");
     for (k, v) in envs {
         cmd.env(k, v);
     }
@@ -119,7 +117,7 @@ fn manifest_key_columns(text: &str) -> Vec<String> {
         .map(|line| {
             let c: Vec<&str> = line.split(',').collect();
             let status = if c[1] == "resumed" { "ok" } else { c[1] };
-            format!("{},{status},{},{}", c[0], c[3], c[8])
+            format!("{},{status},{},{}", c[0], c[3], c[5])
         })
         .collect()
 }
