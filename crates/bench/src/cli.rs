@@ -312,11 +312,10 @@ USAGE:
   opm serve [--addr <host:port>] [--max-inflight <n>]
       run the mode advisor as an opm-api/v1 daemon (length-prefixed JSON
       frames over TCP; default 127.0.0.1:7979). Prints \"opm serve
-      listening on <addr>\" once ready; answers batched what-if queries
-      from a cross-request LRU profile cache (bound it with
-      OPM_CACHE_CAP); requests beyond --max-inflight are load-shed with
-      a typed `overloaded` response. A request with \"shutdown\": true
-      drains the daemon.
+      listening on <addr>\" once ready; answers batched what-if queries,
+      building each query's profile in place; requests beyond
+      --max-inflight are load-shed with a typed `overloaded` response. A
+      request with \"shutdown\": true drains the daemon.
   opm advise (--kernel <name> --config <label> [kernel options]
              [--hot-mb <f>] [--latency-bound <bool>] [--id <n>]
              | --request <json>) [--addr <host:port>]
@@ -444,13 +443,8 @@ fn cmd_serve(args: &Args) -> Result<String, CliFailure> {
     let cfg = opm_core::config::Config::from_env().map_err(|e| e.to_string())?;
     let tele = opm_core::telemetry::Telemetry::new(cfg.telemetry);
     let run = crate::telemetry::init(&tele);
-    let mut engine_cfg =
+    let engine_cfg =
         opm_kernels::engine::EngineConfig::from_config(&cfg).with_telemetry(tele.clone());
-    // A daemon serves an unbounded key population: bound the profile
-    // cache unless OPM_CACHE_CAP chose an explicit bound.
-    engine_cfg.cache_capacity = engine_cfg
-        .cache_capacity
-        .or(Some(crate::serve::DEFAULT_SERVE_CACHE_CAP));
     let engine = std::sync::Arc::new(opm_kernels::Engine::new(engine_cfg));
     let server = crate::serve::Server::bind(&addr, engine, max_inflight)
         .map_err(|e| format!("serve: binding {addr}: {e}"))?;
@@ -986,8 +980,8 @@ mod tests {
 
     #[test]
     fn retired_engine_flags_are_unknown_and_stray_variables_ignored() {
-        // The engine has no pool and sweeps no profile memo: the old
-        // switches are unknown flags now.
+        // The engine has no pool and no profile memo: the old switches
+        // are unknown flags now.
         assert_eq!(exit_code("figures --threads 2 --list"), 2);
         assert_eq!(exit_code("figures --no-cache --list"), 2);
         // `--threads` stays a query field of the advisor.
@@ -1001,7 +995,12 @@ mod tests {
         let _lock = crate::TEST_ENV_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        let retired = ["OPM_THREADS", "OPM_PROFILE_CACHE", "OPM_CACHE_SHARDS"];
+        let retired = [
+            "OPM_THREADS",
+            "OPM_PROFILE_CACHE",
+            "OPM_CACHE_SHARDS",
+            "OPM_CACHE_CAP",
+        ];
         for var in retired {
             std::env::set_var(var, "bogus");
         }

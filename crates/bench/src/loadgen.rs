@@ -11,9 +11,7 @@
 //! the server (no coordinated omission).
 //!
 //! The query mix cycles deterministically through every kernel ×
-//! configuration pair, so repeated requests exercise the daemon's
-//! cross-request profile cache the way a real advisory workload would
-//! (misses on first contact, hits after).
+//! configuration pair, so every run sends the same requests.
 
 use crate::serve::Client;
 use opm_core::api::{ApiError, Query, QueryResult, Request};
@@ -403,7 +401,8 @@ mod tests {
             ..LoadReport::default()
         };
         let text = r.render_json();
-        let parsed = opm_core::api::Json::parse(&text).unwrap();
+        let doc = opm_core::api::Json::parse(&text).unwrap();
+        let parsed = doc.root();
         assert_eq!(parsed.get("schema").and_then(|v| v.as_str()), Some(SCHEMA));
         for key in [
             "mode",

@@ -8,11 +8,10 @@
 //! responses for the same request by construction — there is no second
 //! evaluation code path to drift.
 //!
-//! Profiles are memoized in the serving engine's sharded cross-request
-//! cache ([`Engine::profile`]), and `OPM_CACHE_CAP` bounds the daemon's
-//! memory by evicting least-recently-used profiles. Concurrent identical
-//! misses each build the profile (well under a microsecond) rather than
-//! wait on one another.
+//! Every query builds its profile in place ([`PlannedProfile::compute`],
+//! about a microsecond): no memo is kept across queries or requests,
+//! because a lookup, insert and eviction cost more than the build, and a
+//! daemon without one holds no state that grows with its clients.
 //!
 //! Backpressure is load-shedding, not stalling: requests beyond the
 //! `--max-inflight` bound receive an immediate typed `overloaded`
@@ -28,9 +27,9 @@ use opm_core::guideline::{explain_mcdram, recommend_mcdram, Workload};
 use opm_core::perf::PerfModel;
 use opm_core::platform::{Machine, McdramMode, OpmConfig, PlatformSpec};
 use opm_core::power::PowerModel;
-use opm_core::profile::{AccessProfile, ProfileKey};
+use opm_core::profile::AccessProfile;
 use opm_core::units::MIB;
-use opm_kernels::engine::Engine;
+use opm_kernels::engine::{Engine, PlannedProfile};
 use opm_kernels::registry::KernelId;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -41,9 +40,11 @@ use std::sync::Arc;
 /// load-sheds with `overloaded`.
 pub const DEFAULT_MAX_INFLIGHT: usize = 64;
 
-/// Default profile-cache bound for a serving engine: a daemon fed by
-/// arbitrary clients sees an unbounded key population, so `opm serve`
-/// bounds its memo unless `OPM_CACHE_CAP` says otherwise.
+/// Unused: the daemon memoizes no profiles. Kept only because the
+/// benchmark harness sets it as [`EngineConfig::cache_capacity`]
+/// (itself ignored).
+///
+/// [`EngineConfig::cache_capacity`]: opm_kernels::engine::EngineConfig::cache_capacity
 pub const DEFAULT_SERVE_CACHE_CAP: usize = 4096;
 
 // ---------------------------------------------------------------------
@@ -90,7 +91,7 @@ impl Resolved {
         } else {
             8192
         };
-        Ok(Resolved {
+        let p = Resolved {
             n: positive_usize(q.n, dense_n, "n")?,
             tile: positive_usize(q.tile, 384, "tile")?,
             rows: positive_usize(q.rows, 1_000_000, "rows")?,
@@ -100,54 +101,66 @@ impl Resolved {
             span: positive_f64(q.span, 400_000.0, "span")?,
             levels: positive_f64(q.levels, 300.0, "levels")?,
             footprint_mb: positive_f64(q.footprint_mb, 2048.0, "footprint_mb")?,
-        })
+        };
+        p.check(kernel)?;
+        Ok(p)
+    }
+
+    /// The preconditions of `kernel`'s profile builder beyond positive
+    /// values: a query outside them is a `bad-param` naming the field,
+    /// not a panic inside the model.
+    fn check(&self, kernel: KernelId) -> Result<(), ApiError> {
+        let bad = |detail: String| Err(ApiError::BadParam(detail));
+        match kernel {
+            KernelId::Gemm | KernelId::Cholesky => {
+                // The panel tier carries 8/b - 6/n of the traffic (b is
+                // the tile clipped to n), so it must not exceed 1.
+                let b = self.tile.min(self.n) as f64;
+                if 8.0 / b - 6.0 / self.n as f64 > 1.0 {
+                    return if self.tile >= self.n {
+                        bad("\"n\" must be at least 2".to_string())
+                    } else {
+                        bad(format!(
+                            "\"tile\" {} is too small for \"n\" {}: 8/tile - 6/n must not \
+                             exceed 1 (any tile of at least 8 works)",
+                            self.tile, self.n
+                        ))
+                    };
+                }
+            }
+            KernelId::Fft if self.n < 2 => return bad("\"n\" must be at least 2".to_string()),
+            KernelId::Fft if self.n.checked_mul(self.n).is_none() => {
+                return bad("\"n\" is too large: n² must fit in 64 bits".to_string())
+            }
+            KernelId::Spmv | KernelId::Sptrsv if self.rows < 8 => {
+                // The gather tier spans between one cache line and the
+                // whole 8-byte-per-row vector.
+                return bad("\"rows\" must be at least 8".to_string());
+            }
+            KernelId::Sptrsv if self.levels < 1.0 => {
+                return bad("\"levels\" must be at least 1".to_string())
+            }
+            KernelId::Stencil if self.grid.checked_pow(3).is_none() => {
+                return bad("\"grid\" is too large: grid³ cells must fit in 64 bits".to_string())
+            }
+            KernelId::Stream if self.stream_len() == 0 => {
+                return bad(
+                    "\"footprint_mb\" must hold at least one 24-byte TRIAD element".to_string(),
+                )
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Elements per Stream array: three arrays of doubles fill the
+    /// footprint.
+    fn stream_len(&self) -> usize {
+        ((self.footprint_mb * MIB) / 24.0) as usize
     }
 }
 
-/// The memoization key of a query's profile (identical queries — after
-/// default resolution — share one cache entry across requests).
-fn profile_key(kernel: KernelId, p: &Resolved, cores: usize) -> ProfileKey {
-    match kernel {
-        KernelId::Gemm => ProfileKey::Gemm {
-            n: p.n,
-            tile: p.tile,
-            threads: p.threads,
-            cores,
-        },
-        KernelId::Cholesky => ProfileKey::Cholesky {
-            n: p.n,
-            tile: p.tile,
-            threads: p.threads,
-            cores,
-        },
-        KernelId::Spmv => ProfileKey::spmv(p.rows, p.nnz, p.span, p.threads),
-        KernelId::Sptrans => ProfileKey::Sptrans {
-            rows: p.rows,
-            nnz: p.nnz,
-            threads: p.threads,
-        },
-        KernelId::Sptrsv => ProfileKey::sptrsv(p.rows, p.nnz, p.span, p.levels, p.threads),
-        KernelId::Fft => ProfileKey::Fft3d {
-            n: p.n,
-            threads: p.threads,
-            cores,
-        },
-        KernelId::Stencil => ProfileKey::Stencil {
-            grid: (p.grid, p.grid, p.grid),
-            block: (64, 64, 96),
-            threads: p.threads,
-            cores,
-        },
-        KernelId::Stream => ProfileKey::Stream {
-            n: ((p.footprint_mb * MIB) / 24.0) as usize,
-            unroll: 4,
-            threads: p.threads,
-        },
-    }
-}
-
-/// Construct the access profile for a resolved query (the cache-miss
-/// path; must agree with [`profile_key`] on every parameter).
+/// Construct the access profile for a resolved query.
 fn build_profile(kernel: KernelId, p: &Resolved, cores: usize) -> AccessProfile {
     match kernel {
         KernelId::Gemm => opm_dense::gemm_profile(p.n, p.tile, p.threads, cores),
@@ -159,9 +172,7 @@ fn build_profile(kernel: KernelId, p: &Resolved, cores: usize) -> AccessProfile 
         KernelId::Stencil => {
             opm_stencil::stencil_profile(p.grid, p.grid, p.grid, (64, 64, 96), p.threads, cores)
         }
-        KernelId::Stream => {
-            opm_stencil::stream_profile(((p.footprint_mb * MIB) / 24.0) as usize, 4, p.threads)
-        }
+        KernelId::Stream => opm_stencil::stream_profile(p.stream_len(), 4, p.threads),
     }
 }
 
@@ -176,19 +187,17 @@ fn resolve(q: &Query) -> Result<(KernelId, OpmConfig, Resolved), ApiError> {
     Ok((kernel, config, p))
 }
 
-/// Build a query's access profile directly, outside any engine cache
-/// (the `opm model` path): the same resolution and checks as
-/// [`answer_query`].
+/// Build a query's access profile (the `opm model` path): the same
+/// resolution and checks as [`answer_query`].
 pub fn query_profile(q: &Query) -> Result<(KernelId, OpmConfig, AccessProfile), ApiError> {
     let (kernel, config, p) = resolve(q)?;
     let cores = PlatformSpec::for_machine(config.machine()).cores;
     Ok((kernel, config, build_profile(kernel, &p, cores)))
 }
 
-/// Answer one query: resolve, profile (through the engine's memo),
-/// evaluate, price, and recommend. Every failure is a typed
-/// [`ApiError`].
-pub fn answer_query(engine: &Engine, q: &Query) -> Result<Advice, ApiError> {
+/// Answer one query: resolve, profile, evaluate, price, and recommend.
+/// Every failure is a typed [`ApiError`].
+pub fn answer_query(q: &Query) -> Result<Advice, ApiError> {
     let (kernel, config, p) = resolve(q)?;
     let machine = config.machine();
     let cores = PlatformSpec::for_machine(machine).cores;
@@ -200,9 +209,7 @@ pub fn answer_query(engine: &Engine, q: &Query) -> Result<Advice, ApiError> {
         }
     }
 
-    let planned = engine.profile(profile_key(kernel, &p, cores), || {
-        build_profile(kernel, &p, cores)
-    });
+    let planned = PlannedProfile::compute(|| build_profile(kernel, &p, cores));
     let model = PerfModel::for_config(config);
     let est = model.plan().evaluate_planned(planned.plan());
     let power_model = PowerModel::for_machine(machine);
@@ -284,13 +291,16 @@ fn recommend(machine: Machine, w: &Workload) -> (String, String, String) {
 /// A panic while answering one query (a modeling bug) is caught and
 /// reported as a typed `internal` error for that query — it never takes
 /// the daemon down or poisons the rest of the batch.
-pub fn respond(engine: &Engine, req: &Request) -> Response {
+///
+/// The engine is not consulted (answers keep no memo); the parameter
+/// stays for the callers that pass one, the benchmark harness among
+/// them.
+pub fn respond(_engine: &Engine, req: &Request) -> Response {
     let results = req
         .queries
         .iter()
         .map(|q| {
-            let answer =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| answer_query(engine, q)));
+            let answer = std::panic::catch_unwind(|| answer_query(q));
             match answer {
                 Ok(Ok(a)) => QueryResult::Ok(Box::new(a)),
                 Ok(Err(e)) => QueryResult::Err(e),
@@ -368,8 +378,7 @@ pub struct Server {
 
 impl Server {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral test port). The
-    /// engine is shared — its profile cache is the daemon's
-    /// cross-request cache.
+    /// daemon reports into the engine's telemetry.
     pub fn bind(addr: &str, engine: Arc<Engine>, max_inflight: usize) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         Ok(Server {
@@ -589,6 +598,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use opm_core::api::MAX_EXACT_INT;
     use opm_kernels::engine::EngineConfig;
 
     fn test_engine() -> Arc<Engine> {
@@ -607,8 +617,7 @@ mod tests {
 
     #[test]
     fn answer_matches_direct_model_evaluation() {
-        let engine = test_engine();
-        let a = answer_query(&engine, &gemm_query()).unwrap();
+        let a = answer_query(&gemm_query()).unwrap();
         assert_eq!(a.kernel, "GEMM");
         assert_eq!(a.config, "knl-flat");
         assert!(a.gflops > 0.0);
@@ -622,42 +631,137 @@ mod tests {
 
     #[test]
     fn typed_errors_for_unknowns_and_bad_params() {
-        let engine = test_engine();
         let mut q = gemm_query();
         q.kernel = "dgemv".into();
-        assert!(matches!(
-            answer_query(&engine, &q),
-            Err(ApiError::UnknownKernel(_))
-        ));
+        assert!(matches!(answer_query(&q), Err(ApiError::UnknownKernel(_))));
         let mut q = gemm_query();
         q.config = "knl-warp".into();
-        assert!(matches!(
-            answer_query(&engine, &q),
-            Err(ApiError::UnknownConfig(_))
-        ));
-        let mut q = gemm_query();
-        q.n = Some(0);
-        assert!(matches!(
-            answer_query(&engine, &q),
-            Err(ApiError::BadParam(_))
-        ));
+        assert!(matches!(answer_query(&q), Err(ApiError::UnknownConfig(_))));
         let mut q = gemm_query();
         q.hot_mb = Some(-3.0);
-        assert!(matches!(
-            answer_query(&engine, &q),
-            Err(ApiError::BadParam(_))
-        ));
+        assert!(matches!(answer_query(&q), Err(ApiError::BadParam(_))));
+        // Degenerate values each profile builder cannot take come back
+        // as `bad-param` naming the field, not as `internal` panics.
+        let query = |kernel: &str, edit: fn(&mut Query)| {
+            let mut q = Query {
+                kernel: kernel.into(),
+                config: "knl-flat".into(),
+                ..Query::default()
+            };
+            edit(&mut q);
+            q
+        };
+        for (q, field) in [
+            (query("GEMM", |q| q.n = Some(0)), "\"n\""),
+            (query("GEMM", |q| q.n = Some(1)), "\"n\""),
+            (
+                query("GEMM", |q| {
+                    q.n = Some(1);
+                    q.tile = Some(MAX_EXACT_INT);
+                }),
+                "\"n\"",
+            ),
+            (query("GEMM", |q| q.tile = Some(4)), "\"tile\""),
+            (query("Cholesky", |q| q.n = Some(1)), "\"n\""),
+            (query("FFT", |q| q.n = Some(1)), "\"n\""),
+            (query("FFT", |q| q.n = Some(MAX_EXACT_INT)), "\"n\""),
+            (query("SpTRSV", |q| q.levels = Some(1e-300)), "\"levels\""),
+            (query("SpTRSV", |q| q.rows = Some(7)), "\"rows\""),
+            (
+                query("Stream", |q| q.footprint_mb = Some(1e-300)),
+                "\"footprint_mb\"",
+            ),
+            (
+                query("SpMV", |q| {
+                    q.rows = Some(1);
+                    q.nnz = Some(MAX_EXACT_INT);
+                }),
+                "\"rows\"",
+            ),
+            (
+                query("Stencil", |q| q.grid = Some(MAX_EXACT_INT)),
+                "\"grid\"",
+            ),
+        ] {
+            match answer_query(&q) {
+                Err(ApiError::BadParam(detail)) => {
+                    assert!(detail.contains(field), "{q:?}: {detail}")
+                }
+                other => panic!("{q:?}: {other:?}"),
+            }
+        }
+        // The smallest values inside the preconditions still answer.
+        for q in [
+            query("GEMM", |q| q.n = Some(2)),
+            query("GEMM", |q| q.tile = Some(8)),
+            query("FFT", |q| q.n = Some(2)),
+            query("SpMV", |q| q.rows = Some(8)),
+            query("SpTRSV", |q| q.levels = Some(1.0)),
+            query("Stream", |q| q.footprint_mb = Some(24.0 / MIB)),
+        ] {
+            assert!(answer_query(&q).is_ok(), "{q:?}");
+        }
+    }
+
+    #[test]
+    fn degenerate_queries_never_answer_internal() {
+        // Every field at the edges of its range, in every combination a
+        // seeded draw reaches: the answer is an advice or a typed
+        // rejection, never a panic caught as `internal`.
+        const INTS: [u64; 8] = [1, 2, 7, 8, 9, 64, 1 << 32, MAX_EXACT_INT];
+        const FLOATS: [f64; 6] = [1e-300, 1e-6, 0.5, 1.0, 3e5, 1e300];
+        let mut state = 0x2017_u64;
+        let mut draw = |n: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % n
+        };
+        let engine = test_engine();
+        for i in 0..4000 {
+            let mut int = || (draw(2) == 0).then(|| INTS[draw(INTS.len())]);
+            let (n, tile, rows, nnz, grid, threads) = (int(), int(), int(), int(), int(), int());
+            let mut float = || (draw(2) == 0).then(|| FLOATS[draw(FLOATS.len())]);
+            let (span, levels, footprint_mb, hot_mb) = (float(), float(), float(), float());
+            let q = Query {
+                kernel: KernelId::ALL[i % KernelId::ALL.len()].name().into(),
+                config: ["brd-edram", "knl-hybrid"][i / KernelId::ALL.len() % 2].into(),
+                n,
+                tile,
+                rows,
+                nnz,
+                grid,
+                threads,
+                span,
+                levels,
+                footprint_mb,
+                hot_mb,
+                latency_bound: None,
+            };
+            let resp = respond(
+                &engine,
+                &Request {
+                    id: 1,
+                    queries: vec![q.clone()],
+                    shutdown: false,
+                },
+            );
+            assert!(
+                !matches!(resp.results[0], QueryResult::Err(ApiError::Internal(_))),
+                "{q:?}: {:?}",
+                resp.results[0]
+            );
+        }
     }
 
     #[test]
     fn latency_bound_defaults_follow_the_kernel() {
-        let engine = test_engine();
         let q = Query {
             kernel: "sptrsv".into(),
             config: "knl-flat".into(),
             ..Query::default()
         };
-        let a = answer_query(&engine, &q).unwrap();
+        let a = answer_query(&q).unwrap();
         // SpTRSV is latency bound by default → DDR preferred (§4.2.2).
         assert_eq!(a.recommended_mode, "ddr");
         // An explicit override flips it back to the capacity rules.
@@ -665,36 +769,21 @@ mod tests {
             latency_bound: Some(false),
             ..q
         };
-        let a = answer_query(&engine, &q).unwrap();
+        let a = answer_query(&q).unwrap();
         assert_ne!(a.recommended_mode, "ddr");
     }
 
     #[test]
     fn broadwell_recommends_edram_on() {
-        let engine = test_engine();
         let q = Query {
             kernel: "stream".into(),
             config: "brd-edram".into(),
             footprint_mb: Some(64.0),
             ..Query::default()
         };
-        let a = answer_query(&engine, &q).unwrap();
+        let a = answer_query(&q).unwrap();
         assert_eq!(a.recommended_mode, "edram-on");
         assert!(a.guideline.contains("§5.1"));
-    }
-
-    #[test]
-    fn identical_queries_share_one_profile_computation() {
-        let engine = test_engine();
-        let req = Request {
-            id: 1,
-            queries: vec![gemm_query(), gemm_query(), gemm_query()],
-            shutdown: false,
-        };
-        let resp = respond(&engine, &req);
-        assert_eq!(resp.results.len(), 3);
-        assert_eq!(engine.cache_stats().misses, 1);
-        assert_eq!(engine.cache_stats().hits, 2);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! [`crate::telemetry`]. It needs no side channel: figure begin/end
 //! spans, `progress` instants, and counter (`C`) events carry everything
 //! the dashboard shows — per-figure status, the active stage's
-//! completed/total points, aggregate points/sec, profile-cache hit rate,
-//! and failure counts.
+//! completed/total points, aggregate points/sec, and failure counts.
 //!
 //! The parser is deliberately tolerant: it extracts the handful of
 //! fields it needs with scanning (no full JSON parser in the approved
@@ -267,19 +266,8 @@ pub fn render(snap: &TopSnapshot) -> String {
             ));
         }
     }
-    let hits = snap.counter("opm_profile_cache_hits_total");
-    let misses = snap.counter("opm_profile_cache_misses_total");
-    let cache = if hits + misses > 0 {
-        format!(
-            "{:.1}% hit ({hits}/{})",
-            100.0 * hits as f64 / (hits + misses) as f64,
-            hits + misses,
-        )
-    } else {
-        "n/a".to_string()
-    };
     out.push_str(&format!(
-        "points: {} ({:.0} pts/s) | profile cache: {cache} | retries: {} | recovered: {} | quarantined: {}\n",
+        "points: {} ({:.0} pts/s) | retries: {} | recovered: {} | quarantined: {}\n",
         snap.counter("opm_points_total"),
         snap.points_per_sec(),
         snap.counter("opm_point_retries_total"),
@@ -556,8 +544,6 @@ mod tests {
 {"name":"stream_sweep","cat":"stage","ph":"E","ts":90,"pid":1,"tid":1,"args":{"path":"fig12_stream_broadwell>stream_sweep","points":"42"}}
 {"name":"fig12_stream_broadwell","cat":"figure","ph":"E","ts":100,"pid":1,"tid":1,"args":{"path":"fig12_stream_broadwell","status":"ok","points":"42","failures":"0"}}
 {"name":"opm_points_total","cat":"counter","ph":"C","ts":100,"pid":1,"args":{"value":42}}
-{"name":"opm_profile_cache_hits_total","cat":"counter","ph":"C","ts":100,"pid":1,"args":{"value":30}}
-{"name":"opm_profile_cache_misses_total","cat":"counter","ph":"C","ts":100,"pid":1,"args":{"value":10}}
 {"name":"fig23_stream_knl","cat":"figure","ph":"B","ts":120,"pid":1,"tid":1,"args":{"path":"fig23_stream_knl"}}
 {"name":"progress","cat":"event","ph":"i","ts":150,"pid":1,"tid":1,"s":"g","args":{"stage":"knl_sweep","completed":"7","total":"84"}}
 "#;
@@ -628,7 +614,7 @@ mod tests {
     }
 
     #[test]
-    fn render_shows_run_state_and_cache_rate() {
+    fn render_shows_run_state_and_counters() {
         let view = render(&parse_trace(TRACE));
         assert!(
             view.contains("run ci-42 (telemetry full) — running"),
@@ -639,7 +625,7 @@ mod tests {
             "{view}"
         );
         assert!(view.contains("knl_sweep 7/84"), "{view}");
-        assert!(view.contains("75.0% hit (30/40)"), "{view}");
+        assert!(view.contains("points: 42 ("), "{view}");
     }
 
     #[test]

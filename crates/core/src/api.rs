@@ -32,12 +32,16 @@
 //!   working unchanged.
 //!
 //! The encoding is hand-rolled (the build has no crates.io access, so
-//! no serde): [`Json`] is a minimal strict JSON document model whose
-//! renderer emits the canonical form described above. Decode and encode
-//! are both linear in the frame size: strings are scanned and copied in
-//! runs between the bytes that need escaping, so even a frame at
-//! [`MAX_FRAME_LEN`] holding one long string decodes in milliseconds.
+//! no serde). Encoders write every field of the canonical form straight
+//! into one pre-sized `String`. Decoders parse the frame into a [`Json`]
+//! document, one flat token list whose strings borrow from the frame
+//! text unless they hold an escape, and read typed fields from it
+//! through [`JsonRef`] views. Decode and encode are both linear in the
+//! frame size: strings are scanned and copied in runs between the bytes
+//! that need escaping, so even a frame at [`MAX_FRAME_LEN`] holding one
+//! long string decodes in milliseconds.
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 use std::io::{self, Read, Write};
 
@@ -150,102 +154,100 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, FrameError> {
 }
 
 // ---------------------------------------------------------------------
-// JSON document model
+// JSON documents
 // ---------------------------------------------------------------------
 
-/// Minimal JSON document model: strict parser, canonical renderer.
-///
-/// Objects preserve insertion order (the canonical encoding fixes field
-/// order, so order-preserving storage is what makes render∘parse the
-/// identity on canonical documents). Numbers are `f64`, rendered with
-/// Rust's shortest round-trip formatting.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
+/// One token of a parsed [`Json`] document. A container records how
+/// many tokens its value spans (itself included), so a lookup steps
+/// over a nested value in one move.
+#[derive(Debug)]
+enum Tok<'a> {
     Null,
-    /// `true` / `false`
     Bool(bool),
-    /// A number (IEEE-754 double, like JavaScript).
     Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, insertion-ordered.
-    Obj(Vec<(String, Json)>),
+    /// A string: borrowed from the text unless it held an escape.
+    Str(Cow<'a, str>),
+    /// An array spanning this many tokens.
+    Arr(usize),
+    /// An object spanning this many tokens; key and value tokens
+    /// alternate after it, in document order.
+    Obj(usize),
+}
+
+impl Tok<'_> {
+    /// Tokens spanned by the value this token starts.
+    fn span(&self) -> usize {
+        match self {
+            Tok::Arr(len) | Tok::Obj(len) => *len,
+            _ => 1,
+        }
+    }
+}
+
+/// A parsed JSON document: one flat token list over the text, in
+/// document order. The parser is strict; the typed decoders read fields
+/// through [`JsonRef`] views of it. Numbers are `f64`.
+#[derive(Debug)]
+pub struct Json<'a> {
+    toks: Vec<Tok<'a>>,
 }
 
 /// Maximum nesting depth the parser accepts (defense against stack
 /// exhaustion from `[[[[…`).
 const MAX_JSON_DEPTH: usize = 64;
 
-impl Json {
+impl<'a> Json<'a> {
     /// Parse a JSON document. Strict: exactly one value, surrounded by
     /// optional whitespace; no trailing garbage. Never panics.
-    pub fn parse(text: &str) -> Result<Json, String> {
+    pub fn parse(text: &'a str) -> Result<Json<'a>, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
+        // About one token per 16 bytes of a canonical reply.
+        let mut toks = Vec::with_capacity(bytes.len() / 16);
         skip_ws(bytes, &mut pos);
-        let v = parse_value(bytes, &mut pos, 0)?;
+        parse_value(bytes, &mut pos, 0, &mut toks)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
         }
-        Ok(v)
+        Ok(Json { toks })
     }
 
-    /// Render canonically (no whitespace, insertion field order,
-    /// shortest-round-trip numbers).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
+    /// The document's top-level value.
+    pub fn root(&self) -> JsonRef<'_, 'a> {
+        JsonRef(&self.toks)
     }
+}
 
-    fn render_into(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => render_num(*v, out),
-            Json::Str(s) => {
-                let _ = write!(out, "{}", JsonStr(s));
+/// One value of a parsed [`Json`] document: its token followed by the
+/// tokens of everything nested in it.
+#[derive(Debug, Clone, Copy)]
+pub struct JsonRef<'d, 'a>(&'d [Tok<'a>]);
+
+impl<'d, 'a> JsonRef<'d, 'a> {
+    /// Object field lookup (first match); `None` on a non-object.
+    pub fn get(self, key: &str) -> Option<JsonRef<'d, 'a>> {
+        let Tok::Obj(_) = self.0[0] else { return None };
+        let mut rest = &self.0[1..];
+        while let [Tok::Str(k), value, ..] = rest {
+            let (value, tail) = rest[1..].split_at(value.span());
+            if k.as_ref() == key {
+                return Some(JsonRef(value));
             }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{}:", JsonStr(k));
-                    v.render_into(out);
-                }
-                out.push('}');
-            }
+            rest = tail;
         }
+        None
     }
 
-    /// Object field lookup (first match).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
+    /// Whether this value is `null`.
+    pub fn is_null(self) -> bool {
+        matches!(self.0[0], Tok::Null)
     }
 
     /// This value as a finite `f64`.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) if v.is_finite() => Some(*v),
+    pub fn as_f64(self) -> Option<f64> {
+        match self.0[0] {
+            Tok::Num(v) if v.is_finite() => Some(v),
             _ => None,
         }
     }
@@ -254,39 +256,42 @@ impl Json {
     /// most [`MAX_EXACT_INT`]). 2^53 itself is refused: it is also the
     /// double that 2^53 + 1 rounds to, so accepting it would silently
     /// answer a different number than the one sent.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(v)
-                if v.is_finite() && *v >= 0.0 && v.fract() == 0.0 && *v <= MAX_EXACT_INT as f64 =>
+    pub fn as_u64(self) -> Option<u64> {
+        match self.0[0] {
+            Tok::Num(v)
+                if v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v <= MAX_EXACT_INT as f64 =>
             {
-                Some(*v as u64)
+                Some(v as u64)
             }
             _ => None,
         }
     }
 
     /// This value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
+    pub fn as_str(self) -> Option<&'d str> {
+        match &self.0[0] {
+            Tok::Str(s) => Some(s),
             _ => None,
         }
     }
 
     /// This value as a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
+    pub fn as_bool(self) -> Option<bool> {
+        match self.0[0] {
+            Tok::Bool(b) => Some(b),
             _ => None,
         }
     }
 
-    /// This value as an array slice.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
+    /// This value's items, in order, if it is an array.
+    pub fn as_arr(self) -> Option<impl Iterator<Item = JsonRef<'d, 'a>>> {
+        let Tok::Arr(_) = self.0[0] else { return None };
+        let mut rest = &self.0[1..];
+        Some(std::iter::from_fn(move || {
+            let (item, tail) = rest.split_at(rest.first()?.span());
+            rest = tail;
+            Some(JsonRef(item))
+        }))
     }
 }
 
@@ -346,77 +351,90 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+/// Parse the value under `pos`, appending its tokens to `toks`.
+fn parse_value<'a>(
+    b: &'a [u8],
+    pos: &mut usize,
+    depth: usize,
+    toks: &mut Vec<Tok<'a>>,
+) -> Result<(), String> {
     if depth > MAX_JSON_DEPTH {
         return Err("nesting too deep".to_string());
     }
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
+    let tok = match b.get(*pos) {
+        None => return Err("unexpected end of input".to_string()),
+        Some(b'n') => parse_lit(b, pos, "null", Tok::Null)?,
+        Some(b't') => parse_lit(b, pos, "true", Tok::Bool(true))?,
+        Some(b'f') => parse_lit(b, pos, "false", Tok::Bool(false))?,
+        Some(b'"') => Tok::Str(parse_string(b, pos)?),
         Some(b'[') => {
             *pos += 1;
-            let mut items = Vec::new();
+            let at = toks.len();
+            toks.push(Tok::Arr(0));
             skip_ws(b, pos);
             if b.get(*pos) == Some(&b']') {
                 *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                skip_ws(b, pos);
-                items.push(parse_value(b, pos, depth + 1)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
+            } else {
+                loop {
+                    skip_ws(b, pos);
+                    parse_value(b, pos, depth + 1, toks)?;
+                    skip_ws(b, pos);
+                    match b.get(*pos) {
+                        Some(b',') => *pos += 1,
+                        Some(b']') => {
+                            *pos += 1;
+                            break;
+                        }
+                        _ => return Err(format!("expected ',' or ']' at byte {pos}")),
                     }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
                 }
             }
+            toks[at] = Tok::Arr(toks.len() - at);
+            return Ok(());
         }
         Some(b'{') => {
             *pos += 1;
-            let mut fields = Vec::new();
+            let at = toks.len();
+            toks.push(Tok::Obj(0));
             skip_ws(b, pos);
             if b.get(*pos) == Some(&b'}') {
                 *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b'"') {
-                    return Err(format!("expected object key at byte {pos}"));
-                }
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                skip_ws(b, pos);
-                let value = parse_value(b, pos, depth + 1)?;
-                fields.push((key, value));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
+            } else {
+                loop {
+                    skip_ws(b, pos);
+                    if b.get(*pos) != Some(&b'"') {
+                        return Err(format!("expected object key at byte {pos}"));
                     }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+                    toks.push(Tok::Str(parse_string(b, pos)?));
+                    skip_ws(b, pos);
+                    if b.get(*pos) != Some(&b':') {
+                        return Err(format!("expected ':' at byte {pos}"));
+                    }
+                    *pos += 1;
+                    skip_ws(b, pos);
+                    parse_value(b, pos, depth + 1, toks)?;
+                    skip_ws(b, pos);
+                    match b.get(*pos) {
+                        Some(b',') => *pos += 1,
+                        Some(b'}') => {
+                            *pos += 1;
+                            break;
+                        }
+                        _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+                    }
                 }
             }
+            toks[at] = Tok::Obj(toks.len() - at);
+            return Ok(());
         }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:#04x} at {pos}")),
-    }
+        Some(c) if c.is_ascii_digit() || *c == b'-' => Tok::Num(parse_number(b, pos)?),
+        Some(c) => return Err(format!("unexpected byte {c:#04x} at {pos}")),
+    };
+    toks.push(tok);
+    Ok(())
 }
 
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
+fn parse_lit<T>(b: &[u8], pos: &mut usize, lit: &str, value: T) -> Result<T, String> {
     if b[*pos..].starts_with(lit.as_bytes()) {
         *pos += lit.len();
         Ok(value)
@@ -425,7 +443,7 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, 
     }
 }
 
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_number(b: &[u8], pos: &mut usize) -> Result<f64, String> {
     let start = *pos;
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -445,7 +463,7 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     if !v.is_finite() {
         return Err(format!("non-finite number {text:?} at byte {start}"));
     }
-    Ok(Json::Num(v))
+    Ok(v)
 }
 
 /// Whether `s` is exactly one RFC 8259 number:
@@ -490,17 +508,25 @@ fn is_json_number(s: &[u8]) -> bool {
 /// Decode the string literal starting at the `"` under `pos`. Linear in
 /// its length: each run of plain characters up to the next `"`, `\` or
 /// control byte is validated and copied once. All three stop bytes are
-/// ASCII, so every run starts and ends on a char boundary.
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+/// ASCII, so every run starts and ends on a char boundary. A string
+/// without escapes is borrowed from `b`, not copied.
+fn parse_string<'a>(b: &'a [u8], pos: &mut usize) -> Result<Cow<'a, str>, String> {
     debug_assert_eq!(b.get(*pos), Some(&b'"'));
     *pos += 1;
-    let mut out = String::new();
+    let start = *pos;
+    let mut out = Cow::Borrowed("");
     loop {
         let run = *pos;
-        while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\' | 0..=0x1f) {
-            *pos += 1;
+        *pos += b[run..]
+            .iter()
+            .position(|&c| matches!(c, b'"' | b'\\' | 0..=0x1f))
+            .unwrap_or(b.len() - run);
+        let text = std::str::from_utf8(&b[run..*pos]).map_err(|_| "bad utf-8".to_string())?;
+        if run == start {
+            out = Cow::Borrowed(text);
+        } else {
+            out.to_mut().push_str(text);
         }
-        out.push_str(std::str::from_utf8(&b[run..*pos]).map_err(|_| "bad utf-8".to_string())?);
         match b.get(*pos) {
             None => return Err("unterminated string".to_string()),
             Some(b'"') => {
@@ -510,6 +536,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
             Some(b'\\') => {
                 let escape = b.get(*pos + 1);
                 *pos += 2;
+                let out = out.to_mut();
                 match escape {
                     Some(b'"') => out.push('"'),
                     Some(b'\\') => out.push('\\'),
@@ -607,69 +634,70 @@ pub struct Query {
 }
 
 impl Query {
-    fn to_json(&self) -> Json {
-        let mut f: Vec<(String, Json)> = vec![
-            ("kernel".into(), Json::Str(self.kernel.clone())),
-            ("config".into(), Json::Str(self.config.clone())),
-        ];
-        let mut num = |name: &str, v: Option<u64>| {
+    fn render_into(&self, out: &mut String) {
+        out.push_str("{\"kernel\":");
+        push_str_lit(out, &self.kernel);
+        push_str_field(out, "config", &self.config);
+        for (name, v) in [
+            ("n", self.n),
+            ("tile", self.tile),
+            ("rows", self.rows),
+            ("nnz", self.nnz),
+            ("grid", self.grid),
+            ("threads", self.threads),
+        ] {
             if let Some(v) = v {
-                f.push((name.into(), Json::Num(v as f64)));
+                push_num_field(out, name, v as f64);
             }
-        };
-        num("n", self.n);
-        num("tile", self.tile);
-        num("rows", self.rows);
-        num("nnz", self.nnz);
-        num("grid", self.grid);
-        num("threads", self.threads);
-        let mut fl = |name: &str, v: Option<f64>| {
-            if let Some(v) = v {
-                f.push((name.into(), Json::Num(v)));
-            }
-        };
-        fl("span", self.span);
-        fl("levels", self.levels);
-        fl("footprint_mb", self.footprint_mb);
-        fl("hot_mb", self.hot_mb);
-        if let Some(lb) = self.latency_bound {
-            f.push(("latency_bound".into(), Json::Bool(lb)));
         }
-        Json::Obj(f)
+        for (name, v) in [
+            ("span", self.span),
+            ("levels", self.levels),
+            ("footprint_mb", self.footprint_mb),
+            ("hot_mb", self.hot_mb),
+        ] {
+            if let Some(v) = v {
+                push_num_field(out, name, v);
+            }
+        }
+        if let Some(lb) = self.latency_bound {
+            out.push_str(",\"latency_bound\":");
+            out.push_str(if lb { "true" } else { "false" });
+        }
+        out.push('}');
     }
 
-    fn from_json(j: &Json) -> Result<Query, String> {
-        let obj = match j {
-            Json::Obj(_) => j,
-            _ => return Err("query must be an object".to_string()),
-        };
+    fn from_json(obj: JsonRef) -> Result<Query, String> {
+        if !matches!(obj.0[0], Tok::Obj(_)) {
+            return Err("query must be an object".to_string());
+        }
         let field_u64 = |name: &str| -> Result<Option<u64>, String> {
             match obj.get(name) {
-                None | Some(Json::Null) => Ok(None),
-                Some(v) => v
+                Some(v) if !v.is_null() => v
                     .as_u64()
                     .map(Some)
                     .ok_or_else(|| format!("query field {name:?} {INT_EXPECTED}")),
+                _ => Ok(None),
             }
         };
         let field_f64 = |name: &str| -> Result<Option<f64>, String> {
             match obj.get(name) {
-                None | Some(Json::Null) => Ok(None),
-                Some(v) => v
+                Some(v) if !v.is_null() => v
                     .as_f64()
                     .map(Some)
                     .ok_or_else(|| format!("query field {name:?} must be a number")),
+                _ => Ok(None),
             }
         };
         Ok(Query {
             kernel: obj
                 .get("kernel")
-                .and_then(Json::as_str)
+                .and_then(JsonRef::as_str)
                 .ok_or("query needs a string \"kernel\"")?
                 .to_string(),
             config: obj
                 .get("config")
-                .and_then(Json::as_str)
+                .and_then(JsonRef::as_str)
                 .ok_or("query needs a string \"config\"")?
                 .to_string(),
             n: field_u64("n")?,
@@ -683,11 +711,11 @@ impl Query {
             footprint_mb: field_f64("footprint_mb")?,
             hot_mb: field_f64("hot_mb")?,
             latency_bound: match obj.get("latency_bound") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(
+                Some(v) if !v.is_null() => Some(
                     v.as_bool()
                         .ok_or("query field \"latency_bound\" must be a bool")?,
                 ),
+                _ => None,
             },
         })
     }
@@ -711,41 +739,40 @@ pub struct Request {
 impl Request {
     /// Canonical JSON encoding.
     pub fn render(&self) -> String {
-        let mut f: Vec<(String, Json)> = vec![
-            ("v".into(), Json::Str(VERSION.into())),
-            ("id".into(), Json::Num(self.id as f64)),
-        ];
+        let mut out = String::with_capacity(reply_capacity(64, 128, self.queries.len()));
+        push_head(&mut out, self.id);
         if self.shutdown {
-            f.push(("shutdown".into(), Json::Bool(true)));
+            out.push_str(",\"shutdown\":true");
         }
-        f.push((
-            "queries".into(),
-            Json::Arr(self.queries.iter().map(Query::to_json).collect()),
-        ));
-        Json::Obj(f).render()
+        out.push_str(",\"queries\":[");
+        for (i, q) in self.queries.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            q.render_into(&mut out);
+        }
+        out.push_str("]}");
+        out
     }
 
     /// Strict decode (version checked; unknown fields ignored per the
     /// compatibility promise).
     pub fn parse(text: &str) -> Result<Request, String> {
-        let j = Json::parse(text)?;
-        check_version(&j)?;
-        let id = match j.get("id") {
-            None | Some(Json::Null) => 0,
-            Some(v) => v.as_u64().ok_or_else(|| format!("\"id\" {INT_EXPECTED}"))?,
-        };
+        let doc = Json::parse(text)?;
+        let j = doc.root();
+        check_version(j)?;
+        let id = decode_id(j)?;
         let shutdown = match j.get("shutdown") {
-            None | Some(Json::Null) => false,
-            Some(v) => v.as_bool().ok_or("\"shutdown\" must be a bool")?,
+            Some(v) if !v.is_null() => v.as_bool().ok_or("\"shutdown\" must be a bool")?,
+            _ => false,
         };
         let queries = match j.get("queries") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(v) => v
+            Some(v) if !v.is_null() => v
                 .as_arr()
                 .ok_or("\"queries\" must be an array")?
-                .iter()
                 .map(Query::from_json)
                 .collect::<Result<Vec<Query>, String>>()?,
+            _ => Vec::new(),
         };
         Ok(Request {
             id,
@@ -755,14 +782,60 @@ impl Request {
     }
 }
 
-fn check_version(j: &Json) -> Result<(), String> {
-    match j.get("v").and_then(Json::as_str) {
+fn check_version(j: JsonRef) -> Result<(), String> {
+    match j.get("v").and_then(JsonRef::as_str) {
         Some(v) if v == VERSION => Ok(()),
         Some(v) => Err(format!(
             "unsupported protocol version {v:?} (this is {VERSION})"
         )),
         None => Err(format!("missing \"v\" (expected {VERSION:?})")),
     }
+}
+
+fn decode_id(j: JsonRef) -> Result<u64, String> {
+    match j.get("id") {
+        Some(v) if !v.is_null() => v.as_u64().ok_or_else(|| format!("\"id\" {INT_EXPECTED}")),
+        _ => Ok(0),
+    }
+}
+
+/// A pre-sized output buffer for a document of `per_item` bytes per
+/// batch item, capped at the frame cap (a larger reply is refused
+/// whole).
+fn reply_capacity(head: usize, per_item: usize, items: usize) -> usize {
+    items
+        .saturating_mul(per_item)
+        .saturating_add(head)
+        .min(MAX_FRAME_LEN as usize)
+}
+
+/// `{"v":"opm-api/v1","id":<id>`, the opening every document shares.
+fn push_head(out: &mut String, id: u64) {
+    out.push_str("{\"v\":");
+    push_str_lit(out, VERSION);
+    out.push_str(",\"id\":");
+    render_num(id as f64, out);
+}
+
+/// Append `s` as a quoted JSON string literal.
+fn push_str_lit(out: &mut String, s: &str) {
+    let _ = write!(out, "{}", JsonStr(s));
+}
+
+/// Append `,"<name>":<v>`; `name` needs no escaping.
+fn push_num_field(out: &mut String, name: &str, v: f64) {
+    out.push_str(",\"");
+    out.push_str(name);
+    out.push_str("\":");
+    render_num(v, out);
+}
+
+/// Append `,"<name>":<s>`; `name` needs no escaping.
+fn push_str_field(out: &mut String, name: &str, s: &str) {
+    out.push_str(",\"");
+    out.push_str(name);
+    out.push_str("\":");
+    push_str_lit(out, s);
 }
 
 // ---------------------------------------------------------------------
@@ -818,79 +891,80 @@ pub struct Advice {
 }
 
 impl Advice {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("kernel".into(), Json::Str(self.kernel.clone())),
-            ("config".into(), Json::Str(self.config.clone())),
-            ("footprint_mb".into(), Json::Num(self.footprint_mb)),
-            ("time_ms".into(), Json::Num(self.time_ms)),
-            ("gflops".into(), Json::Num(self.gflops)),
-            ("bandwidth_gbs".into(), Json::Num(self.bandwidth_gbs)),
-            ("dram_mb".into(), Json::Num(self.dram_mb)),
-            ("opm_mb".into(), Json::Num(self.opm_mb)),
-            (
-                "level_traffic".into(),
-                Json::Arr(
-                    self.level_traffic
-                        .iter()
-                        .map(|lt| {
-                            Json::Obj(vec![
-                                ("level".into(), Json::Str(lt.level.clone())),
-                                ("bytes".into(), Json::Num(lt.bytes)),
-                                ("time_ns".into(), Json::Num(lt.time_ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("package_w".into(), Json::Num(self.package_w)),
-            ("dram_w".into(), Json::Num(self.dram_w)),
-            ("energy_j".into(), Json::Num(self.energy_j)),
-            (
-                "recommended_mode".into(),
-                Json::Str(self.recommended_mode.clone()),
-            ),
-            ("guideline".into(), Json::Str(self.guideline.clone())),
-            ("explanation".into(), Json::Str(self.explanation.clone())),
-        ])
+    fn render_into(&self, out: &mut String) {
+        out.push_str("{\"kernel\":");
+        push_str_lit(out, &self.kernel);
+        push_str_field(out, "config", &self.config);
+        for (name, v) in [
+            ("footprint_mb", self.footprint_mb),
+            ("time_ms", self.time_ms),
+            ("gflops", self.gflops),
+            ("bandwidth_gbs", self.bandwidth_gbs),
+            ("dram_mb", self.dram_mb),
+            ("opm_mb", self.opm_mb),
+        ] {
+            push_num_field(out, name, v);
+        }
+        out.push_str(",\"level_traffic\":[");
+        for (i, lt) in self.level_traffic.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"level\":");
+            push_str_lit(out, &lt.level);
+            push_num_field(out, "bytes", lt.bytes);
+            push_num_field(out, "time_ns", lt.time_ns);
+            out.push('}');
+        }
+        out.push(']');
+        for (name, v) in [
+            ("package_w", self.package_w),
+            ("dram_w", self.dram_w),
+            ("energy_j", self.energy_j),
+        ] {
+            push_num_field(out, name, v);
+        }
+        push_str_field(out, "recommended_mode", &self.recommended_mode);
+        push_str_field(out, "guideline", &self.guideline);
+        push_str_field(out, "explanation", &self.explanation);
+        out.push('}');
     }
 
-    fn from_json(j: &Json) -> Result<Advice, String> {
+    fn from_json(j: JsonRef) -> Result<Advice, String> {
         let s = |name: &str| -> Result<String, String> {
             j.get(name)
-                .and_then(Json::as_str)
+                .and_then(JsonRef::as_str)
                 .map(str::to_string)
                 .ok_or_else(|| format!("advice field {name:?} must be a string"))
         };
         let n = |name: &str| -> Result<f64, String> {
             j.get(name)
-                .and_then(Json::as_f64)
+                .and_then(JsonRef::as_f64)
                 .ok_or_else(|| format!("advice field {name:?} must be a number"))
         };
         let level_traffic = match j.get("level_traffic") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(v) => v
+            Some(v) if !v.is_null() => v
                 .as_arr()
                 .ok_or("\"level_traffic\" must be an array")?
-                .iter()
                 .map(|lt| {
                     Ok(LevelTraffic {
                         level: lt
                             .get("level")
-                            .and_then(Json::as_str)
+                            .and_then(JsonRef::as_str)
                             .ok_or("level_traffic entry needs a string \"level\"")?
                             .to_string(),
                         bytes: lt
                             .get("bytes")
-                            .and_then(Json::as_f64)
+                            .and_then(JsonRef::as_f64)
                             .ok_or("level_traffic entry needs a numeric \"bytes\"")?,
                         time_ns: lt
                             .get("time_ns")
-                            .and_then(Json::as_f64)
+                            .and_then(JsonRef::as_f64)
                             .ok_or("level_traffic entry needs a numeric \"time_ns\"")?,
                     })
                 })
                 .collect::<Result<Vec<LevelTraffic>, String>>()?,
+            _ => Vec::new(),
         };
         Ok(Advice {
             kernel: s("kernel")?,
@@ -1006,42 +1080,42 @@ impl Response {
     /// request must produce the same bytes from `opm advise` and from a
     /// daemon.
     pub fn render(&self) -> String {
-        let results = self
-            .results
-            .iter()
-            .map(|r| match r {
-                QueryResult::Ok(a) => Json::Obj(vec![("ok".into(), a.to_json())]),
-                QueryResult::Err(e) => Json::Obj(vec![(
-                    "err".into(),
-                    Json::Obj(vec![
-                        ("kind".into(), Json::Str(e.kind().into())),
-                        ("detail".into(), Json::Str(e.detail().into())),
-                    ]),
-                )]),
-            })
-            .collect();
-        Json::Obj(vec![
-            ("v".into(), Json::Str(VERSION.into())),
-            ("id".into(), Json::Num(self.id as f64)),
-            ("results".into(), Json::Arr(results)),
-        ])
-        .render()
+        // An advice renders to about 720 bytes.
+        let mut out = String::with_capacity(reply_capacity(64, 768, self.results.len()));
+        push_head(&mut out, self.id);
+        out.push_str(",\"results\":[");
+        for (i, r) in self.results.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            match r {
+                QueryResult::Ok(a) => {
+                    out.push_str("{\"ok\":");
+                    a.render_into(&mut out);
+                }
+                QueryResult::Err(e) => {
+                    out.push_str("{\"err\":{\"kind\":");
+                    push_str_lit(&mut out, e.kind());
+                    push_str_field(&mut out, "detail", e.detail());
+                    out.push('}');
+                }
+            }
+            out.push('}');
+        }
+        out.push_str("]}");
+        out
     }
 
     /// Strict decode (version checked; unknown fields ignored).
     pub fn parse(text: &str) -> Result<Response, String> {
-        let j = Json::parse(text)?;
-        check_version(&j)?;
-        let id = match j.get("id") {
-            None | Some(Json::Null) => 0,
-            Some(v) => v.as_u64().ok_or_else(|| format!("\"id\" {INT_EXPECTED}"))?,
-        };
+        let doc = Json::parse(text)?;
+        let j = doc.root();
+        check_version(j)?;
+        let id = decode_id(j)?;
         let results = match j.get("results") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(v) => v
+            Some(v) if !v.is_null() => v
                 .as_arr()
                 .ok_or("\"results\" must be an array")?
-                .iter()
                 .map(|r| {
                     if let Some(ok) = r.get("ok") {
                         return Advice::from_json(ok).map(|a| QueryResult::Ok(Box::new(a)));
@@ -1049,14 +1123,15 @@ impl Response {
                     if let Some(err) = r.get("err") {
                         let kind = err
                             .get("kind")
-                            .and_then(Json::as_str)
+                            .and_then(JsonRef::as_str)
                             .ok_or("error result needs a string \"kind\"")?;
-                        let detail = err.get("detail").and_then(Json::as_str).unwrap_or("");
+                        let detail = err.get("detail").and_then(JsonRef::as_str).unwrap_or("");
                         return ApiError::from_parts(kind, detail).map(QueryResult::Err);
                     }
                     Err("result must carry \"ok\" or \"err\"".to_string())
                 })
                 .collect::<Result<Vec<QueryResult>, String>>()?,
+            _ => Vec::new(),
         };
         Ok(Response { id, results })
     }
@@ -1218,17 +1293,23 @@ mod tests {
 
     #[test]
     fn canonical_numbers_render_integers_without_fraction() {
-        assert_eq!(Json::Num(3.0).render(), "3");
-        assert_eq!(Json::Num(-2.0).render(), "-2");
-        assert_eq!(Json::Num(0.5).render(), "0.5");
-        assert_eq!(Json::Num(f64::NAN).render(), "null");
+        let num = |v: f64| {
+            let mut out = String::new();
+            render_num(v, &mut out);
+            out
+        };
+        assert_eq!(num(3.0), "3");
+        assert_eq!(num(-2.0), "-2");
+        assert_eq!(num(0.5), "0.5");
+        assert_eq!(num(f64::NAN), "null");
     }
 
     #[test]
     fn string_escapes_round_trip() {
         let s = "a\"b\\c\nd\te\u{0008}\u{1F600} é";
-        let parsed = Json::parse(&JsonStr(s).to_string()).unwrap();
-        assert_eq!(parsed.as_str(), Some(s));
+        let text = JsonStr(s).to_string();
+        let parsed = Json::parse(&text).unwrap();
+        assert_eq!(parsed.root().as_str(), Some(s));
     }
 
     #[test]
@@ -1256,7 +1337,8 @@ mod tests {
             ("2.5E-3", 2.5e-3),
             ("0.5e+1", 5.0),
         ] {
-            assert_eq!(Json::parse(text), Ok(Json::Num(v)), "{text}");
+            let doc = Json::parse(text).unwrap();
+            assert_eq!(doc.root().as_f64(), Some(v), "{text}");
         }
     }
 
@@ -1445,14 +1527,983 @@ mod tests {
 
         #[test]
         fn render_then_parse_is_the_identity(s in arb_string(), bits in 0u64..u64::MAX) {
-            let rendered = Json::Str(s.clone()).render();
-            prop_assert_eq!(Json::parse(&rendered), Ok(Json::Str(s)));
+            let rendered = JsonStr(&s).to_string();
+            let doc = Json::parse(&rendered).unwrap();
+            prop_assert_eq!(doc.root().as_str(), Some(s.as_str()));
             let v = f64::from_bits(bits);
             let v = if v.is_finite() { v } else { bits as f64 };
             for v in [v, v.trunc(), (bits >> 11) as f64, (bits % 1_000_000) as f64 / 64.0] {
-                let rendered = Json::Num(v).render();
-                prop_assert_eq!(Json::parse(&rendered), Ok(Json::Num(v)), "{}", rendered);
+                let mut rendered = String::new();
+                render_num(v, &mut rendered);
+                let doc = Json::parse(&rendered).unwrap();
+                prop_assert_eq!(doc.root().as_f64(), Some(v), "{}", rendered);
             }
         }
+    }
+
+    // -----------------------------------------------------------------
+    // The tree codec this module shipped before the token document and
+    // the direct encoders: every value and field became an owned node.
+    // Kept as the oracle of the render and decode differentials below.
+    // -----------------------------------------------------------------
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum Tree {
+        Null,
+        Bool(bool),
+        Num(f64),
+        Str(String),
+        Arr(Vec<Tree>),
+        Obj(Vec<(String, Tree)>),
+    }
+
+    impl Tree {
+        fn parse(text: &str) -> Result<Tree, String> {
+            let bytes = text.as_bytes();
+            let mut pos = 0;
+            skip_ws(bytes, &mut pos);
+            let v = tree_value(bytes, &mut pos, 0)?;
+            skip_ws(bytes, &mut pos);
+            if pos != bytes.len() {
+                return Err(format!("trailing garbage at byte {pos}"));
+            }
+            Ok(v)
+        }
+
+        fn render(&self) -> String {
+            let mut out = String::new();
+            self.render_into(&mut out);
+            out
+        }
+
+        fn render_into(&self, out: &mut String) {
+            match self {
+                Tree::Null => out.push_str("null"),
+                Tree::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Tree::Num(v) => render_num(*v, out),
+                Tree::Str(s) => {
+                    let _ = write!(out, "{}", JsonStr(s));
+                }
+                Tree::Arr(items) => {
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        item.render_into(out);
+                    }
+                    out.push(']');
+                }
+                Tree::Obj(fields) => {
+                    out.push('{');
+                    for (i, (k, v)) in fields.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        let _ = write!(out, "{}:", JsonStr(k));
+                        v.render_into(out);
+                    }
+                    out.push('}');
+                }
+            }
+        }
+
+        fn get(&self, key: &str) -> Option<&Tree> {
+            match self {
+                Tree::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+                _ => None,
+            }
+        }
+
+        fn as_f64(&self) -> Option<f64> {
+            match self {
+                Tree::Num(v) if v.is_finite() => Some(*v),
+                _ => None,
+            }
+        }
+
+        fn as_u64(&self) -> Option<u64> {
+            match self {
+                Tree::Num(v)
+                    if v.is_finite()
+                        && *v >= 0.0
+                        && v.fract() == 0.0
+                        && *v <= MAX_EXACT_INT as f64 =>
+                {
+                    Some(*v as u64)
+                }
+                _ => None,
+            }
+        }
+
+        fn as_str(&self) -> Option<&str> {
+            match self {
+                Tree::Str(s) => Some(s),
+                _ => None,
+            }
+        }
+
+        fn as_bool(&self) -> Option<bool> {
+            match self {
+                Tree::Bool(b) => Some(*b),
+                _ => None,
+            }
+        }
+
+        fn as_arr(&self) -> Option<&[Tree]> {
+            match self {
+                Tree::Arr(items) => Some(items),
+                _ => None,
+            }
+        }
+    }
+
+    fn tree_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Tree, String> {
+        if depth > MAX_JSON_DEPTH {
+            return Err("nesting too deep".to_string());
+        }
+        match b.get(*pos) {
+            None => Err("unexpected end of input".to_string()),
+            Some(b'n') => parse_lit(b, pos, "null", Tree::Null),
+            Some(b't') => parse_lit(b, pos, "true", Tree::Bool(true)),
+            Some(b'f') => parse_lit(b, pos, "false", Tree::Bool(false)),
+            Some(b'"') => parse_string(b, pos).map(|s| Tree::Str(s.into_owned())),
+            Some(b'[') => {
+                *pos += 1;
+                let mut items = Vec::new();
+                skip_ws(b, pos);
+                if b.get(*pos) == Some(&b']') {
+                    *pos += 1;
+                    return Ok(Tree::Arr(items));
+                }
+                loop {
+                    skip_ws(b, pos);
+                    items.push(tree_value(b, pos, depth + 1)?);
+                    skip_ws(b, pos);
+                    match b.get(*pos) {
+                        Some(b',') => *pos += 1,
+                        Some(b']') => {
+                            *pos += 1;
+                            return Ok(Tree::Arr(items));
+                        }
+                        _ => return Err(format!("expected ',' or ']' at byte {pos}")),
+                    }
+                }
+            }
+            Some(b'{') => {
+                *pos += 1;
+                let mut fields = Vec::new();
+                skip_ws(b, pos);
+                if b.get(*pos) == Some(&b'}') {
+                    *pos += 1;
+                    return Ok(Tree::Obj(fields));
+                }
+                loop {
+                    skip_ws(b, pos);
+                    if b.get(*pos) != Some(&b'"') {
+                        return Err(format!("expected object key at byte {pos}"));
+                    }
+                    let key = parse_string(b, pos)?.into_owned();
+                    skip_ws(b, pos);
+                    if b.get(*pos) != Some(&b':') {
+                        return Err(format!("expected ':' at byte {pos}"));
+                    }
+                    *pos += 1;
+                    skip_ws(b, pos);
+                    let value = tree_value(b, pos, depth + 1)?;
+                    fields.push((key, value));
+                    skip_ws(b, pos);
+                    match b.get(*pos) {
+                        Some(b',') => *pos += 1,
+                        Some(b'}') => {
+                            *pos += 1;
+                            return Ok(Tree::Obj(fields));
+                        }
+                        _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+                    }
+                }
+            }
+            Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos).map(Tree::Num),
+            Some(c) => Err(format!("unexpected byte {c:#04x} at {pos}")),
+        }
+    }
+
+    /// A token view as a tree, to compare a token parse with the
+    /// oracle's (duplicate keys included).
+    fn tree_of(j: JsonRef) -> Tree {
+        match &j.0[0] {
+            Tok::Null => Tree::Null,
+            Tok::Bool(b) => Tree::Bool(*b),
+            Tok::Num(v) => Tree::Num(*v),
+            Tok::Str(s) => Tree::Str(s.to_string()),
+            Tok::Arr(_) => Tree::Arr(j.as_arr().unwrap().map(tree_of).collect()),
+            Tok::Obj(_) => {
+                let mut fields = Vec::new();
+                let mut rest = &j.0[1..];
+                while let [Tok::Str(k), value, ..] = rest {
+                    let (value, tail) = rest[1..].split_at(value.span());
+                    fields.push((k.to_string(), tree_of(JsonRef(value))));
+                    rest = tail;
+                }
+                assert!(rest.is_empty(), "object tokens alternate key and value");
+                Tree::Obj(fields)
+            }
+        }
+    }
+
+    fn query_tree(q: &Query) -> Tree {
+        let mut f: Vec<(String, Tree)> = vec![
+            ("kernel".into(), Tree::Str(q.kernel.clone())),
+            ("config".into(), Tree::Str(q.config.clone())),
+        ];
+        let mut num = |name: &str, v: Option<u64>| {
+            if let Some(v) = v {
+                f.push((name.into(), Tree::Num(v as f64)));
+            }
+        };
+        num("n", q.n);
+        num("tile", q.tile);
+        num("rows", q.rows);
+        num("nnz", q.nnz);
+        num("grid", q.grid);
+        num("threads", q.threads);
+        let mut fl = |name: &str, v: Option<f64>| {
+            if let Some(v) = v {
+                f.push((name.into(), Tree::Num(v)));
+            }
+        };
+        fl("span", q.span);
+        fl("levels", q.levels);
+        fl("footprint_mb", q.footprint_mb);
+        fl("hot_mb", q.hot_mb);
+        if let Some(lb) = q.latency_bound {
+            f.push(("latency_bound".into(), Tree::Bool(lb)));
+        }
+        Tree::Obj(f)
+    }
+
+    fn query_from_tree(j: &Tree) -> Result<Query, String> {
+        let obj = match j {
+            Tree::Obj(_) => j,
+            _ => return Err("query must be an object".to_string()),
+        };
+        let field_u64 = |name: &str| -> Result<Option<u64>, String> {
+            match obj.get(name) {
+                None | Some(Tree::Null) => Ok(None),
+                Some(v) => v
+                    .as_u64()
+                    .map(Some)
+                    .ok_or_else(|| format!("query field {name:?} {INT_EXPECTED}")),
+            }
+        };
+        let field_f64 = |name: &str| -> Result<Option<f64>, String> {
+            match obj.get(name) {
+                None | Some(Tree::Null) => Ok(None),
+                Some(v) => v
+                    .as_f64()
+                    .map(Some)
+                    .ok_or_else(|| format!("query field {name:?} must be a number")),
+            }
+        };
+        Ok(Query {
+            kernel: obj
+                .get("kernel")
+                .and_then(Tree::as_str)
+                .ok_or("query needs a string \"kernel\"")?
+                .to_string(),
+            config: obj
+                .get("config")
+                .and_then(Tree::as_str)
+                .ok_or("query needs a string \"config\"")?
+                .to_string(),
+            n: field_u64("n")?,
+            tile: field_u64("tile")?,
+            rows: field_u64("rows")?,
+            nnz: field_u64("nnz")?,
+            grid: field_u64("grid")?,
+            threads: field_u64("threads")?,
+            span: field_f64("span")?,
+            levels: field_f64("levels")?,
+            footprint_mb: field_f64("footprint_mb")?,
+            hot_mb: field_f64("hot_mb")?,
+            latency_bound: match obj.get("latency_bound") {
+                None | Some(Tree::Null) => None,
+                Some(v) => Some(
+                    v.as_bool()
+                        .ok_or("query field \"latency_bound\" must be a bool")?,
+                ),
+            },
+        })
+    }
+
+    fn request_render_tree(r: &Request) -> String {
+        let mut f: Vec<(String, Tree)> = vec![
+            ("v".into(), Tree::Str(VERSION.into())),
+            ("id".into(), Tree::Num(r.id as f64)),
+        ];
+        if r.shutdown {
+            f.push(("shutdown".into(), Tree::Bool(true)));
+        }
+        f.push((
+            "queries".into(),
+            Tree::Arr(r.queries.iter().map(query_tree).collect()),
+        ));
+        Tree::Obj(f).render()
+    }
+
+    fn version_tree(j: &Tree) -> Result<(), String> {
+        match j.get("v").and_then(Tree::as_str) {
+            Some(v) if v == VERSION => Ok(()),
+            Some(v) => Err(format!(
+                "unsupported protocol version {v:?} (this is {VERSION})"
+            )),
+            None => Err(format!("missing \"v\" (expected {VERSION:?})")),
+        }
+    }
+
+    fn request_parse_tree(text: &str) -> Result<Request, String> {
+        let j = Tree::parse(text)?;
+        version_tree(&j)?;
+        let id = match j.get("id") {
+            None | Some(Tree::Null) => 0,
+            Some(v) => v.as_u64().ok_or_else(|| format!("\"id\" {INT_EXPECTED}"))?,
+        };
+        let shutdown = match j.get("shutdown") {
+            None | Some(Tree::Null) => false,
+            Some(v) => v.as_bool().ok_or("\"shutdown\" must be a bool")?,
+        };
+        let queries = match j.get("queries") {
+            None | Some(Tree::Null) => Vec::new(),
+            Some(v) => v
+                .as_arr()
+                .ok_or("\"queries\" must be an array")?
+                .iter()
+                .map(query_from_tree)
+                .collect::<Result<Vec<Query>, String>>()?,
+        };
+        Ok(Request {
+            id,
+            queries,
+            shutdown,
+        })
+    }
+
+    fn advice_tree(a: &Advice) -> Tree {
+        Tree::Obj(vec![
+            ("kernel".into(), Tree::Str(a.kernel.clone())),
+            ("config".into(), Tree::Str(a.config.clone())),
+            ("footprint_mb".into(), Tree::Num(a.footprint_mb)),
+            ("time_ms".into(), Tree::Num(a.time_ms)),
+            ("gflops".into(), Tree::Num(a.gflops)),
+            ("bandwidth_gbs".into(), Tree::Num(a.bandwidth_gbs)),
+            ("dram_mb".into(), Tree::Num(a.dram_mb)),
+            ("opm_mb".into(), Tree::Num(a.opm_mb)),
+            (
+                "level_traffic".into(),
+                Tree::Arr(
+                    a.level_traffic
+                        .iter()
+                        .map(|lt| {
+                            Tree::Obj(vec![
+                                ("level".into(), Tree::Str(lt.level.clone())),
+                                ("bytes".into(), Tree::Num(lt.bytes)),
+                                ("time_ns".into(), Tree::Num(lt.time_ns)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            ("package_w".into(), Tree::Num(a.package_w)),
+            ("dram_w".into(), Tree::Num(a.dram_w)),
+            ("energy_j".into(), Tree::Num(a.energy_j)),
+            (
+                "recommended_mode".into(),
+                Tree::Str(a.recommended_mode.clone()),
+            ),
+            ("guideline".into(), Tree::Str(a.guideline.clone())),
+            ("explanation".into(), Tree::Str(a.explanation.clone())),
+        ])
+    }
+
+    fn advice_from_tree(j: &Tree) -> Result<Advice, String> {
+        let s = |name: &str| -> Result<String, String> {
+            j.get(name)
+                .and_then(Tree::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("advice field {name:?} must be a string"))
+        };
+        let n = |name: &str| -> Result<f64, String> {
+            j.get(name)
+                .and_then(Tree::as_f64)
+                .ok_or_else(|| format!("advice field {name:?} must be a number"))
+        };
+        let level_traffic = match j.get("level_traffic") {
+            None | Some(Tree::Null) => Vec::new(),
+            Some(v) => v
+                .as_arr()
+                .ok_or("\"level_traffic\" must be an array")?
+                .iter()
+                .map(|lt| {
+                    Ok(LevelTraffic {
+                        level: lt
+                            .get("level")
+                            .and_then(Tree::as_str)
+                            .ok_or("level_traffic entry needs a string \"level\"")?
+                            .to_string(),
+                        bytes: lt
+                            .get("bytes")
+                            .and_then(Tree::as_f64)
+                            .ok_or("level_traffic entry needs a numeric \"bytes\"")?,
+                        time_ns: lt
+                            .get("time_ns")
+                            .and_then(Tree::as_f64)
+                            .ok_or("level_traffic entry needs a numeric \"time_ns\"")?,
+                    })
+                })
+                .collect::<Result<Vec<LevelTraffic>, String>>()?,
+        };
+        Ok(Advice {
+            kernel: s("kernel")?,
+            config: s("config")?,
+            footprint_mb: n("footprint_mb")?,
+            time_ms: n("time_ms")?,
+            gflops: n("gflops")?,
+            bandwidth_gbs: n("bandwidth_gbs")?,
+            dram_mb: n("dram_mb")?,
+            opm_mb: n("opm_mb")?,
+            level_traffic,
+            package_w: n("package_w")?,
+            dram_w: n("dram_w")?,
+            energy_j: n("energy_j")?,
+            recommended_mode: s("recommended_mode")?,
+            guideline: s("guideline")?,
+            explanation: s("explanation")?,
+        })
+    }
+
+    fn response_render_tree(r: &Response) -> String {
+        let results = r
+            .results
+            .iter()
+            .map(|r| match r {
+                QueryResult::Ok(a) => Tree::Obj(vec![("ok".into(), advice_tree(a))]),
+                QueryResult::Err(e) => Tree::Obj(vec![(
+                    "err".into(),
+                    Tree::Obj(vec![
+                        ("kind".into(), Tree::Str(e.kind().into())),
+                        ("detail".into(), Tree::Str(e.detail().into())),
+                    ]),
+                )]),
+            })
+            .collect();
+        Tree::Obj(vec![
+            ("v".into(), Tree::Str(VERSION.into())),
+            ("id".into(), Tree::Num(r.id as f64)),
+            ("results".into(), Tree::Arr(results)),
+        ])
+        .render()
+    }
+
+    fn response_parse_tree(text: &str) -> Result<Response, String> {
+        let j = Tree::parse(text)?;
+        version_tree(&j)?;
+        let id = match j.get("id") {
+            None | Some(Tree::Null) => 0,
+            Some(v) => v.as_u64().ok_or_else(|| format!("\"id\" {INT_EXPECTED}"))?,
+        };
+        let results = match j.get("results") {
+            None | Some(Tree::Null) => Vec::new(),
+            Some(v) => v
+                .as_arr()
+                .ok_or("\"results\" must be an array")?
+                .iter()
+                .map(|r| {
+                    if let Some(ok) = r.get("ok") {
+                        return advice_from_tree(ok).map(|a| QueryResult::Ok(Box::new(a)));
+                    }
+                    if let Some(err) = r.get("err") {
+                        let kind = err
+                            .get("kind")
+                            .and_then(Tree::as_str)
+                            .ok_or("error result needs a string \"kind\"")?;
+                        let detail = err.get("detail").and_then(Tree::as_str).unwrap_or("");
+                        return ApiError::from_parts(kind, detail).map(QueryResult::Err);
+                    }
+                    Err("result must carry \"ok\" or \"err\"".to_string())
+                })
+                .collect::<Result<Vec<QueryResult>, String>>()?,
+        };
+        Ok(Response { id, results })
+    }
+
+    // -----------------------------------------------------------------
+    // Differentials against the tree oracle
+    // -----------------------------------------------------------------
+
+    /// SplitMix64: each differential case draws every choice from one
+    /// seed.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn chance(&mut self, percent: u64) -> bool {
+            self.below(100) < percent
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.below(from.len() as u64) as usize]
+        }
+
+        /// A float field: NaN, ±inf, −0.0, the doubles around 2^53, or
+        /// fractional, tiny, huge and arbitrary values.
+        fn float(&mut self) -> f64 {
+            let bits = self.next();
+            let two_53 = (MAX_EXACT_INT + 1) as f64;
+            match self.below(12) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => -0.0,
+                4 => MAX_EXACT_INT as f64,
+                5 => two_53,
+                6 => two_53 + 2.0,
+                7 => (bits % 1_000_000) as f64 / 64.0,
+                8 => f64::from_bits(bits),
+                9 => -((bits % 100_000) as f64) - 0.125,
+                10 => (bits % 1000) as f64 * 1e-9,
+                _ => (bits % 1000) as f64 * 1e21,
+            }
+        }
+
+        /// Mostly a finite float, now and then any: an
+        /// advice carries eleven numbers, each of which must be finite
+        /// for it to decode.
+        fn advice_num(&mut self) -> f64 {
+            if self.chance(3) {
+                self.float()
+            } else {
+                loop {
+                    let v = self.float();
+                    if v.is_finite() {
+                        return v;
+                    }
+                }
+            }
+        }
+
+        /// An integer field: 2^53 − 1, 2^53, 2^53 + 1, the u64 extremes,
+        /// or a small value.
+        fn int(&mut self) -> u64 {
+            match self.below(16) {
+                0 => MAX_EXACT_INT,
+                1 => MAX_EXACT_INT + 1,
+                2 => MAX_EXACT_INT + 2,
+                3 => u64::MAX,
+                4 => 0,
+                _ => self.below(100_000),
+            }
+        }
+
+        /// A string of plain ASCII, bytes that need escaping (`"`, `\`,
+        /// controls) and multi-byte UTF-8.
+        fn string(&mut self) -> String {
+            let len = self.below(12);
+            (0..len)
+                .map(|_| match self.below(4) {
+                    0 => char::from(b'a' + self.below(26) as u8),
+                    1 => self.pick(&[
+                        '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', '/',
+                    ]),
+                    2 => self.pick(&['é', '€', '中', '😀', '\u{2028}', '\u{10ffff}']),
+                    _ => char::from_u32(self.below(0x11_0000) as u32).unwrap_or('\u{fffd}'),
+                })
+                .collect()
+        }
+
+        fn name(&mut self, known: &[&str]) -> String {
+            if self.chance(75) {
+                self.pick(known).to_string()
+            } else {
+                self.string()
+            }
+        }
+
+        fn query(&mut self) -> Query {
+            let int = |g: &mut Gen| g.chance(30).then(|| g.int());
+            let (n, tile, rows, nnz, grid, threads) = (
+                int(self),
+                int(self),
+                int(self),
+                int(self),
+                int(self),
+                int(self),
+            );
+            let float = |g: &mut Gen| g.chance(30).then(|| g.float());
+            Query {
+                kernel: self.name(&["GEMM", "SpMV", "FFT", "Stream"]),
+                config: self.name(&["knl-flat", "brd-edram"]),
+                n,
+                tile,
+                rows,
+                nnz,
+                grid,
+                threads,
+                span: float(self),
+                levels: float(self),
+                footprint_mb: float(self),
+                hot_mb: float(self),
+                latency_bound: self.chance(50).then(|| self.chance(50)),
+            }
+        }
+
+        fn request(&mut self) -> Request {
+            Request {
+                id: self.int(),
+                queries: (0..self.below(5)).map(|_| self.query()).collect(),
+                shutdown: self.chance(30),
+            }
+        }
+
+        fn error(&mut self) -> ApiError {
+            match self.below(6) {
+                0 => ApiError::Overloaded,
+                1 => ApiError::Malformed(self.string()),
+                2 => ApiError::UnknownKernel(self.string()),
+                3 => ApiError::UnknownConfig(self.string()),
+                4 => ApiError::BadParam(self.string()),
+                _ => ApiError::Internal(self.string()),
+            }
+        }
+
+        fn advice(&mut self) -> Advice {
+            Advice {
+                kernel: self.name(&["GEMM", "FFT"]),
+                config: self.name(&["knl-cache"]),
+                footprint_mb: self.advice_num(),
+                time_ms: self.advice_num(),
+                gflops: self.advice_num(),
+                bandwidth_gbs: self.advice_num(),
+                dram_mb: self.advice_num(),
+                opm_mb: self.advice_num(),
+                level_traffic: (0..self.below(4))
+                    .map(|_| LevelTraffic {
+                        level: self.name(&["L2", "MCDRAM-cache", "DDR4-2400"]),
+                        bytes: self.advice_num(),
+                        time_ns: self.advice_num(),
+                    })
+                    .collect(),
+                package_w: self.advice_num(),
+                dram_w: self.advice_num(),
+                energy_j: self.advice_num(),
+                recommended_mode: self.name(&["flat", "edram-on"]),
+                guideline: self.name(&["paper §6 guideline II"]),
+                explanation: self.string(),
+            }
+        }
+
+        fn response(&mut self) -> Response {
+            Response {
+                id: self.int(),
+                results: (0..self.below(5))
+                    .map(|_| {
+                        if self.chance(50) {
+                            QueryResult::Ok(Box::new(self.advice()))
+                        } else {
+                            QueryResult::Err(self.error())
+                        }
+                    })
+                    .collect(),
+            }
+        }
+
+        /// A value of any JSON type for an unknown or retyped field.
+        fn junk(&mut self, depth: usize) -> Tree {
+            match self.below(if depth < 4 { 7 } else { 4 }) {
+                0 => Tree::Null,
+                1 => Tree::Bool(self.chance(50)),
+                2 => Tree::Num(self.float()),
+                3 => Tree::Str(self.string()),
+                4 => Tree::Arr((0..self.below(3)).map(|_| self.junk(depth + 1)).collect()),
+                5 => Tree::Obj(
+                    (0..self.below(3))
+                        .map(|_| (self.name(&["kernel", "v", "ok"]), self.junk(depth + 1)))
+                        .collect(),
+                ),
+                _ => {
+                    let mut deep = Tree::Null;
+                    for _ in 0..self.below(3) as usize + MAX_JSON_DEPTH - 1 - depth {
+                        deep = Tree::Arr(vec![deep]);
+                    }
+                    deep
+                }
+            }
+        }
+
+        /// Reshape a canonical document: reorder keys, duplicate fields
+        /// (the first stays the one read), add unknown fields of every
+        /// type, retype values.
+        fn reshape(&mut self, t: &mut Tree, depth: usize) {
+            match t {
+                Tree::Arr(items) => {
+                    for item in items {
+                        self.reshape(item, depth + 1);
+                    }
+                }
+                Tree::Obj(fields) => {
+                    for (_, v) in fields.iter_mut() {
+                        self.reshape(v, depth + 1);
+                    }
+                    let len = fields.len() as u64;
+                    if len > 0 && self.chance(20) {
+                        fields.rotate_left(self.below(len) as usize);
+                    }
+                    if len > 0 && self.chance(20) {
+                        let (k, mut v) = fields[self.below(len) as usize].clone();
+                        if self.chance(50) {
+                            v = self.junk(depth + 1);
+                        }
+                        fields.insert(self.below(len + 1) as usize, (k, v));
+                    }
+                    if self.chance(20) {
+                        let k = self.name(&["future", "x", "Kernel", "", "v2"]);
+                        let v = self.junk(depth + 1);
+                        fields.insert(self.below(len + 1) as usize, (k, v));
+                    }
+                    if len > 0 && self.chance(10) {
+                        fields[self.below(len) as usize].1 = self.junk(depth + 1);
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        /// Render with optional whitespace around every token.
+        fn render_spaced(&mut self, t: &Tree, out: &mut String) {
+            self.space(out);
+            match t {
+                Tree::Arr(items) => {
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            self.space(out);
+                            out.push(',');
+                        }
+                        self.render_spaced(item, out);
+                    }
+                    self.space(out);
+                    out.push(']');
+                }
+                Tree::Obj(fields) => {
+                    out.push('{');
+                    for (i, (k, v)) in fields.iter().enumerate() {
+                        if i > 0 {
+                            self.space(out);
+                            out.push(',');
+                        }
+                        self.space(out);
+                        let _ = write!(out, "{}", JsonStr(k));
+                        self.space(out);
+                        out.push(':');
+                        self.render_spaced(v, out);
+                    }
+                    self.space(out);
+                    out.push('}');
+                }
+                leaf => leaf.render_into(out),
+            }
+            self.space(out);
+        }
+
+        fn space(&mut self, out: &mut String) {
+            if self.chance(10) {
+                out.push(self.pick(&[' ', '\t', '\n', '\r']));
+            }
+        }
+
+        /// One edit at a char boundary: delete, insert, replace,
+        /// truncate or repeat a stretch.
+        fn mutate(&mut self, text: &mut String) {
+            const PIECES: &[&str] = &[
+                "\"",
+                "\\",
+                "{",
+                "}",
+                "[",
+                "]",
+                ",",
+                ":",
+                "0",
+                "-",
+                "1e5",
+                "null",
+                "true",
+                " ",
+                "\u{1}",
+                "é",
+                "\\u00",
+                "\\ud83d",
+                "9007199254740993",
+                "-0",
+                "1.5",
+                "\"v\":",
+            ];
+            let mut at = self.below(text.len() as u64 + 1) as usize;
+            while !text.is_char_boundary(at) {
+                at -= 1;
+            }
+            let next = text[at..].chars().next().map_or(0, char::len_utf8);
+            match self.below(5) {
+                0 => text.replace_range(at..at + next, ""),
+                1 => text.insert_str(at, self.pick(PIECES)),
+                2 => text.replace_range(at..at + next, self.pick(PIECES)),
+                3 => text.truncate(at),
+                _ => {
+                    let mut end = (at + self.below(16) as usize).min(text.len());
+                    while !text.is_char_boundary(end) {
+                        end -= 1;
+                    }
+                    let stretch = text[at..end].to_string();
+                    text.insert_str(at, &stretch);
+                }
+            }
+        }
+
+        /// A decode input: a canonical request or response, reshaped,
+        /// re-spaced, its keys possibly escaped, then byte-mutated.
+        fn document(&mut self) -> String {
+            let canonical = if self.chance(50) {
+                request_render_tree(&self.request())
+            } else {
+                response_render_tree(&self.response())
+            };
+            let mut tree = Tree::parse(&canonical).expect("canonical documents parse");
+            if self.chance(60) {
+                self.reshape(&mut tree, 0);
+            }
+            let mut text = String::new();
+            self.render_spaced(&tree, &mut text);
+            for (plain, escaped) in [
+                ("\"kernel\"", "\"\\u006bernel\""),
+                ("\"v\"", "\"\\u0076\""),
+                ("\"id\"", "\"i\\u0064\""),
+                ("\"ok\"", "\"\\u006fk\""),
+                ("\"queries\"", "\"queri\\u0065s\""),
+                ("\"results\"", "\"\\u0072esults\""),
+            ] {
+                if self.chance(10) {
+                    text = text.replacen(plain, escaped, 1 + self.below(3) as usize);
+                }
+            }
+            for _ in 0..self.below(4).saturating_sub(1) {
+                self.mutate(&mut text);
+            }
+            text
+        }
+    }
+
+    #[test]
+    fn direct_render_matches_the_tree_oracle() {
+        for seed in 0..3000 {
+            let mut g = Gen(seed);
+            let req = g.request();
+            assert_eq!(req.render(), request_render_tree(&req), "{req:?}");
+            let resp = g.response();
+            assert_eq!(resp.render(), response_render_tree(&resp), "{resp:?}");
+        }
+        // Empty batches, shutdown, and every error kind.
+        let every_error = Response {
+            id: 3,
+            results: [
+                ApiError::Overloaded,
+                ApiError::Malformed("m".into()),
+                ApiError::UnknownKernel("k\"\\\u{1}é".into()),
+                ApiError::UnknownConfig("c".into()),
+                ApiError::BadParam("b".into()),
+                ApiError::Internal(String::new()),
+            ]
+            .into_iter()
+            .map(QueryResult::Err)
+            .collect(),
+        };
+        for resp in [Response::default(), every_error] {
+            assert_eq!(resp.render(), response_render_tree(&resp));
+        }
+        for shutdown in [false, true] {
+            let req = Request {
+                id: MAX_EXACT_INT,
+                queries: Vec::new(),
+                shutdown,
+            };
+            assert_eq!(req.render(), request_render_tree(&req));
+        }
+    }
+
+    #[test]
+    fn token_decoder_matches_the_tree_oracle() {
+        let (mut request_ok, mut response_ok, mut failed) = (0, 0, 0);
+        for seed in 0..6000 {
+            let text = Gen(seed).document();
+            let tree = Tree::parse(&text);
+            let doc = Json::parse(&text);
+            assert_eq!(doc.map(|d| tree_of(d.root())), tree, "{text:?}");
+            let request = Request::parse(&text);
+            assert_eq!(request, request_parse_tree(&text), "{text:?}");
+            let response = Response::parse(&text);
+            assert_eq!(response, response_parse_tree(&text), "{text:?}");
+            request_ok += usize::from(request.is_ok_and(|r| !r.queries.is_empty()));
+            response_ok += usize::from(response.is_ok_and(|r| !r.results.is_empty()));
+            failed += usize::from(tree.is_err());
+        }
+        // Each outcome must be well exercised for the agreement to mean
+        // anything.
+        assert!(request_ok > 300, "{request_ok} non-empty requests decoded");
+        assert!(
+            response_ok > 300,
+            "{response_ok} non-empty responses decoded"
+        );
+        assert!(failed > 600, "{failed} documents failed to parse");
+    }
+
+    #[test]
+    fn nesting_limit_matches_the_tree_oracle() {
+        // The root object is depth 0, so `x`'s value sits at depth 1 and
+        // k brackets put the innermost value at depth k.
+        let (mut ok, mut err) = (0, 0);
+        for k in MAX_JSON_DEPTH - 2..=MAX_JSON_DEPTH + 2 {
+            for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+                let nested = format!("{}0{}", open.repeat(k), close.repeat(k));
+                for text in [
+                    format!("{{\"v\":\"opm-api/v1\",\"x\":{nested},\"id\":4}}"),
+                    format!(
+                        "{{\"v\":\"opm-api/v1\",\"queries\":[{{\"kernel\":\"GEMM\",\
+                         \"config\":\"knl-flat\",\"x\":{nested}}}]}}"
+                    ),
+                    nested,
+                ] {
+                    let tree = Tree::parse(&text);
+                    let doc = Json::parse(&text);
+                    assert_eq!(doc.map(|d| tree_of(d.root())), tree, "{text}");
+                    assert_eq!(Request::parse(&text), request_parse_tree(&text), "{text}");
+                    assert_eq!(Response::parse(&text), response_parse_tree(&text), "{text}");
+                    if tree.is_ok() {
+                        ok += 1;
+                    } else {
+                        err += 1;
+                    }
+                }
+            }
+        }
+        assert!(ok > 0 && err > 0, "{ok} accepted, {err} refused");
     }
 }

@@ -54,11 +54,6 @@ impl std::error::Error for ConfigError {}
 /// The process configuration: every `OPM_*` knob, typed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Config {
-    /// `OPM_CACHE_CAP` — bound on the profiles `opm serve` memoizes
-    /// across requests (`None` = the daemon's default bound). Past it the
-    /// engine evicts least-recently-used entries. Sweeps memoize nothing,
-    /// so only the daemon reads this.
-    pub cache_capacity: Option<usize>,
     /// `OPM_REDUCED` — reduced harness grids (default off).
     pub reduced: bool,
     /// `OPM_MAX_RETRIES` — transient point-failure retry budget
@@ -86,7 +81,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            cache_capacity: None,
             reduced: false,
             max_retries: 2,
             checkpoint_every: 64,
@@ -114,7 +108,6 @@ impl Config {
         let get = |name: &str| lookup(name).filter(|v| !v.trim().is_empty());
         let d = Config::default();
         Ok(Config {
-            cache_capacity: parse_opt(get("OPM_CACHE_CAP"), "OPM_CACHE_CAP", POSITIVE_USIZE)?,
             reduced: parse_or(get("OPM_REDUCED"), "OPM_REDUCED", d.reduced, BOOL)?,
             max_retries: parse_or(
                 get("OPM_MAX_RETRIES"),
@@ -248,7 +241,6 @@ mod tests {
     #[test]
     fn well_formed_values_parse() {
         let c = cfg(&[
-            ("OPM_CACHE_CAP", "512"),
             ("OPM_REDUCED", "1"),
             ("OPM_MAX_RETRIES", "0"),
             ("OPM_CKPT_EVERY", "16"),
@@ -259,7 +251,6 @@ mod tests {
             ("OPM_CORPUS", "48"),
         ])
         .unwrap();
-        assert_eq!(c.cache_capacity, Some(512));
         assert!(c.reduced);
         assert_eq!(c.max_retries, 0);
         assert_eq!(c.checkpoint_every, 16);
@@ -287,9 +278,6 @@ mod tests {
 
         let err = cfg(&[("OPM_REDUCED", "maybe")]).unwrap_err();
         assert_eq!(err.var, "OPM_REDUCED");
-
-        let err = cfg(&[("OPM_CACHE_CAP", "-3")]).unwrap_err();
-        assert_eq!(err.var, "OPM_CACHE_CAP");
     }
 
     #[test]
@@ -300,13 +288,14 @@ mod tests {
 
     #[test]
     fn retired_engine_knobs_are_ignored() {
-        // The engine has no thread pool and sweeps memoize nothing, so
+        // The engine has no thread pool and memoizes no profiles, so
         // these former knobs are not configuration any more: stray
         // values, malformed ones included, change nothing.
         let c = cfg(&[
             ("OPM_THREADS", "lots"),
             ("OPM_PROFILE_CACHE", "maybe"),
             ("OPM_CACHE_SHARDS", "0"),
+            ("OPM_CACHE_CAP", "-3"),
         ])
         .unwrap();
         assert_eq!(c, Config::default());

@@ -190,13 +190,12 @@ impl AccessProfile {
     }
 }
 
-/// Identity of one access-profile computation, used by the sweep engine's
-/// memoization cache (`opm_kernels::engine`).
+/// Identity of one access-profile computation. Nothing in the program
+/// memoizes profiles any more; the type is kept only because the
+/// benchmark harness dedupes its profile-build probe by it.
 ///
 /// A profile depends only on the kernel and its problem/tiling/threading
-/// parameters — **not** on the OPM configuration being evaluated — so one
-/// cached profile is reused across eDRAM on/off and all four MCDRAM modes,
-/// and across every figure/table that sweeps the same grid. Float-valued
+/// parameters — **not** on the OPM configuration being evaluated. Float-valued
 /// parameters are stored as IEEE-754 bit patterns so the key is `Eq + Hash`
 /// without tolerance questions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -7,16 +7,13 @@
 //! (quarantined NaN placeholders, recovered retries, the failure log
 //! itself) must land on the same points however many callers share the
 //! engine — which is what makes a killed run resumable to byte-identical
-//! output. The daemon's memoized profiles must equal the profiles a
-//! sweep builds in place.
+//! output. The daemon's answers must equal the sweep's points.
 
-use opm_bench::serve::answer_query;
+use opm_bench::serve::{answer_query, query_profile};
 use opm_core::api::Query;
-use opm_core::perf::PerfModel;
-use opm_core::platform::{EdramMode, Machine, McdramMode, OpmConfig, PlatformSpec};
-use opm_core::profile::ProfileKey;
+use opm_core::platform::{EdramMode, Machine, McdramMode, OpmConfig};
 use opm_core::report::Series;
-use opm_kernels::engine::{Engine, EngineConfig};
+use opm_kernels::engine::{Engine, EngineConfig, PlannedProfile};
 use opm_kernels::sweeps::{
     cholesky_sweep_on, fft_curve_on, gemm_sweep_on, paper_fft_sizes, paper_stream_footprints,
     sparse_sweep_on, stream_curve_on, CurvePoint, HeatPoint, SparseKernelId, SparsePoint,
@@ -269,10 +266,9 @@ fn failure_log_is_identical_across_thread_counts() {
 }
 
 #[test]
-fn cached_sweep_equals_uncached_sweep() {
-    // The daemon's path — profiles memoized by `Engine::profile`, served
-    // warm on the second pass — must reproduce the sweep, which builds
-    // every profile in place.
+fn served_answers_equal_sweep_points() {
+    // The daemon's path (`answer_query`, resolving a query against the
+    // documented defaults) must reproduce the sweep's points bit for bit.
     let sizes = [256, 4352, 16128];
     let tiles = [128, 1152, 4096];
     let specs = corpus(16);
@@ -282,117 +278,89 @@ fn cached_sweep_equals_uncached_sweep() {
         OpmConfig::Knl(McdramMode::Flat),
     ] {
         let eng = engine();
-        let machine = config.machine();
-        let cores = PlatformSpec::for_machine(machine).cores;
-        let model = PerfModel::for_config(config);
-        let plan = model.plan();
-        let uncached_gemm = heat_csv(&gemm_sweep_on(&eng, config, &sizes, &tiles));
-        let spmv_threads = KernelId::Spmv.threads(machine);
-        let uncached_spmv =
-            sparse_csv(&sparse_sweep_on(&eng, config, SparseKernelId::Spmv, &specs));
-        assert_eq!(eng.cache_len(), 0, "sweeps memoize nothing");
-        for _pass in 0..2 {
-            let threads = KernelId::Gemm.threads(machine);
-            let gemm: Vec<HeatPoint> = sizes
-                .iter()
-                .flat_map(|&n| tiles.iter().map(move |&tile| (n, tile)))
-                .map(|(n, tile)| {
-                    let key = ProfileKey::Gemm {
-                        n,
-                        tile,
-                        threads,
-                        cores,
-                    };
-                    let pp = eng.profile(key, || opm_dense::gemm_profile(n, tile, threads, cores));
-                    HeatPoint {
-                        n,
-                        tile,
-                        gflops: plan.gflops_planned(pp.plan()),
-                    }
-                })
-                .collect();
-            assert_eq!(heat_csv(&gemm), uncached_gemm);
-            let spmv: Vec<SparsePoint> = specs
-                .iter()
-                .map(|spec| {
-                    let e = spec.estimate();
-                    let key = ProfileKey::spmv(e.rows, e.nnz, e.avg_col_span, spmv_threads);
-                    let pp = eng.profile(key, || {
-                        opm_sparse::spmv_profile(e.rows, e.nnz, e.avg_col_span, spmv_threads)
-                    });
-                    SparsePoint {
-                        spec: *spec,
-                        footprint: pp.footprint,
-                        gflops: plan.gflops_planned(pp.plan()),
-                    }
-                })
-                .collect();
-            assert_eq!(sparse_csv(&spmv), uncached_spmv);
+        let ask = |q: Query| answer_query(&q).expect("answer");
+        for p in gemm_sweep_on(&eng, config, &sizes, &tiles) {
+            let a = ask(Query {
+                kernel: "GEMM".into(),
+                config: config.label().into(),
+                n: Some(p.n as u64),
+                tile: Some(p.tile as u64),
+                ..Query::default()
+            });
+            assert_eq!(
+                a.gflops.to_bits(),
+                p.gflops.to_bits(),
+                "GEMM {} {}",
+                p.n,
+                p.tile
+            );
         }
-        assert!(
-            eng.cache_stats().hits > 0,
-            "second pass should hit the cache"
-        );
+        for p in sparse_sweep_on(&eng, config, SparseKernelId::Spmv, &specs) {
+            let e = p.spec.estimate();
+            let a = ask(Query {
+                kernel: "SpMV".into(),
+                config: config.label().into(),
+                rows: Some(e.rows as u64),
+                nnz: Some(e.nnz as u64),
+                span: Some(e.avg_col_span),
+                ..Query::default()
+            });
+            assert_eq!(a.gflops.to_bits(), p.gflops.to_bits(), "SpMV {:?}", p.spec);
+            assert_eq!(a.footprint_mb, p.footprint / opm_core::units::MIB);
+        }
     }
 }
 
 #[test]
-fn memoized_profile_equals_direct_computation() {
-    let eng = engine();
+fn planned_profile_equals_direct_computation() {
     for (n, tile) in [(256, 128), (8448, 1024)] {
-        let key = ProfileKey::Gemm {
-            n,
-            tile,
-            threads: 4,
-            cores: 4,
-        };
-        // First call computes and memoizes, second answers from cache;
-        // both must equal the direct constructor output.
         let direct = opm_dense::gemm_profile(n, tile, 4, 4);
-        let first = eng.profile(key, || opm_dense::gemm_profile(n, tile, 4, 4));
-        let second = eng.profile(key, || unreachable!("cache must hit"));
-        assert_eq!(*first, direct);
-        assert_eq!(*second, direct);
+        let planned = PlannedProfile::compute(|| opm_dense::gemm_profile(n, tile, 4, 4));
+        assert_eq!(*planned, direct);
     }
-    let direct = opm_sparse::spmv_profile(100_000, 1_500_000, 40_000.0, 14);
-    let key = ProfileKey::spmv(100_000, 1_500_000, 40_000.0, 14);
-    let first = eng.profile(key, || {
+    let (_, _, served) = query_profile(&Query {
+        kernel: "SpMV".into(),
+        config: "knl-flat".into(),
+        rows: Some(100_000),
+        nnz: Some(1_500_000),
+        span: Some(40_000.0),
+        threads: Some(14),
+        ..Query::default()
+    })
+    .expect("profile");
+    assert_eq!(
+        served,
         opm_sparse::spmv_profile(100_000, 1_500_000, 40_000.0, 14)
-    });
-    assert_eq!(*first, direct);
+    );
 }
 
 #[test]
-fn profiles_are_shared_across_configs_of_one_machine() {
-    // The daemon keys its memo on kernel and problem only, so a what-if
-    // query asked again under another OPM mode of the same machine
-    // reuses the profile.
-    let eng = engine();
-    let sizes = [2304, 8448];
-    let tiles = [256, 1024];
-    let ask = |config: &str| {
-        for &n in &sizes {
-            for &tile in &tiles {
+fn profile_is_independent_of_the_config_of_one_machine() {
+    // A profile depends on the kernel and problem only: a what-if query
+    // asked again under another OPM mode of the same machine describes
+    // the same memory behaviour.
+    for (machine, labels) in [
+        (Machine::Broadwell, &["brd-no-edram", "brd-edram"][..]),
+        (
+            Machine::Knl,
+            &["knl-ddr", "knl-flat", "knl-cache", "knl-hybrid"][..],
+        ),
+    ] {
+        for kernel in KernelId::ALL {
+            let profile = |config: &str| {
                 let q = Query {
-                    kernel: "GEMM".into(),
+                    kernel: kernel.name().into(),
                     config: config.into(),
-                    n: Some(n),
-                    tile: Some(tile),
                     ..Query::default()
                 };
-                answer_query(&eng, &q).expect("answer");
+                query_profile(&q).expect("profile").2
+            };
+            let first = profile(labels[0]);
+            for config in &labels[1..] {
+                assert_eq!(profile(config), first, "{machine:?} {}", kernel.name());
             }
         }
-    };
-    ask("brd-no-edram");
-    let cold = eng.cache_stats();
-    assert_eq!(cold.hits, 0);
-    assert_eq!(cold.misses as usize, sizes.len() * tiles.len());
-    // The second configuration re-uses every profile of the first.
-    ask("brd-edram");
-    let warm = eng.cache_stats();
-    assert_eq!(warm.misses, cold.misses, "no new profile computations");
-    assert_eq!(warm.hits as usize, sizes.len() * tiles.len());
+    }
 }
 
 /// Rebuild the reduced Fig. 12 CSV (Stream on Broadwell, both eDRAM

@@ -625,74 +625,3 @@ proptest! {
         prop_assert_eq!(parsed.render(), text);
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn profile_memo_counts_every_lookup_under_contention(
-        threads in 2usize..9,
-        reqs_per_thread in 1usize..5,
-        hot_n in 64usize..4096,
-    ) {
-        // Many threads hammer one hot key (plus a few per-thread cold
-        // keys) through the daemon's profile memo: every caller must get
-        // the profile its key names, hits + misses must account for
-        // every request exactly, and a key is computed at most once per
-        // thread that missed it concurrently.
-        use opm_repro::core::profile::ProfileKey;
-        use opm_repro::kernels::engine::{Engine, EngineConfig};
-
-        let eng = Engine::new(EngineConfig::default());
-        let hot = ProfileKey::Gemm { n: hot_n, tile: 32, threads: 4, cores: 4 };
-        let hot_profile = opm_repro::dense::gemm_profile(hot_n, 32, 4, 4);
-        // Per thread: reqs hot + reqs cold + the one extra hot request.
-        let total_requests = threads * (2 * reqs_per_thread + 1);
-        let wrong: usize = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let (eng, hot, hot_profile) = (&eng, &hot, &hot_profile);
-                    scope.spawn(move || {
-                        let mut wrong = 0;
-                        for r in 0..reqs_per_thread {
-                            let p = eng.profile(*hot, || {
-                                opm_repro::dense::gemm_profile(hot_n, 32, 4, 4)
-                            });
-                            wrong += usize::from(*p != *hot_profile);
-                            // A per-thread cold key between hot hits
-                            // keeps the shard locks churning.
-                            let n = 8 + t * reqs_per_thread + r;
-                            let p = eng.profile(
-                                ProfileKey::Gemm { n, tile: 8, threads: 1, cores: 1 },
-                                || opm_repro::dense::gemm_profile(n, 8, 1, 1),
-                            );
-                            wrong += usize::from(*p != opm_repro::dense::gemm_profile(n, 8, 1, 1));
-                        }
-                        // One extra hot request per thread so even
-                        // reqs_per_thread == 1 contends on the key.
-                        let p = eng.profile(*hot, || {
-                            opm_repro::dense::gemm_profile(hot_n, 32, 4, 4)
-                        });
-                        wrong + usize::from(*p != *hot_profile)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        });
-        prop_assert_eq!(wrong, 0, "a lookup returned another key's profile");
-        let distinct_cold = threads * reqs_per_thread;
-        let stats = eng.cache_stats();
-        prop_assert_eq!(
-            (stats.hits + stats.misses) as usize,
-            total_requests,
-            "hits {} + misses {} must equal {} requests",
-            stats.hits, stats.misses, total_requests
-        );
-        // Cold keys are private to one thread: computed exactly once.
-        // The hot key is computed at least once and at most once per
-        // thread (a thread's later lookups find it published).
-        let misses = stats.misses as usize;
-        prop_assert!(misses > distinct_cold && misses <= distinct_cold + threads, "misses {}", misses);
-        prop_assert_eq!(eng.cache_len(), 1 + distinct_cold);
-    }
-}
