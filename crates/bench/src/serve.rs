@@ -29,7 +29,7 @@ use opm_core::platform::{Machine, McdramMode, OpmConfig, PlatformSpec};
 use opm_core::power::PowerModel;
 use opm_core::profile::AccessProfile;
 use opm_core::units::MIB;
-use opm_kernels::engine::{Engine, PlannedProfile};
+use opm_kernels::engine::{catch_quietly, Engine, PlannedProfile};
 use opm_kernels::registry::KernelId;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -290,7 +290,8 @@ fn recommend(machine: Machine, w: &Workload) -> (String, String, String) {
 ///
 /// A panic while answering one query (a modeling bug) is caught and
 /// reported as a typed `internal` error for that query — it never takes
-/// the daemon down or poisons the rest of the batch.
+/// the daemon down or poisons the rest of the batch, and prints nothing:
+/// the answer carries the panic message.
 ///
 /// The engine is not consulted (answers keep no memo); the parameter
 /// stays for the callers that pass one, the benchmark harness among
@@ -299,18 +300,21 @@ pub fn respond(_engine: &Engine, req: &Request) -> Response {
     let results = req
         .queries
         .iter()
-        .map(|q| {
-            let answer = std::panic::catch_unwind(|| answer_query(q));
-            match answer {
-                Ok(Ok(a)) => QueryResult::Ok(Box::new(a)),
-                Ok(Err(e)) => QueryResult::Err(e),
-                Err(panic) => QueryResult::Err(ApiError::Internal(panic_message(&panic))),
-            }
-        })
+        .map(|q| isolated(q, answer_query))
         .collect();
     Response {
         id: req.id,
         results,
+    }
+}
+
+/// Answer `q` with `answer`, turning a panic into a typed `internal`
+/// error without printing it.
+fn isolated(q: &Query, answer: fn(&Query) -> Result<Advice, ApiError>) -> QueryResult {
+    match catch_quietly(|| answer(q)) {
+        Ok(Ok(a)) => QueryResult::Ok(Box::new(a)),
+        Ok(Err(e)) => QueryResult::Err(e),
+        Err(panic) => QueryResult::Err(ApiError::Internal(panic_message(&panic))),
     }
 }
 
@@ -599,7 +603,7 @@ impl Client {
 mod tests {
     use super::*;
     use opm_core::api::MAX_EXACT_INT;
-    use opm_kernels::engine::EngineConfig;
+    use opm_kernels::engine::{panics_silenced, EngineConfig};
 
     fn test_engine() -> Arc<Engine> {
         Arc::new(Engine::new(EngineConfig::default()))
@@ -627,6 +631,27 @@ mod tests {
         // Fits the 16 GiB MCDRAM → flat, guideline II.
         assert_eq!(a.recommended_mode, "flat");
         assert!(a.guideline.contains("guideline II"), "{}", a.guideline);
+    }
+
+    #[test]
+    fn internal_answer_is_silent_and_restores_the_outer_hook_state() {
+        fn model_bug(_: &Query) -> Result<Advice, ApiError> {
+            panic!("model bug")
+        }
+        let is_internal = |r: &QueryResult| matches!(r, QueryResult::Err(ApiError::Internal(m)) if m == "model bug");
+        assert!(!panics_silenced());
+        assert!(is_internal(&isolated(&gemm_query(), model_bug)));
+        assert!(!panics_silenced(), "the hook speaks again after the answer");
+        // Inside an outer quiet scope, the answer leaves it quiet.
+        let (r, quiet) =
+            catch_quietly(|| (isolated(&gemm_query(), model_bug), panics_silenced())).unwrap();
+        assert!(is_internal(&r));
+        assert!(quiet, "the outer scope stays silenced");
+        assert!(!panics_silenced());
+        assert!(matches!(
+            isolated(&gemm_query(), answer_query),
+            QueryResult::Ok(_)
+        ));
     }
 
     #[test]

@@ -117,6 +117,22 @@ impl Drop for QuietPanicGuard {
     }
 }
 
+/// Run `f` under `catch_unwind` with the panic hook silent for panics on
+/// this thread: the caller turns a caught panic into a structured error,
+/// so the hook's message and backtrace would only flood stderr. The outer
+/// state is restored on return, so nested calls compose, and panics
+/// outside any such call still print normally.
+pub fn catch_quietly<R>(f: impl FnOnce() -> R) -> std::thread::Result<R> {
+    let _quiet = QuietPanicGuard::new();
+    catch_unwind(AssertUnwindSafe(f))
+}
+
+/// Whether panics on this thread are silenced, i.e. whether the call is
+/// inside [`catch_quietly`].
+pub fn panics_silenced() -> bool {
+    SUPPRESS_PANIC_HOOK.with(Cell::get)
+}
+
 /// Engine tuning knobs, normally read from the environment once per
 /// process.
 #[derive(Debug, Clone)]
@@ -526,15 +542,12 @@ impl Engine {
         let mut attempt = 0usize;
         let mut last: Option<(FaultKind, String)> = None;
         loop {
-            let outcome = {
-                let _quiet = QuietPanicGuard::new();
-                catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(p) = plan {
-                        p.fire_point(stage, index, attempt);
-                    }
-                    f(item)
-                }))
-            };
+            let outcome = catch_quietly(|| {
+                if let Some(p) = plan {
+                    p.fire_point(stage, index, attempt);
+                }
+                f(item)
+            });
             match outcome {
                 Ok(v) => {
                     if let Some((kind, message)) = last {

@@ -30,12 +30,16 @@
 //! * the set index is `line & set_mask` — set counts are always powers of
 //!   two, and a mask avoids the hardware divide a `%` set index costs on
 //!   every access.
-//! * a **same-line memo**: the most recently touched line and its slot.
-//!   Kernel traces touch each 64-byte line many times in a row (a
-//!   sequential 8-byte sweep touches it 8×), and a repeat access to the
-//!   memoized line is a guaranteed MRU hit — no scan, no recency update
-//!   (re-promoting the MRU way is the identity), just the hit counter and
-//!   the dirty bit. This is what amortizes the probe loop.
+//! * **MRU-first probing**: the top nibble of `perm` names the set's
+//!   most-recently-used way, and every permutation-LRU probe compares
+//!   that way's tag first. Kernel traces touch each 64-byte line many
+//!   times in a row (a sequential 8-byte sweep touches it 8×) and keep
+//!   returning to the lines they just used, so most hits land there —
+//!   and an MRU hit changes only the dirty bit and the hit counter,
+//!   because promoting the MRU way is the identity. Narrow sets probe the
+//!   remaining ways in recency order too, read from the same nibbles.
+//!   Direct-mapped caches need no recency state at all and keep no
+//!   `perm` array.
 //!
 //! The observable behaviour (hit/miss/eviction/writeback counts and the
 //! exact victim sequence) is bit-for-bit identical to the unpacked
@@ -44,7 +48,8 @@
 //! exists (key 0 beats any stamp, ties break by way index) and otherwise
 //! the unique least-recently-used way — exactly what the permutation
 //! yields. `tests/memsim_equivalence.rs` keeps a copy of the reference
-//! implementation and proves the equivalence on random traces.
+//! implementation and proves the equivalence on random and MRU-heavy op
+//! streams.
 
 use crate::trace::LINE_BYTES;
 
@@ -69,9 +74,6 @@ const VALID: u64 = 1;
 const DIRTY: u64 = 2;
 /// `tags` bits 2..: the line address (tag).
 const TAG_SHIFT: u32 = 2;
-/// Sentinel for "no same-line memo" (no real line address reaches
-/// `u64::MAX`: lines are byte addresses divided by [`LINE_BYTES`]).
-const NO_LINE: u64 = u64::MAX;
 /// Largest associativity the packed recency permutation covers (16 ways ×
 /// 4 bits); wider caches fall back to LRU stamps.
 const PERM_MAX_WAYS: usize = 16;
@@ -146,9 +148,6 @@ fn fp_lane_mask(ways: usize, j: usize) -> u64 {
 /// Promote way `w` to MRU inside the packed permutation of `ways` nibbles.
 #[inline(always)]
 fn perm_promote(perm: u64, w: u64, ways: usize) -> u64 {
-    if ways == 1 {
-        return perm;
-    }
     // SWAR search for the nibble equal to `w`: XOR makes it zero, then the
     // classic zero-nibble detector pinpoints it.
     let x = perm ^ (w.wrapping_mul(0x1111_1111_1111_1111));
@@ -172,7 +171,7 @@ pub struct SetAssocCache {
     set_mask: u64,
     /// Bit-packed per-way line state, contiguous per set (see module docs).
     tags: Vec<u64>,
-    /// Packed per-set LRU recency permutation (ways <= 16), else empty.
+    /// Packed per-set LRU recency permutation (2..=16 ways), else empty.
     perm: Vec<u64>,
     /// Packed per-way fingerprint bytes, `fpw` words per set (see module
     /// docs); empty for direct-mapped and stamp-LRU caches.
@@ -183,10 +182,6 @@ pub struct SetAssocCache {
     stamp: Vec<u64>,
     /// Stamp clock (ways > 16 only).
     clock: u64,
-    /// Same-line memo: line of the most recent touch ([`NO_LINE`] when
-    /// empty) and the index of its word in `tags`.
-    memo_line: u64,
-    memo_slot: usize,
     stats: CacheStats,
 }
 
@@ -206,15 +201,15 @@ impl SetAssocCache {
         } else {
             sets as usize
         };
-        let (perm, stamp) = if ways <= PERM_MAX_WAYS {
-            let nib_mask = if ways == PERM_MAX_WAYS {
-                u64::MAX
-            } else {
-                (1u64 << (4 * ways)) - 1
-            };
-            (vec![PERM_IDENTITY & nib_mask; sets], Vec::new())
-        } else {
-            (Vec::new(), vec![0; sets * ways])
+        // A direct-mapped set has no recency order to keep.
+        let (perm, stamp) = match ways {
+            1 => (Vec::new(), Vec::new()),
+            PERM_MAX_WAYS => (vec![PERM_IDENTITY; sets], Vec::new()),
+            2..PERM_MAX_WAYS => (
+                vec![PERM_IDENTITY & ((1u64 << (4 * ways)) - 1); sets],
+                Vec::new(),
+            ),
+            _ => (Vec::new(), vec![0; sets * ways]),
         };
         // Fingerprints pay off only on wide sets: a <=8-way set is a single
         // cache line of tags whose compares all issue in parallel, and the
@@ -237,8 +232,6 @@ impl SetAssocCache {
             fp: vec![0; sets * fpw],
             fpw,
             clock: 0,
-            memo_line: NO_LINE,
-            memo_slot: 0,
             stats: CacheStats::default(),
         }
     }
@@ -297,78 +290,85 @@ impl SetAssocCache {
     /// Look up `line`, filling on miss. `write` marks the line dirty.
     #[inline]
     pub fn access(&mut self, line: u64, write: bool) -> Lookup {
-        // Same-line fast path: the memoized line is resident and MRU in
-        // its set, so a repeat access is a hit that cannot change the
-        // LRU order — only the counters and the dirty bit move.
-        if line == self.memo_line {
-            self.tags[self.memo_slot] |= (write as u64) << 1;
+        let r = self.probe(line, write);
+        if r == Lookup::Hit {
             self.stats.hits += 1;
-            return Lookup::Hit;
-        }
-        debug_assert!(line < 1 << (64 - TAG_SHIFT), "line address overflows tag");
-        let base = self.set_base(line);
-        let want = (line << TAG_SHIFT) | VALID;
-        if self.ways == 1 {
-            // Direct-mapped: one slot decides hit, victim, and fill.
-            if self.tags[base] & !DIRTY == want {
-                self.tags[base] |= (write as u64) << 1;
-                self.memo_line = line;
-                self.memo_slot = base;
-                self.stats.hits += 1;
-                return Lookup::Hit;
-            }
-            self.stats.misses += 1;
-            return self.replace_slot(base, want, write);
-        }
-        if self.stamp.is_empty() {
-            match self.ways {
-                8 => self.scan_plain::<8>(base, line, want, write),
-                16 => self.scan_perm::<16>(base, line, want, write),
-                _ if self.fpw == 0 => self.scan_plain::<0>(base, line, want, write),
-                _ => self.scan_perm::<0>(base, line, want, write),
-            }
         } else {
-            self.scan_stamp(base, line, want, write)
+            self.stats.misses += 1;
+        }
+        r
+    }
+
+    /// Insert `line` without counting a lookup (victim-cache fills from
+    /// upstream evictions). A resident line is refreshed in place.
+    pub fn fill(&mut self, line: u64, dirty: bool) -> Option<(u64, bool)> {
+        match self.probe(line, dirty) {
+            Lookup::Miss {
+                evicted: Some(v),
+                dirty: d,
+            } => Some((v, d)),
+            _ => None,
         }
     }
 
-    /// Probe loop for narrow permutation-LRU sets (no fingerprint): one
-    /// pass over the tag words finds the hit way or the first invalid way.
-    /// The victim rule matches [`fp_victim`](Self::fp_victim).
-    #[inline]
-    fn scan_plain<const W: usize>(
-        &mut self,
-        base: usize,
-        line: u64,
-        want: u64,
-        write: bool,
-    ) -> Lookup {
+    /// The lookup shared by [`access`](Self::access) and
+    /// [`fill`](Self::fill): find `line` and make it MRU, or fill it over
+    /// the reference victim. Counts evictions and writebacks, not the
+    /// lookup itself.
+    #[inline(always)]
+    fn probe(&mut self, line: u64, write: bool) -> Lookup {
+        debug_assert!(line < 1 << (64 - TAG_SHIFT), "line address overflows tag");
+        let set = (line & self.set_mask) as usize;
+        let want = (line << TAG_SHIFT) | VALID;
+        let dirty = (write as u64) << 1;
+        match self.ways {
+            1 => {
+                // Direct-mapped: one slot decides hit, victim, and fill.
+                if self.tags[set] & !DIRTY == want {
+                    self.tags[set] |= dirty;
+                    return Lookup::Hit;
+                }
+                self.replace_slot(set, want, dirty)
+            }
+            8 => self.probe_plain::<8>(set, want, dirty),
+            16 => self.probe_fp::<16>(set, want, dirty),
+            w if w > PERM_MAX_WAYS => self.probe_stamp(set * w, want, dirty),
+            _ if self.fpw == 0 => self.probe_plain::<0>(set, want, dirty),
+            _ => self.probe_fp::<0>(set, want, dirty),
+        }
+    }
+
+    /// Probe loop for narrow permutation-LRU sets (no fingerprint): the
+    /// ways in recency order, MRU first, read from the `perm` nibbles. A
+    /// hit on the MRU way leaves the permutation as it is. On a miss the
+    /// victim is the first invalid way by index, else the LRU nibble —
+    /// the rule [`fp_victim`](Self::fp_victim) also follows.
+    #[inline(always)]
+    fn probe_plain<const W: usize>(&mut self, set: usize, want: u64, dirty: u64) -> Lookup {
         let ways = if W == 0 { self.ways } else { W };
-        let set_idx = base / ways;
-        let set = &mut self.tags[base..base + ways];
-        let mut first_invalid = usize::MAX;
-        for (w, t) in set.iter_mut().enumerate() {
-            let m = *t;
-            if m & !DIRTY == want {
-                *t = m | ((write as u64) << 1);
-                self.perm[set_idx] = perm_promote(self.perm[set_idx], w as u64, ways);
-                self.memo_line = line;
-                self.memo_slot = base + w;
-                self.stats.hits += 1;
+        let base = set * ways;
+        let perm = self.perm[set];
+        let tags = &mut self.tags[base..base + ways];
+        let mut holes = 0u32; // bit w: way w is invalid
+        for k in (0..ways).rev() {
+            let w = ((perm >> (4 * k)) & 0xF) as usize;
+            let t = tags[w];
+            if t & !DIRTY == want {
+                tags[w] = t | dirty;
+                if k != ways - 1 {
+                    self.perm[set] = perm_promote(perm, w as u64, ways);
+                }
                 return Lookup::Hit;
             }
-            if m & VALID == 0 && first_invalid == usize::MAX {
-                first_invalid = w;
-            }
+            holes |= ((t & VALID == 0) as u32) << w;
         }
-        self.stats.misses += 1;
-        let victim = if first_invalid != usize::MAX {
-            first_invalid
+        let victim = if holes != 0 {
+            holes.trailing_zeros() as usize
         } else {
-            (self.perm[set_idx] & 0xF) as usize
+            (perm & 0xF) as usize
         };
-        self.perm[set_idx] = perm_promote(self.perm[set_idx], victim as u64, ways);
-        self.replace_slot(base + victim, want, write)
+        self.perm[set] = perm_promote(perm, victim as u64, ways);
+        self.replace_slot(base + victim, want, dirty)
     }
 
     /// Find the way holding `want` in a fingerprinted set, via SWAR
@@ -397,46 +397,44 @@ impl SetAssocCache {
     /// the permutation's LRU nibble when the set is full — bit-identical
     /// to the reference `min_by_key` over stamps.
     #[inline(always)]
-    fn fp_victim(&self, set_idx: usize, fbase: usize, ways: usize, fpw: usize) -> usize {
+    fn fp_victim(&self, perm: u64, fbase: usize, ways: usize, fpw: usize) -> usize {
         for j in 0..fpw {
             let holes = swar_zero_bytes(self.fp[fbase + j]) & fp_lane_mask(ways, j);
             if holes != 0 {
                 return j * 8 + (holes.trailing_zeros() as usize >> 3);
             }
         }
-        (self.perm[set_idx] & 0xF) as usize
+        (perm & 0xF) as usize
     }
 
-    /// Probe path for permutation-LRU sets. The fingerprint filter
-    /// resolves the common definite-miss without reading any tag words;
-    /// candidate matches are verified against the full tag. `W` is the
+    /// Probe path for wide permutation-LRU sets. The MRU way is compared
+    /// first; past it, the fingerprint filter resolves the common
+    /// definite-miss without reading any tag words, and candidate
+    /// matches are verified against the full tag. `W` is the
     /// compile-time associativity (0 = dynamic), which constant-folds the
     /// fingerprint loops.
-    #[inline]
-    fn scan_perm<const W: usize>(
-        &mut self,
-        base: usize,
-        line: u64,
-        want: u64,
-        write: bool,
-    ) -> Lookup {
+    #[inline(always)]
+    fn probe_fp<const W: usize>(&mut self, set: usize, want: u64, dirty: u64) -> Lookup {
         let ways = if W == 0 { self.ways } else { W };
         let fpw = if W == 0 { self.fpw } else { W.div_ceil(8) };
-        let set_idx = base / ways;
-        let fbase = set_idx * fpw;
-        let way = self.fp_find(base, fbase, fpw, want, (write as u64) << 1);
-        if way != usize::MAX {
-            self.perm[set_idx] = perm_promote(self.perm[set_idx], way as u64, ways);
-            self.memo_line = line;
-            self.memo_slot = base + way;
-            self.stats.hits += 1;
+        let base = set * ways;
+        let perm = self.perm[set];
+        let mru = base + (perm >> (4 * (ways - 1))) as usize;
+        let t = self.tags[mru];
+        if t & !DIRTY == want {
+            self.tags[mru] = t | dirty;
             return Lookup::Hit;
         }
-        self.stats.misses += 1;
-        let victim = self.fp_victim(set_idx, fbase, ways, fpw);
-        self.perm[set_idx] = perm_promote(self.perm[set_idx], victim as u64, ways);
+        let fbase = set * fpw;
+        let way = self.fp_find(base, fbase, fpw, want, dirty);
+        if way != usize::MAX {
+            self.perm[set] = perm_promote(perm, way as u64, ways);
+            return Lookup::Hit;
+        }
+        let victim = self.fp_victim(perm, fbase, ways, fpw);
+        self.perm[set] = perm_promote(perm, victim as u64, ways);
         self.fp_set(fbase, victim, want >> TAG_SHIFT);
-        self.replace_slot(base + victim, want, write)
+        self.replace_slot(base + victim, want, dirty)
     }
 
     /// Write way `way`'s fingerprint byte for `line`.
@@ -450,19 +448,15 @@ impl SetAssocCache {
     /// Probe loop for stamp-LRU sets (ways > 16): one pass decides both
     /// the hit way and the victim (first way minimizing
     /// `valid ? stamp : 0`).
-    fn scan_stamp(&mut self, base: usize, line: u64, want: u64, write: bool) -> Lookup {
+    fn probe_stamp(&mut self, base: usize, want: u64, dirty: u64) -> Lookup {
         self.clock += 1;
-        let ways = self.ways;
         let mut victim = 0usize;
         let mut best = u64::MAX;
-        for w in 0..ways {
+        for w in 0..self.ways {
             let m = self.tags[base + w];
             if m & !DIRTY == want {
-                self.tags[base + w] = m | ((write as u64) << 1);
+                self.tags[base + w] = m | dirty;
                 self.stamp[base + w] = self.clock;
-                self.memo_line = line;
-                self.memo_slot = base + w;
-                self.stats.hits += 1;
                 return Lookup::Hit;
             }
             let key = if m & VALID != 0 {
@@ -475,140 +469,8 @@ impl SetAssocCache {
                 victim = w;
             }
         }
-        self.stats.misses += 1;
         self.stamp[base + victim] = self.clock;
-        self.replace_slot(base + victim, want, write)
-    }
-
-    /// Insert `line` without counting a lookup (victim-cache fills from
-    /// upstream evictions).
-    pub fn fill(&mut self, line: u64, dirty: bool) -> Option<(u64, bool)> {
-        let base = self.set_base(line);
-        let want = (line << TAG_SHIFT) | VALID;
-        if self.ways == 1 {
-            if self.tags[base] & !DIRTY == want {
-                self.tags[base] |= (dirty as u64) << 1;
-                self.memo_line = line;
-                self.memo_slot = base;
-                return None;
-            }
-            return match self.replace_slot(base, want, dirty) {
-                Lookup::Miss {
-                    evicted: Some(v),
-                    dirty: d,
-                } => Some((v, d)),
-                _ => None,
-            };
-        }
-        let filled = if self.stamp.is_empty() {
-            match self.ways {
-                8 => self.fill_plain::<8>(base, line, want, dirty),
-                16 => self.fill_perm::<16>(base, line, want, dirty),
-                _ if self.fpw == 0 => self.fill_plain::<0>(base, line, want, dirty),
-                _ => self.fill_perm::<0>(base, line, want, dirty),
-            }
-        } else {
-            self.fill_stamp(base, line, want, dirty)
-        };
-        match filled {
-            Some(Lookup::Miss {
-                evicted: Some(v),
-                dirty: d,
-            }) => Some((v, d)),
-            _ => None,
-        }
-    }
-
-    /// `fill` body for narrow (fingerprint-free) permutation-LRU sets;
-    /// `None` on in-place refresh.
-    #[inline]
-    fn fill_plain<const W: usize>(
-        &mut self,
-        base: usize,
-        line: u64,
-        want: u64,
-        dirty: bool,
-    ) -> Option<Lookup> {
-        let ways = if W == 0 { self.ways } else { W };
-        let set_idx = base / ways;
-        let set = &mut self.tags[base..base + ways];
-        let mut first_invalid = usize::MAX;
-        for (w, t) in set.iter_mut().enumerate() {
-            let m = *t;
-            if m & !DIRTY == want {
-                *t = m | ((dirty as u64) << 1);
-                self.perm[set_idx] = perm_promote(self.perm[set_idx], w as u64, ways);
-                self.memo_line = line;
-                self.memo_slot = base + w;
-                return None;
-            }
-            if m & VALID == 0 && first_invalid == usize::MAX {
-                first_invalid = w;
-            }
-        }
-        let victim = if first_invalid != usize::MAX {
-            first_invalid
-        } else {
-            (self.perm[set_idx] & 0xF) as usize
-        };
-        self.perm[set_idx] = perm_promote(self.perm[set_idx], victim as u64, ways);
-        Some(self.replace_slot(base + victim, want, dirty))
-    }
-
-    /// `fill` body for fingerprinted permutation-LRU sets; `None` on
-    /// in-place refresh.
-    #[inline]
-    fn fill_perm<const W: usize>(
-        &mut self,
-        base: usize,
-        line: u64,
-        want: u64,
-        dirty: bool,
-    ) -> Option<Lookup> {
-        let ways = if W == 0 { self.ways } else { W };
-        let fpw = if W == 0 { self.fpw } else { W.div_ceil(8) };
-        let set_idx = base / ways;
-        let fbase = set_idx * fpw;
-        let way = self.fp_find(base, fbase, fpw, want, (dirty as u64) << 1);
-        if way != usize::MAX {
-            self.perm[set_idx] = perm_promote(self.perm[set_idx], way as u64, ways);
-            self.memo_line = line;
-            self.memo_slot = base + way;
-            return None;
-        }
-        let victim = self.fp_victim(set_idx, fbase, ways, fpw);
-        self.perm[set_idx] = perm_promote(self.perm[set_idx], victim as u64, ways);
-        self.fp_set(fbase, victim, want >> TAG_SHIFT);
-        Some(self.replace_slot(base + victim, want, dirty))
-    }
-
-    /// `fill` body for stamp-LRU sets (ways > 16); `None` on refresh.
-    fn fill_stamp(&mut self, base: usize, line: u64, want: u64, dirty: bool) -> Option<Lookup> {
-        self.clock += 1;
-        let ways = self.ways;
-        let mut victim = 0usize;
-        let mut best = u64::MAX;
-        for w in 0..ways {
-            let m = self.tags[base + w];
-            if m & !DIRTY == want {
-                self.tags[base + w] = m | ((dirty as u64) << 1);
-                self.stamp[base + w] = self.clock;
-                self.memo_line = line;
-                self.memo_slot = base + w;
-                return None;
-            }
-            let key = if m & VALID != 0 {
-                self.stamp[base + w]
-            } else {
-                0
-            };
-            if key < best {
-                best = key;
-                victim = w;
-            }
-        }
-        self.stamp[base + victim] = self.clock;
-        Some(self.replace_slot(base + victim, want, dirty))
+        self.replace_slot(base + victim, want, dirty)
     }
 
     /// Hint the CPU to pull `line`'s set metadata into cache. The
@@ -643,9 +505,6 @@ impl SetAssocCache {
     /// victim-cache promotion path where the two always travel together.
     #[inline]
     pub fn take(&mut self, line: u64) -> bool {
-        if line == self.memo_line {
-            self.memo_line = NO_LINE;
-        }
         let base = self.set_base(line);
         let want = (line << TAG_SHIFT) | VALID;
         if self.fpw != 0 {
@@ -695,11 +554,9 @@ impl SetAssocCache {
     /// The caller has already chosen `slot` as the reference victim and
     /// updated the recency state.
     #[inline]
-    fn replace_slot(&mut self, slot: usize, want: u64, dirty: bool) -> Lookup {
+    fn replace_slot(&mut self, slot: usize, want: u64, dirty: u64) -> Lookup {
         let m = self.tags[slot];
-        self.tags[slot] = want | ((dirty as u64) << 1);
-        self.memo_line = want >> TAG_SHIFT;
-        self.memo_slot = slot;
+        self.tags[slot] = want | dirty;
         if m & VALID != 0 {
             self.stats.evictions += 1;
             let victim_dirty = m & DIRTY != 0;
@@ -910,15 +767,15 @@ mod tests {
     }
 
     #[test]
-    fn same_line_fast_path_counts_hits_and_dirty() {
+    fn mru_fast_path_counts_hits_and_dirty() {
         let mut c = SetAssocCache::new("c", 4096, 4);
-        c.access(5, false); // miss + fill, memoized
+        c.access(5, false); // miss + fill: line 5 is its set's MRU way
         for _ in 0..7 {
             assert_eq!(c.access(5, false), Lookup::Hit);
         }
         assert_eq!(c.stats().hits, 7);
         assert_eq!(c.stats().misses, 1);
-        // A repeat write through the memo must still mark the line dirty.
+        // A repeat write hitting the MRU way must still mark it dirty.
         c.access(5, true);
         let sets = c.sets() as u64;
         let mut evicted_dirty = false;
@@ -937,14 +794,36 @@ mod tests {
     }
 
     #[test]
-    fn memo_survives_interleaved_sets_and_invalidation() {
-        let mut c = SetAssocCache::new("c", 4096, 4);
-        c.access(1, false);
-        c.access(2, false); // different set; memo moves to line 2
-        assert_eq!(c.access(2, false), Lookup::Hit);
-        assert_eq!(c.access(1, false), Lookup::Hit); // still resident
-        c.invalidate(1); // memo points at line 1 now; must be dropped
-        assert!(matches!(c.access(1, false), Lookup::Miss { .. }));
+    fn invalidated_mru_way_is_not_a_hit() {
+        // Invalidation leaves the recency order alone, so the MRU nibble
+        // names an empty way: the MRU-first compare must miss, and the
+        // refill lands in the hole without evicting.
+        for ways in [4usize, 8, 16] {
+            let mut c = SetAssocCache::new("c", ways as u64 * 2 * 64, ways);
+            let sets = c.sets() as u64;
+            for k in 0..ways as u64 {
+                c.access(1 + k * sets, false);
+            }
+            assert_eq!(c.access(1, false), Lookup::Hit, "{ways} ways");
+            assert!(c.invalidate(1));
+            assert_eq!(
+                c.access(1, false),
+                Lookup::Miss {
+                    evicted: None,
+                    dirty: false
+                },
+                "{ways} ways"
+            );
+            assert_eq!(c.stats().evictions, 0, "{ways} ways");
+        }
+    }
+
+    #[test]
+    fn direct_mapped_keeps_no_recency_state() {
+        let dm = SetAssocCache::direct_mapped("dm", 64 * 64);
+        assert_eq!(dm.metadata_bytes(), dm.sets() * 8, "tags only");
+        let sa = SetAssocCache::new("sa", 64 * 64, 8);
+        assert_eq!(sa.metadata_bytes(), (sa.sets() * 8 + sa.sets()) * 8);
     }
 
     #[test]
@@ -952,7 +831,7 @@ mod tests {
         let mut c = SetAssocCache::direct_mapped("dm", 4 * 64); // 4 sets
         let sets = c.sets() as u64;
         c.access(0, true);
-        assert_eq!(c.access(0, false), Lookup::Hit); // memo hit
+        assert_eq!(c.access(0, false), Lookup::Hit); // repeat hit
         assert_eq!(
             c.access(1, false),
             Lookup::Miss {

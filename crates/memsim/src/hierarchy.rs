@@ -575,6 +575,23 @@ mod tests {
     }
 
     #[test]
+    fn milli_mcdram_caches_are_the_prefetched_levels() {
+        // Direct-mapped MCDRAM keeps only its tag array (2 MiB at milli
+        // scale, 1 MiB for the hybrid half), still past the threshold;
+        // the L2 and L3 tag arrays stay below it.
+        for (mode, want) in [
+            (McdramMode::Cache, vec![1]),
+            (McdramMode::Hybrid, vec![1]),
+            (McdramMode::Flat, vec![]),
+        ] {
+            let sim = HierarchySim::for_config(OpmConfig::Knl(mode), SCALE);
+            assert_eq!(sim.prefetch_levels, want, "{mode:?}");
+        }
+        let brd = HierarchySim::for_config(OpmConfig::Broadwell(EdramMode::On), SCALE);
+        assert!(brd.prefetch_levels.is_empty());
+    }
+
+    #[test]
     fn mcdram_flat_serves_low_addresses() {
         let mut sim = HierarchySim::for_config(OpmConfig::Knl(McdramMode::Flat), SCALE);
         //

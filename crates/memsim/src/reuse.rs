@@ -10,15 +10,22 @@
 //! Two implementations live here:
 //!
 //! * [`reuse_histogram`] — the production Bennett–Kruskal pass: a Fenwick
-//!   tree over access timestamps counting "most recent access positions",
-//!   O(N log N). The constant factor is kept down by (a) a same-line run
-//!   fast path (consecutive touches of one line are distance 0 and move no
-//!   tree state, which covers 7/8 of a sequential 8-byte sweep), (b) a
-//!   running `distinct` count so each reuse costs one prefix query instead
-//!   of two, (c) an open-addressing last-access map instead of SipHash
-//!   `HashMap`, and (d) a thread-local scratch arena so sweeping thousands
-//!   of profile points reuses the tree/map/histogram buffers instead of
-//!   reallocating per call.
+//!   tree over timestamps counting "most recent access positions",
+//!   O(N log N). An 8-deep **recency stack** sits in front of it: it holds
+//!   the 8 most recent distinct lines, most recent first, and a touch
+//!   found at depth `p` has distance `p` — counted and rotated to the
+//!   front with no map or tree work. Consecutive touches of one line
+//!   (7/8 of a sequential 8-byte sweep) are the `p = 0` case, and a few
+//!   interleaved streams (a triad's three arrays) stay inside the stack.
+//!   A line that falls off the bottom takes the next tree timestamp: it
+//!   is older than every stack line and newer than every tree line, so
+//!   the tree stays in recency order, and a reuse from below the stack
+//!   has distance 8 plus the tree marks after its timestamp (one prefix
+//!   query, against a running mark count). The rest of the constant
+//!   factor is an open-addressing last-timestamp map (Fibonacci hash,
+//!   linear probing) instead of SipHash `HashMap`, and a thread-local
+//!   scratch arena so sweeping thousands of profile points reuses the
+//!   tree/map/histogram buffers instead of reallocating per call.
 //! * [`reuse_histogram_reference`] — the executable specification: a naive
 //!   LRU stack, O(N·D). `tests/memsim_equivalence.rs` proves the two agree
 //!   bin-for-bin on random traces; keep this one obviously correct.
@@ -126,10 +133,25 @@ impl<'a> LineMap<'a> {
         }
     }
 
-    /// Record an access to `line` at time `t`; returns the previous
-    /// timestamp if the line was seen before.
+    /// The timestamp last recorded for `line`, if any.
     #[inline]
-    fn put(&mut self, line: u64, t: u64) -> Option<u64> {
+    fn get(&self, line: u64) -> Option<u64> {
+        let mut i = line_hash(line) & self.mask;
+        loop {
+            let slot = self.slots[i];
+            if slot.1 == EMPTY {
+                return None;
+            }
+            if slot.0 == line {
+                return Some(slot.1);
+            }
+            i = (i + 1) & self.mask;
+        }
+    }
+
+    /// Record timestamp `t` for `line`, replacing any earlier one.
+    #[inline]
+    fn put(&mut self, line: u64, t: u64) {
         if (self.len + 1) * 2 > self.slots.len() {
             self.grow();
         }
@@ -139,12 +161,11 @@ impl<'a> LineMap<'a> {
             if slot.1 == EMPTY {
                 *slot = (line, t);
                 self.len += 1;
-                return None;
+                return;
             }
             if slot.0 == line {
-                let prev = slot.1;
                 slot.1 = t;
-                return Some(prev);
+                return;
             }
             i = (i + 1) & self.mask;
         }
@@ -203,6 +224,11 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
+/// Depth of the recency stack in front of the Fenwick tree: the most
+/// recent distinct lines, whose reuses are counted without map or tree
+/// work.
+const STACK: usize = 8;
+
 /// Compute the reuse-distance histogram of a trace (line granularity).
 ///
 /// Identical output to [`reuse_histogram_reference`] — the fast path is
@@ -231,51 +257,58 @@ pub fn reuse_histogram(trace: &Trace) -> ReuseHistogram {
         scratch.fen.clear();
         scratch.fen.resize(n + 1, 0);
         scratch.hist.clear();
-        scratch.hist.push(0); // distance-0 bin always exists
+        scratch.hist.resize(STACK, 0); // every stack distance has a bin
         let mut map = LineMap::reset(&mut scratch.slots, n.min(1 << 16));
+        // The most recent distinct lines, most recent first; `EMPTY`
+        // (no real line) pads it until STACK lines have been seen.
+        let mut stack = [EMPTY; STACK];
         let mut cold = 0u64;
-        let mut distinct = 0u64; // marks currently in the tree
-        let mut max_d = 0usize;
-        let mut t = 0usize; // timestamp; same-line runs are collapsed
-        let mut run_line = EMPTY; // line of the previous touch
+        let mut in_tree = 0u64; // marks currently in the tree
+        let mut t = 0usize; // next tree timestamp
         for acc in &trace.accesses {
             let first = acc.addr / LINE_BYTES;
             let last = (acc.addr + acc.len.max(1) as u64 - 1) / LINE_BYTES;
-            let mut line = first;
-            loop {
-                if line == run_line {
-                    // Consecutive touch of the same line: distance 0, and
-                    // no distinct line intervened, so the line's mark (and
-                    // the clock) can stay put.
-                    scratch.hist[0] += 1;
-                } else {
-                    run_line = line;
-                    match map.put(line, t as u64) {
-                        Some(prev) => {
-                            // Distinct lines since prev = marks after prev.
-                            let d = (distinct - fen_prefix(&scratch.fen, prev as usize)) as usize;
-                            if d >= scratch.hist.len() {
-                                scratch.hist.resize(d + 1, 0);
-                            }
-                            scratch.hist[d] += 1;
-                            max_d = max_d.max(d);
-                            fen_add(&mut scratch.fen, prev as usize, -1);
-                        }
-                        None => {
-                            cold += 1;
-                            distinct += 1;
-                        }
+            for line in first..=last {
+                if let Some(p) = stack.iter().position(|&l| l == line) {
+                    // Exactly the `p` lines above it were touched since.
+                    scratch.hist[p] += 1;
+                    for i in (1..=p).rev() {
+                        stack[i] = stack[i - 1];
                     }
+                    stack[0] = line;
+                    continue;
+                }
+                // Below the stack: every stack line, plus each tree line
+                // marked after this line's timestamp, was touched since.
+                match map.get(line) {
+                    Some(prev) => {
+                        let d =
+                            STACK + (in_tree - fen_prefix(&scratch.fen, prev as usize)) as usize;
+                        if d >= scratch.hist.len() {
+                            scratch.hist.resize(d + 1, 0);
+                        }
+                        scratch.hist[d] += 1;
+                        fen_add(&mut scratch.fen, prev as usize, -1);
+                        in_tree -= 1;
+                    }
+                    None => cold += 1,
+                }
+                // The line pushed off the bottom is older than every stack
+                // line and newer than every tree line: it takes the next
+                // timestamp, which keeps the tree in recency order.
+                let out = stack[STACK - 1];
+                stack.copy_within(..STACK - 1, 1);
+                stack[0] = line;
+                if out != EMPTY {
+                    map.put(out, t as u64);
                     fen_add(&mut scratch.fen, t, 1);
+                    in_tree += 1;
                     t += 1;
                 }
-                if line == last {
-                    break;
-                }
-                line += 1;
             }
         }
-        let finite: Vec<(u64, u64)> = scratch.hist[..=max_d.min(scratch.hist.len() - 1)]
+        let finite: Vec<(u64, u64)> = scratch
+            .hist
             .iter()
             .enumerate()
             .filter(|(_, &c)| c != 0)

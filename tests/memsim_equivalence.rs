@@ -8,12 +8,13 @@
 //!   stamps and a `min_by_key` victim scan. The production
 //!   `SetAssocCache` packs tags into flat words, replaces stamps with a
 //!   4-bit recency permutation, filters wide sets through SWAR
-//!   fingerprints, and memoizes same-line repeats; every one of those
+//!   fingerprints, and probes the MRU way first; every one of those
 //!   tricks must be invisible in the observable behaviour (lookup
 //!   results, victim identities, counters).
 //! * [`opm_repro::memsim::reuse_histogram_reference`] — the naive
 //!   O(N·D) LRU-stack reuse-distance computation, against which the
-//!   Fenwick-tree fast path must be bin-for-bin identical.
+//!   recency-stack + Fenwick-tree fast path must be bin-for-bin
+//!   identical.
 //!
 //! The hierarchy test replays every touch through both cache
 //! implementations under all six platform configurations and demands the
@@ -21,10 +22,14 @@
 //! batched `HierarchySim::run` path must land on the same counters.
 
 use opm_repro::core::platform::{EdramMode, McdramMode, OpmConfig, PlatformSpec};
+use opm_repro::kernels::traces::{
+    gemm_blocked_trace, spmv_trace, stencil_trace, stream_triad_trace,
+};
 use opm_repro::memsim::{
     reuse_histogram, reuse_histogram_reference, CacheStats, HierarchySim, Lookup, ServedBy,
     SetAssocCache, Trace, LINE_BYTES,
 };
+use opm_repro::sparse::gen::{MatrixKind, MatrixSpec};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -187,7 +192,7 @@ fn apply(fast: &mut SetAssocCache, refc: &mut RefCache, ops: &[Op]) {
         match sel % 5 {
             0 | 1 => {
                 // Access is twice as likely as the maintenance ops, and
-                // repeated lines exercise the same-line memo.
+                // repeated lines exercise the MRU-first probe.
                 let a = fast.access(line, flag);
                 let b = refc.access(line, flag);
                 assert_eq!(a, b, "op {i}: access({line}, {flag})");
@@ -258,6 +263,68 @@ proptest! {
             }
         }
         prop_assert_eq!(fast.stats(), refc.stats);
+    }
+}
+
+/// Associativities of the MRU-locality streams: direct-mapped, the
+/// narrow recency-order scans and both fingerprinted widths.
+const LOCAL_WAYS: [usize; 5] = [1, 2, 4, 8, 16];
+
+/// Turn drawn `(op, pick, fresh, flag)` tuples into an op stream with
+/// temporal locality, in `apply`'s op codes: most ops target the line of
+/// the previous op (the MRU way of its set) or one of the few distinct
+/// lines before it (at or near MRU), the rest a fresh line. Uniform
+/// streams rarely hit the MRU way, so they leave the fast path and its
+/// promote-free hit untested.
+fn local_ops(draws: &[(u32, u32, u64, bool)]) -> Vec<Op> {
+    let mut recent = [0u64; 4]; // distinct lines, most recent first
+    draws
+        .iter()
+        .map(|&(op, pick, fresh, flag)| {
+            let line = match pick % 16 {
+                0..=7 => recent[0],
+                8..=11 => recent[1 + (pick as usize / 16) % 3],
+                _ => fresh,
+            };
+            if let Some(p) = recent.iter().position(|&l| l == line) {
+                recent[..=p].rotate_right(1);
+            } else {
+                recent.rotate_right(1);
+            }
+            recent[0] = line;
+            // 75% access, 15% fill, 5% take, 5% contains + invalidate.
+            let sel = match op % 20 {
+                0..=14 => 0,
+                15..=17 => 2,
+                18 => 3,
+                _ => 4,
+            };
+            (sel, line, flag)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn cache_matches_reference_on_mru_heavy_op_streams(
+        ways_idx in 0usize..LOCAL_WAYS.len(),
+        sets_pow in 0u32..4,
+        draws in proptest::collection::vec(
+            (0u32..20, 0u32..64, 0u64..96, (0u32..2).prop_map(|b| b == 1)),
+            256..1024,
+        ),
+    ) {
+        let ways = LOCAL_WAYS[ways_idx];
+        let capacity = (ways as u64) * (1 << sets_pow) * LINE_BYTES;
+        let mut fast = SetAssocCache::new("dut", capacity, ways);
+        let mut refc = RefCache::new(capacity, ways);
+        apply(&mut fast, &mut refc, &local_ops(&draws));
+        // The stream must really be hit-heavy, or it tests nothing new
+        // (the floor holds with margin over 2,000 seeded cases).
+        let s = fast.stats();
+        prop_assert!(s.hits * 3 > s.accesses(), "{} hits of {}", s.hits, s.accesses());
     }
 }
 
@@ -499,4 +566,54 @@ fn reuse_histogram_matches_reference_on_structured_traces() {
     assert_reuse_equivalent(&Trace::strided(64, 1 << 20, 4096));
     assert_reuse_equivalent(&Trace::random(0, 1 << 20, 4000, 99));
     assert_reuse_equivalent(&Trace::new());
+}
+
+/// `passes` cyclic sweeps over `lines` distinct lines, one touch each.
+fn cyclic(lines: u64, passes: usize) -> Trace {
+    let mut t = Trace::new();
+    for _ in 0..passes {
+        for l in 0..lines {
+            t.read(l * LINE_BYTES + 8, 8);
+        }
+    }
+    t
+}
+
+#[test]
+fn reuse_histogram_matches_reference_around_the_stack_depth() {
+    // Working sets just below, at and just above the 8-line recency
+    // stack (and twice it): a cyclic sweep of W lines has distance W - 1
+    // on every reuse, so these put reuses on each side of the stack/tree
+    // boundary.
+    for w in [1u64, 7, 8, 9, 16, 17] {
+        assert_reuse_equivalent(&cyclic(w, 4));
+        assert_reuse_equivalent(&Trace::sequential(0, w * LINE_BYTES, 3));
+    }
+    // A three-stream triad interleave, two passes: the element touches
+    // rotate inside the stack, the second pass reuses from the tree.
+    let mut triad = Trace::new();
+    for _ in 0..2 {
+        for i in 0..1500u64 {
+            triad.read(0x10_0000 + i * 8, 8);
+            triad.read(0x20_0000 + i * 8, 8);
+            triad.write(i * 8, 8);
+        }
+    }
+    assert_reuse_equivalent(&triad);
+    // Accesses straddling line boundaries expand to several lines each.
+    let mut straddle = Trace::new();
+    for k in 0..3000u64 {
+        straddle.read((k * 37) % 4096 + 60, 8 + (k % 130) as u32);
+    }
+    assert_reuse_equivalent(&straddle);
+}
+
+#[test]
+fn reuse_histogram_matches_reference_on_kernel_twins() {
+    // The kernel trace twins at the benchmark's canary sizes.
+    let a = MatrixSpec::new(MatrixKind::RandomUniform, 4096, 40_000, 7).build();
+    assert_reuse_equivalent(&gemm_blocked_trace(32, 8));
+    assert_reuse_equivalent(&spmv_trace(&a, 1));
+    assert_reuse_equivalent(&stencil_trace(20));
+    assert_reuse_equivalent(&stream_triad_trace(20_000, 1));
 }
