@@ -1,5 +1,5 @@
 //! The `opm` CLI, the repository's one binary: figure, study and report
-//! regeneration, sharded campaigns, ad-hoc model queries, guideline
+//! regeneration, ad-hoc model queries, guideline
 //! recommendations, stepping curves, corpus inspection, and the
 //! opm-api/v1 query service (`serve`/`advise`/`loadgen`). Run `opm help`
 //! for usage. Exit codes: 0 success, 1 runtime failure, 2

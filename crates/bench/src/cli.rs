@@ -5,8 +5,8 @@
 //! configuration), `recommend` (§6 guidelines), `stepping` (print a
 //! stepping curve), `corpus` (inspect the UF-substitute corpus),
 //! `serve`/`advise`/`loadgen` (the `opm-api/v1` query service and its
-//! clients), plus the sharded-campaign machinery. Argument parsing is
-//! hand-rolled (`--key value` or `--key=value` pairs) to stay inside the
+//! clients) and `top` (inspect a run's telemetry trace). Argument parsing
+//! is hand-rolled (`--key value` or `--key=value` pairs) to stay inside the
 //! approved dependency set.
 //!
 //! ## Globals and exit codes
@@ -14,9 +14,10 @@
 //! Every subcommand accepts the shared globals
 //! `--telemetry <off|summary|full>`, `--reduced`, `--fault-spec <spec>`,
 //! `--max-retries <n>` and `--out <path>`; they are applied (via the
-//! corresponding `OPM_*` variables, which remain the configuration source
-//! for worker processes) before the subcommand runs, and the merged
-//! configuration — fault spec included — is validated once up front. The process exits with:
+//! corresponding `OPM_*` variables, which remain the configuration
+//! source) before the subcommand runs, and the merged configuration —
+//! fault spec included — is validated once up front. The process exits
+//! with:
 //!
 //! * `0` — success;
 //! * `1` — runtime failure (evaluation, I/O);
@@ -24,7 +25,6 @@
 //!   study, malformed flag value or `OPM_*` value).
 
 use crate::manifest;
-use crate::shard::ShardSpec;
 use opm_core::api::Request;
 use opm_core::guideline::{explain_mcdram, recommend_mcdram, Workload};
 use opm_core::perf::PerfModel;
@@ -197,13 +197,11 @@ const ENV_FLAGS: &[(&str, &str, Option<&str>)] = &[
 ];
 
 /// Apply the shared globals ([`ENV_FLAGS`] and `--out`) to the process
-/// environment — env stays the configuration source, so spawned shard
-/// workers inherit the settings. The merged configuration (flags over
-/// `OPM_*`), fault spec included, is validated once before anything is
-/// set, so a bad value exits 2 before any work or worker starts.
-/// Subcommands with their own `--out` meaning (a file path, a campaign
-/// directory) consume the option directly; for everything else `--out`
-/// selects the results directory.
+/// environment — env stays the configuration source. The merged
+/// configuration (flags over `OPM_*`), fault spec included, is validated
+/// once before anything is set, so a bad value exits 2 before any work
+/// starts. `loadgen` reads `--out` as its output file; for everything
+/// else `--out` selects the results directory.
 fn apply_globals(args: &Args, cmd: &str) -> Result<(), CliFailure> {
     let mut overrides: Vec<(&str, String)> = Vec::new();
     for &(flag, var, switch) in ENV_FLAGS {
@@ -214,9 +212,8 @@ fn apply_globals(args: &Args, cmd: &str) -> Result<(), CliFailure> {
         }
     }
     if let Some(out) = args.options.get("out") {
-        // loadgen treats --out as an output *file*; campaign and
-        // merge-shards handle the directory themselves.
-        if !matches!(cmd, "loadgen" | "campaign" | "merge-shards") && out != "true" {
+        // loadgen treats --out as an output *file*.
+        if cmd != "loadgen" && out != "true" {
             overrides.push(("OPM_RESULTS", out.clone()));
         }
     }
@@ -256,8 +253,6 @@ pub fn dispatch(raw: &[String]) -> Result<String, CliFailure> {
         "stepping" => cmd_stepping(&args),
         "corpus" => cmd_corpus(&args),
         "top" => cmd_top(&args),
-        "campaign" => cmd_campaign(&args),
-        "merge-shards" => cmd_merge_shards(&args),
         "serve" => cmd_serve(&args),
         "advise" => cmd_advise(&args),
         "loadgen" => cmd_loadgen(&args),
@@ -283,9 +278,8 @@ GLOBAL OPTIONS (accepted by every subcommand; --key=value works too):
   --fault-spec <spec>  fault injection, e.g. panic@rate:0.1:seed:7
                        (applies OPM_FAULT_SPEC)
   --max-retries <n>    transient-failure retry budget (applies OPM_MAX_RETRIES)
-  --out <path>         results destination (directory via OPM_RESULTS; an
-                       output *file* for loadgen; campaign dir for
-                       campaign/merge-shards)
+  --out <path>         results directory (applies OPM_RESULTS); an output
+                       *file* for loadgen
 
 EXIT CODES:
   0  success
@@ -294,11 +288,11 @@ EXIT CODES:
      malformed flag value or OPM_* environment value)
 
 USAGE:
-  opm figures [--only <a,b,...>] [--resume] [--list] [--shard <i>/<n>]
-      regenerate the paper's figures and tables (--list prints the 27
-      names) plus run_manifest.csv and run_errors.csv. --resume skips
-      figures whose checkpoint journal is complete; --shard i/n runs every
-      n-th selected figure from i (the campaign's worker command).
+  opm figures [--only <a,b,...>] [--list]
+      regenerate the paper's figures and tables in this process (--list
+      prints the 27 names) plus run_manifest.csv and run_errors.csv. A
+      failing figure is logged and the run goes on; the full campaign
+      takes well under a second, so a crashed run is simply run again.
   opm study [<name>]
       run one validation, ablation or extension study, writing
       <name>*.csv; with no name, list the studies.
@@ -337,35 +331,11 @@ USAGE:
       results/quarantine_manifest.csv (with the parse reason) instead of
       aborting the sweep. OPM_FAULT_SPEC=io@matrix:<stem> injects load
       faults for testing.
-  opm top [--dir <path>] [--run <id>] [--campaign <dir>] [--follow]
-          [--interval-ms <n>]
-      inspect a figure campaign from its telemetry trace (newest .jsonl
+  opm top [--dir <path>] [--run <id>] [--follow] [--interval-ms <n>]
+      inspect a figure run from its telemetry trace (newest .jsonl
       under results/telemetry by default; run `opm figures
       --telemetry full` to produce one). --follow re-renders every
       --interval-ms (default 500) until the run_end marker appears.
-      --campaign <dir> instead renders the shard table of a supervised
-      `opm campaign`: state, attempt, restarts, and heartbeat age from
-      <dir>/shards/supervisor.status, plus per-shard points, pts/s, and
-      p50/p95/p99 point latency from each worker's live
-      <dir>/shards/snap-<i>of<n>.prom snapshot, and a TOTAL row from the
-      merged <dir>/telemetry/metrics.prom (falling back to the snapshot
-      union while the campaign runs).
-  opm campaign --shards <n> [--only <figs>] [--resume] [--out <dir>]
-              [--watchdog-ms <n>] [--heartbeat-ms <n>]
-              [--max-restarts <n>] [--backoff-ms <n>] [--no-merge]
-              [--worker-exe <path>]
-      run the figure campaign split across <n> supervised `opm figures
-      --shard i/<n>` worker processes. Crashed or hung workers (stale heartbeat beyond the
-      watchdog) are restarted from their checkpoints with exponential
-      backoff; after --max-restarts failures a shard is quarantined and
-      the campaign exits nonzero. Shard outputs are merged into --out
-      (default results/) unless --no-merge.
-  opm merge-shards [--dir <path>]
-      reconcile <dir>/shards/shard-*/ outputs into <dir>: figure CSVs
-      unioned, run_manifest.csv reordered with TOTAL recomputed,
-      run_errors.csv merged with supervisor shard rows, and metrics.prom
-      merged typed (counters summed, gauges maxed, latency-histogram
-      buckets summed exactly) — byte-identical to a single-process run.
 ";
 
 /// Build one `opm-api/v1` query from `--kernel`/`--config` plus the
@@ -505,25 +475,16 @@ fn cmd_loadgen(args: &Args) -> Result<String, CliFailure> {
     Ok(text)
 }
 
-/// `opm figures`: regenerate the selected figures in-process — the
-/// whole registry, or one `--shard i/n` slice of it when the campaign
-/// supervisor runs this as a worker (see [`crate::shard::run_worker`]).
+/// `opm figures`: regenerate the selected figures (the whole registry
+/// by default) in this process (see [`manifest::run_and_write`]).
 fn cmd_figures(args: &Args) -> Result<String, CliFailure> {
-    args.reject_unknown("figures", &["only", "resume", "list", "shard"])?;
+    args.reject_unknown("figures", &["only", "list"])?;
     if args.get_flag("list") {
         let names: Vec<&str> = manifest::ALL_FIGURES.iter().map(|f| f.name).collect();
         return Ok(names.join("\n"));
     }
-    let spec = match args.options.get("shard") {
-        Some(s) => ShardSpec::parse(s).map_err(CliFailure::usage)?,
-        None => ShardSpec { index: 0, count: 1 },
-    };
-    let names = args.only_figures()?;
-    Ok(crate::shard::run_worker(
-        spec,
-        names.as_deref(),
-        args.get_flag("resume"),
-    ))
+    manifest::run_and_write(args.only_figures()?.as_deref());
+    Ok(String::new())
 }
 
 /// `opm study <name>`: run one study of [`crate::extensions::STUDIES`];
@@ -551,45 +512,6 @@ fn cmd_study(args: &Args) -> Result<String, CliFailure> {
 fn cmd_report() -> Result<String, CliFailure> {
     let path = crate::plot::write_report(&crate::out_dir())?;
     Ok(format!("wrote {}", path.display()))
-}
-
-/// `opm campaign`: supervised multi-process shard execution (see
-/// [`crate::supervisor`]). Engine flags reach the workers through the
-/// environment [`apply_globals`] set up.
-fn cmd_campaign(args: &Args) -> Result<String, CliFailure> {
-    let defaults = crate::supervisor::CampaignOptions::default();
-    let millis = |key: &str, default: std::time::Duration| -> Result<_, CliFailure> {
-        Ok(std::time::Duration::from_millis(
-            args.get_usize(key, default.as_millis() as usize)? as u64,
-        ))
-    };
-    let opts = crate::supervisor::CampaignOptions {
-        shards: args.get_usize("shards", 2)?,
-        figures: args.only_figures()?,
-        resume: args.get_flag("resume"),
-        dir: args
-            .options
-            .get("out")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(crate::out_dir),
-        watchdog: millis("watchdog-ms", defaults.watchdog)?,
-        heartbeat_ms: args.get_usize("heartbeat-ms", defaults.heartbeat_ms as usize)? as u64,
-        max_restarts: args.get_usize("max-restarts", defaults.max_restarts)?,
-        backoff_base: millis("backoff-ms", defaults.backoff_base)?,
-        merge: !args.get_flag("no-merge"),
-        worker_exe: args.options.get("worker-exe").map(std::path::PathBuf::from),
-    };
-    Ok(crate::supervisor::run_campaign(&opts)?)
-}
-
-/// `opm merge-shards`: reconcile shard outputs (see [`crate::merge`]).
-fn cmd_merge_shards(args: &Args) -> Result<String, CliFailure> {
-    let dir = args
-        .options
-        .get("dir")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(crate::out_dir);
-    Ok(crate::merge::merge_shards(&dir)?)
 }
 
 /// `opm model`: evaluate one kernel configuration. The query resolves
@@ -711,24 +633,11 @@ fn cmd_corpus(args: &Args) -> Result<String, CliFailure> {
 }
 
 /// `opm top`: render the run dashboard from a telemetry JSONL trace
-/// (see [`crate::top`]), or — with `--campaign <dir>` — the shard
-/// liveness table of a supervised campaign. `--follow` polls until the
-/// run finishes.
+/// (see [`crate::top`]). `--follow` polls until the run finishes.
 fn cmd_top(args: &Args) -> Result<String, CliFailure> {
+    args.reject_unknown("top", &["dir", "run", "follow", "interval-ms"])?;
     let follow = args.get_flag("follow");
     let interval = args.get_usize("interval-ms", 500)?.max(50) as u64;
-    if let Some(campaign) = args.options.get("campaign") {
-        let campaign = std::path::PathBuf::from(campaign);
-        loop {
-            let view = crate::top::campaign_view(&campaign)?;
-            if !follow || view.finished() {
-                return Ok(crate::top::render_campaign(&view));
-            }
-            print!("\x1b[2J\x1b[H{}", crate::top::render_campaign(&view));
-            let _ = std::io::Write::flush(&mut std::io::stdout());
-            std::thread::sleep(std::time::Duration::from_millis(interval));
-        }
-    }
     let dir = args
         .options
         .get("dir")
@@ -853,8 +762,6 @@ mod tests {
             exit_code("model --kernel Stream --config knl-flat --footprint-mb x"),
             2
         );
-        assert_eq!(exit_code("campaign --shards x"), 2);
-        assert_eq!(exit_code("campaign --shards 2 --only bogus"), 2);
         assert_eq!(
             exit_code("model --kernel GEMM --config knl-flat --n 1024"),
             0
@@ -862,25 +769,36 @@ mod tests {
     }
 
     #[test]
-    fn bad_fault_spec_stops_a_campaign_before_any_worker_starts() {
+    fn bad_fault_spec_stops_a_run_before_any_figure_starts() {
         let _lock = crate::TEST_ENV_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join(format!("opm_cli_fault_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cmd = format!(
-            "campaign --fault-spec bogus@@ --shards 1 --out {}",
-            dir.display()
-        );
         let before = std::env::var_os("OPM_FAULT_SPEC");
-        assert_eq!(exit_code(&cmd), 2);
-        assert!(
-            !crate::shard::shards_dir(&dir).exists(),
-            "no worker may start"
-        );
-        // The rejected flag never reached the environment.
-        assert_eq!(std::env::var_os("OPM_FAULT_SPEC"), before);
-        let _ = std::fs::remove_dir_all(&dir);
+        for spec in ["bogus@@", "kill@point:1"] {
+            let cmd = format!(
+                "figures --fault-spec {spec} --only fig06_stepping_model --out {}",
+                dir.display()
+            );
+            assert_eq!(exit_code(&cmd), 2, "{cmd}");
+            assert!(!dir.exists(), "{cmd}: no figure may run");
+            // The rejected flag never reached the environment.
+            assert_eq!(std::env::var_os("OPM_FAULT_SPEC"), before);
+        }
+    }
+
+    #[test]
+    fn retired_campaign_commands_and_flags_are_usage_errors() {
+        for cmd in [
+            "campaign --shards 2",
+            "merge-shards",
+            "figures --resume",
+            "figures --shard 0/1",
+            "top --campaign x",
+        ] {
+            assert_eq!(exit_code(cmd), 2, "{cmd}");
+        }
     }
 
     #[test]
@@ -965,7 +883,6 @@ mod tests {
         assert_eq!(exit_code("frobnicate"), 2);
         assert_eq!(exit_code("figures --only bogus"), 2);
         assert_eq!(exit_code("figures --bogus"), 2);
-        assert_eq!(exit_code("figures --shard 2/2"), 2);
         assert_eq!(exit_code("study bogus"), 2);
         let listed = run_str("figures --list").unwrap();
         assert_eq!(listed.lines().count(), 27);

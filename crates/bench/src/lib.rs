@@ -3,10 +3,10 @@
 //! The figure/table regeneration harness behind the one `opm` binary:
 //! the figure registry ([`manifest`], `opm figures`), the studies
 //! ([`extensions::STUDIES`], `opm study`), the report renderer
-//! ([`plot::write_report`], `opm report`), the sharded campaign
-//! supervisor, the query service, and the shared sweep plumbing the
-//! Criterion microbenchmarks use too. Everything writes CSV series (and
-//! aligned text tables) under `results/` (override with `OPM_RESULTS`).
+//! ([`plot::write_report`], `opm report`), the query service
+//! ([`serve`]), and the shared sweep plumbing the benchmark harness in
+//! `perfbench/` uses too. Everything writes CSV series (and aligned text
+//! tables) under `results/` (override with `OPM_RESULTS`).
 
 #![warn(missing_docs)]
 
@@ -340,18 +340,14 @@ mod tests {
 }
 
 pub mod ablation;
-pub mod checkpoint;
 pub mod cli;
 pub mod corpus;
 pub mod extensions;
 pub mod figures;
 pub mod loadgen;
 pub mod manifest;
-pub mod merge;
 pub mod plot;
 pub mod serve;
-pub mod shard;
-pub mod supervisor;
 pub mod telemetry;
 pub mod top;
 

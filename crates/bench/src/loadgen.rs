@@ -25,8 +25,8 @@ use std::time::{Duration, Instant};
 /// Schema identifier written to (and asserted on) every report.
 pub const SCHEMA: &str = "opm-bench-serve/v1";
 
-/// Default output file (committed at the repo root: the CI serve-smoke
-/// job diffs its report's schema against it).
+/// Default output file (not committed: one run's numbers carry no
+/// spread; the report's key sets are pinned by a unit test).
 pub const DEFAULT_OUT: &str = "BENCH_serve.json";
 
 /// Load-generation options.
@@ -402,30 +402,42 @@ mod tests {
         };
         let text = r.render_json();
         let doc = opm_core::api::Json::parse(&text).unwrap();
-        let parsed = doc.root();
-        assert_eq!(parsed.get("schema").and_then(|v| v.as_str()), Some(SCHEMA));
-        for key in [
-            "mode",
-            "requests",
-            "queries",
-            "ok",
-            "overloaded",
-            "errors",
-            "transport_errors",
-            "concurrency",
-            "batch",
-            "rate_rps",
-            "duration_s",
-            "throughput_rps",
-            "throughput_qps",
-            "latency_ms",
-        ] {
-            assert!(parsed.get(key).is_some(), "missing {key}");
-        }
-        let lat = parsed.get("latency_ms").unwrap();
-        for key in ["p50", "p95", "p99", "mean", "max"] {
-            assert!(lat.get(key).is_some(), "missing latency_ms.{key}");
-        }
+        assert_eq!(
+            doc.root().get("schema").and_then(|v| v.as_str()),
+            Some(SCHEMA)
+        );
+        // The exact key sets, top level and `latency_ms`, read off the
+        // indented rendering: adding, dropping or renaming a field is a
+        // schema change and must bump SCHEMA.
+        let keys = |indent: &str| -> Vec<&str> {
+            text.lines()
+                .filter_map(|l| l.strip_prefix(indent)?.strip_prefix('"'))
+                .filter_map(|l| Some(l.split_once("\":")?.0))
+                .collect()
+        };
+        assert_eq!(
+            keys("  "),
+            [
+                "schema",
+                "mode",
+                "requests",
+                "queries",
+                "ok",
+                "overloaded",
+                "errors",
+                "transport_errors",
+                "concurrency",
+                "batch",
+                "rate_rps",
+                "duration_s",
+                "throughput_rps",
+                "throughput_qps",
+                "latency_ms",
+            ]
+        );
+        assert_eq!(keys("    "), ["p50", "p95", "p99", "mean", "max"]);
+        let lat = doc.root().get("latency_ms").unwrap();
+        assert_eq!(lat.get("p99").and_then(|v| v.as_f64()), Some(4.0));
     }
 
     #[test]

@@ -1,30 +1,28 @@
 //! The figure registry and the run manifest.
 //!
 //! Every figure/table pipeline is registered here by name, so `opm
-//! figures` — whole campaign, `--only` selection or one campaign shard —
-//! runs through one path: execute the pipeline on the global [`Engine`],
-//! attribute its sweep stages and wall time, print a progress line to
-//! stderr, and write the accumulated observability data to
+//! figures` — the whole campaign or an `--only` selection — runs through
+//! one path, in one process: execute the pipeline on the global
+//! [`Engine`], attribute its sweep stages and wall time, print a progress
+//! line to stderr, and write the accumulated observability data to
 //! `results/run_manifest.csv`.
 //!
 //! Runs are fault-tolerant end to end: each pipeline executes under
-//! `catch_unwind` (one crashing figure does not kill the campaign), a
-//! checkpoint journal tracks per-figure completion for `--resume`
-//! ([`crate::checkpoint`]), and every point/figure failure the engine
-//! recorded is written — deterministically sorted — to
-//! `results/run_errors.csv`.
+//! `catch_unwind` (one crashing figure does not kill the campaign), and
+//! every point/figure failure the engine recorded is written —
+//! deterministically sorted — to `results/run_errors.csv`. A run that
+//! dies outright is simply run again: the full campaign takes well under
+//! a second.
 
-use crate::{checkpoint, figures, out_dir};
+use crate::{figures, out_dir};
 use opm_core::platform::Machine;
-use opm_core::report::RecordTable;
+use opm_core::report::{atomic_write, RecordTable};
 use opm_kernels::engine::{Engine, PointFailure};
 use opm_kernels::faultinject::FaultKind;
 use opm_kernels::registry::KernelId;
 use opm_kernels::sweeps::SparseKernelId;
-use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One registered figure/table pipeline.
@@ -233,25 +231,14 @@ pub fn find(name: &str) -> Option<&'static FigureSpec> {
     ALL_FIGURES.iter().find(|f| f.name == name)
 }
 
-/// Execution options for a figure run.
-#[derive(Debug, Clone, Default)]
-pub struct RunOptions {
-    /// Skip figures whose checkpoint journal marks them complete under
-    /// the current configuration (see [`crate::checkpoint`]). When false,
-    /// all journals are cleared first.
-    pub resume: bool,
-}
-
 /// How one figure pipeline ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FigureStatus {
     /// Ran to completion (possibly with quarantined points).
     Completed,
     /// The pipeline itself panicked outside point isolation; its CSVs
-    /// may be missing or partial.
+    /// may be missing (every CSV write is atomic, so none is torn).
     Failed,
-    /// Skipped under `--resume`: a prior run already completed it.
-    Resumed,
 }
 
 impl FigureStatus {
@@ -260,7 +247,6 @@ impl FigureStatus {
         match self {
             FigureStatus::Completed => "ok",
             FigureStatus::Failed => "failed",
-            FigureStatus::Resumed => "resumed",
         }
     }
 }
@@ -300,22 +286,13 @@ impl FigureReport {
 }
 
 /// Run the named pipelines (or every registered one for `None`) on the
-/// global engine with default options. See [`run_figures_opt`].
-pub fn run_figures(names: Option<&[String]>) -> Vec<FigureReport> {
-    run_figures_opt(names, &RunOptions::default())
-}
-
-/// Run the named pipelines (or every registered one for `None`) on the
 /// global engine, printing one progress line per figure to stderr.
 /// Unknown names panic, listing the registry.
 ///
-/// Each pipeline runs under `catch_unwind` with a checkpoint journal
-/// attached to the engine; a figure that panics is recorded as a failure
-/// (figure-level, in the engine's failure log) and the run continues.
-/// With `options.resume`, figures whose journal is complete under the
-/// current configuration signature are skipped — their CSVs are already
-/// on disk and deterministic re-execution would reproduce them exactly.
-pub fn run_figures_opt(names: Option<&[String]>, options: &RunOptions) -> Vec<FigureReport> {
+/// Each pipeline runs under `catch_unwind`; a figure that panics is
+/// recorded as a failure (figure-level, in the engine's failure log) and
+/// the run continues with the next figure.
+pub fn run_figures(names: Option<&[String]>) -> Vec<FigureReport> {
     let selected: Vec<&FigureSpec> = match names {
         None => ALL_FIGURES.iter().collect(),
         Some(ns) => ns
@@ -329,61 +306,18 @@ pub fn run_figures_opt(names: Option<&[String]>, options: &RunOptions) -> Vec<Fi
             .collect(),
     };
     let engine = Engine::global();
-    let signature = checkpoint::config_signature(engine);
-    if !options.resume {
-        checkpoint::clear_all();
-    }
     let total = selected.len();
     let mut reports = Vec::with_capacity(total);
     for (i, spec) in selected.iter().enumerate() {
-        if options.resume {
-            if let Some(done_points) = checkpoint::figure_done_points(spec.name, &signature) {
-                eprintln!(
-                    "[{}/{}] {}: resumed (checkpoint done)",
-                    i + 1,
-                    total,
-                    spec.name
-                );
-                // Resumed figures still get a (zero-length) root span so
-                // the trace accounts for every selected figure. The point
-                // count comes from the completed incarnation's journal so
-                // a resumed manifest row matches the original run's.
-                let mut span = engine.telemetry().span("figure", spec.name);
-                span.arg("status", FigureStatus::Resumed.label());
-                span.arg("points", done_points);
-                span.arg("failures", 0);
-                drop(span);
-                reports.push(FigureReport {
-                    name: spec.name,
-                    status: FigureStatus::Resumed,
-                    wall_ns: 0,
-                    points: done_points,
-                    failures: 0,
-                });
-                continue;
-            }
-        }
         let stage_mark = engine.stage_count();
         let rows_mark = crate::emitted_rows();
         let failure_mark = engine.failure_count();
-        let journal = match checkpoint::FigureCheckpoint::begin(spec.name, &signature) {
-            Ok(j) => {
-                let j = Arc::new(j);
-                engine.set_journal(Some(j.clone()));
-                Some(j)
-            }
-            Err(e) => {
-                eprintln!("checkpoint for {}: {e} (running without one)", spec.name);
-                None
-            }
-        };
         // The figure's root span: engine stage spans opened by the
         // pipeline (same thread) nest under it.
         let mut span = engine.telemetry().span("figure", spec.name);
         let start = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(spec.run));
         let wall_ns = start.elapsed().as_nanos();
-        engine.set_journal(None);
         let stage_points: usize = engine
             .stages_since(stage_mark)
             .iter()
@@ -398,18 +332,7 @@ pub fn run_figures_opt(names: Option<&[String]>, options: &RunOptions) -> Vec<Fi
             (crate::emitted_rows() - rows_mark) as usize
         };
         let status = match outcome {
-            Ok(()) => {
-                if let Some(j) = &journal {
-                    // A done marker that failed to land is not durable:
-                    // the figure completed (its CSVs are written), but a
-                    // later --resume will re-run it rather than trust a
-                    // half-written journal.
-                    if let Err(e) = j.mark_done(points) {
-                        eprintln!("checkpoint for {}: done marker failed: {e}", spec.name);
-                    }
-                }
-                FigureStatus::Completed
-            }
+            Ok(()) => FigureStatus::Completed,
             Err(payload) => {
                 let message = payload
                     .downcast_ref::<String>()
@@ -503,13 +426,11 @@ pub fn write_run_errors(failures: &[PointFailure]) -> std::io::Result<PathBuf> {
     t.write_csv(out_dir(), "run_errors")
 }
 
-/// Write `run_manifest.csv` under [`out_dir`]: one row per executed
-/// figure plus a `TOTAL` row, with wall time, evaluated points,
-/// throughput, and failures.
+/// Write `run_manifest.csv` under [`out_dir`] (atomically, like every
+/// CSV): one row per executed figure plus a `TOTAL` row, with wall time,
+/// evaluated points, throughput, and failures.
 pub fn write_manifest(reports: &[FigureReport]) -> std::io::Result<PathBuf> {
-    let dir = out_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("run_manifest.csv");
+    let path = out_dir().join("run_manifest.csv");
     let mut out = String::from("figure,status,wall_s,points,points_per_s,failures\n");
     let mut push_row =
         |name: &str, status: &str, wall_s: f64, points: usize, pps: f64, failures: usize| {
@@ -543,21 +464,19 @@ pub fn write_manifest(reports: &[FigureReport]) -> std::io::Result<PathBuf> {
         },
         failures,
     );
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(out.as_bytes())?;
+    atomic_write(&path, out.as_bytes())?;
     Ok(path)
 }
 
 /// Run the named pipelines (or all of them) and write the run manifest
 /// and `run_errors.csv`, printing a failure/quarantine summary — the
-/// body of `opm figures` (`--resume` lands in `options`).
-pub fn run_and_write_opt(names: Option<&[String]>, options: &RunOptions) {
+/// body of `opm figures`.
+pub fn run_and_write(names: Option<&[String]>) {
     let engine = Engine::global();
     let cfg = engine.config();
     eprintln!(
-        "engine: {} grids{}{}, telemetry {}",
+        "engine: {} grids{}, telemetry {}",
         if cfg.reduced { "reduced" } else { "full" },
-        if options.resume { ", resuming" } else { "" },
         if cfg.fault_plan.is_some() {
             ", fault injection ON"
         } else {
@@ -566,7 +485,7 @@ pub fn run_and_write_opt(names: Option<&[String]>, options: &RunOptions) {
         engine.telemetry().mode().label(),
     );
     let telemetry_run = crate::telemetry::init(engine.telemetry());
-    let reports = run_figures_opt(names, options);
+    let reports = run_figures(names);
     match write_manifest(&reports) {
         Ok(path) => eprintln!("manifest: {}", path.display()),
         Err(e) => eprintln!("manifest: write failed: {e}"),
@@ -618,7 +537,6 @@ mod tests {
         assert!((r.points_per_sec() - 50.0).abs() < 1e-9);
         assert_eq!(r.status.label(), "ok");
         assert_eq!(FigureStatus::Failed.label(), "failed");
-        assert_eq!(FigureStatus::Resumed.label(), "resumed");
     }
 
     #[test]

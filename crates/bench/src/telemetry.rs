@@ -91,8 +91,8 @@ pub fn init(tele: &Arc<Telemetry>) -> Option<TelemetryRun> {
 
 /// One-time process hooks backing the flight recorder: a chained panic
 /// hook dumping on any panic (injected faults included), and a detached
-/// periodic dump thread so even an external SIGKILL — the supervisor's
-/// hang watchdog — leaves a post-mortem no older than the dump
+/// periodic dump thread so even an external SIGKILL (an operator's
+/// `kill -9`, an OOM kill) leaves a post-mortem no older than the dump
 /// interval.
 fn install_flight_hooks() {
     static HOOKS: Once = Once::new();

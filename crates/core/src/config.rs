@@ -8,9 +8,9 @@
 //! performance or observability gap. [`Config::from_env`] instead
 //! rejects the first malformed value with a [`ConfigError`] naming the
 //! variable, the offending value, and what was expected. Environment
-//! variables remain the configuration *source* (the supervisor still
-//! propagates settings to shard workers through the child environment);
-//! this module is the single parsing point every consumer reads.
+//! variables remain the configuration *source* (the `opm` CLI applies its
+//! global flags by setting them); this module is the single parsing
+//! point every consumer reads.
 //!
 //! Unset variables and empty strings both select the documented default
 //! (several call sites historically treated `OPM_RUN_ID=""` and
@@ -19,9 +19,7 @@
 //! `OPM_FAULT_SPEC` is carried as the raw specification string: its
 //! grammar (`kind@selector:...`) belongs to `opm-kernels::faultinject`,
 //! which parses — and reports its own typed errors for — the value
-//! stored here. `OPM_SHARD_ATTEMPT` (the supervisor's restart-generation
-//! counter, internal worker IPC) is deliberately not part of the public
-//! configuration surface.
+//! stored here.
 
 use crate::telemetry::TelemetryMode;
 use std::fmt;
@@ -59,9 +57,6 @@ pub struct Config {
     /// `OPM_MAX_RETRIES` — transient point-failure retry budget
     /// (default 2).
     pub max_retries: usize,
-    /// `OPM_CKPT_EVERY` — completed points between checkpoint flushes
-    /// (default 64, minimum 1).
-    pub checkpoint_every: usize,
     /// `OPM_TELEMETRY` — recording mode (default off).
     pub telemetry: TelemetryMode,
     /// `OPM_RUN_ID` — name of this run's telemetry artifacts (`None` =
@@ -83,7 +78,6 @@ impl Default for Config {
         Config {
             reduced: false,
             max_retries: 2,
-            checkpoint_every: 64,
             telemetry: TelemetryMode::Off,
             run_id: None,
             fault_spec: None,
@@ -114,12 +108,6 @@ impl Config {
                 "OPM_MAX_RETRIES",
                 d.max_retries,
                 ANY_USIZE,
-            )?,
-            checkpoint_every: parse_or(
-                get("OPM_CKPT_EVERY"),
-                "OPM_CKPT_EVERY",
-                d.checkpoint_every,
-                POSITIVE_USIZE,
             )?,
             telemetry: parse_or(
                 get("OPM_TELEMETRY"),
@@ -153,11 +141,6 @@ struct Grammar<T> {
     parse: fn(&str) -> Option<T>,
     expected: &'static str,
 }
-
-const POSITIVE_USIZE: Grammar<usize> = Grammar {
-    parse: |v| v.trim().parse::<usize>().ok().filter(|&n| n > 0),
-    expected: "a positive integer",
-};
 
 const ANY_USIZE: Grammar<usize> = Grammar {
     parse: |v| v.trim().parse::<usize>().ok(),
@@ -243,7 +226,6 @@ mod tests {
         let c = cfg(&[
             ("OPM_REDUCED", "1"),
             ("OPM_MAX_RETRIES", "0"),
-            ("OPM_CKPT_EVERY", "16"),
             ("OPM_TELEMETRY", "full"),
             ("OPM_RUN_ID", "ci"),
             ("OPM_FAULT_SPEC", "panic@point:3"),
@@ -253,7 +235,6 @@ mod tests {
         .unwrap();
         assert!(c.reduced);
         assert_eq!(c.max_retries, 0);
-        assert_eq!(c.checkpoint_every, 16);
         assert_eq!(c.telemetry, TelemetryMode::Full);
         assert_eq!(c.run_id.as_deref(), Some("ci"));
         assert_eq!(c.fault_spec.as_deref(), Some("panic@point:3"));
@@ -263,14 +244,11 @@ mod tests {
 
     #[test]
     fn malformed_values_yield_typed_errors_not_defaults() {
-        let err = cfg(&[("OPM_CKPT_EVERY", "fuor")]).unwrap_err();
-        assert_eq!(err.var, "OPM_CKPT_EVERY");
-        assert_eq!(err.value, "fuor");
-        assert!(err.to_string().contains("OPM_CKPT_EVERY"));
-        assert!(err.to_string().contains("positive integer"));
-
-        let err = cfg(&[("OPM_CKPT_EVERY", "0")]).unwrap_err();
-        assert_eq!(err.var, "OPM_CKPT_EVERY");
+        let err = cfg(&[("OPM_MAX_RETRIES", "tow")]).unwrap_err();
+        assert_eq!(err.var, "OPM_MAX_RETRIES");
+        assert_eq!(err.value, "tow");
+        assert!(err.to_string().contains("OPM_MAX_RETRIES"));
+        assert!(err.to_string().contains("non-negative integer"));
 
         let err = cfg(&[("OPM_TELEMETRY", "ful")]).unwrap_err();
         assert_eq!(err.var, "OPM_TELEMETRY");
@@ -288,14 +266,16 @@ mod tests {
 
     #[test]
     fn retired_engine_knobs_are_ignored() {
-        // The engine has no thread pool and memoizes no profiles, so
-        // these former knobs are not configuration any more: stray
-        // values, malformed ones included, change nothing.
+        // The engine has no thread pool, memoizes no profiles and
+        // writes no checkpoint journal, so these former knobs are not
+        // configuration any more: stray values, malformed ones included,
+        // change nothing.
         let c = cfg(&[
             ("OPM_THREADS", "lots"),
             ("OPM_PROFILE_CACHE", "maybe"),
             ("OPM_CACHE_SHARDS", "0"),
             ("OPM_CACHE_CAP", "-3"),
+            ("OPM_CKPT_EVERY", "x"),
         ])
         .unwrap();
         assert_eq!(c, Config::default());

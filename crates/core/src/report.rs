@@ -4,44 +4,12 @@
 //! Every file this module writes goes through [`atomic_write`]
 //! (write-tmp / fsync / rename), so a `kill -9` mid-write can never leave
 //! a half-written CSV behind — a file either has its complete old
-//! contents or its complete new contents. [`crc32`] is the shared
-//! integrity primitive for the checkpoint journal's length+checksum line
-//! trailers.
+//! contents or its complete new contents.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes`.
-/// Used for the checkpoint journal's per-line trailers and anywhere else
-/// cheap corruption detection is needed.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
-        }
-        table
-    };
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc ^ 0xFFFF_FFFF
-}
 
 /// Write `bytes` to `path` atomically: write a sibling
 /// `.<name>.<pid>.tmp`, fsync it, then rename over the target. Readers
@@ -379,14 +347,6 @@ mod tests {
     fn record_table_rejects_ragged_rows() {
         let mut t = RecordTable::new(vec!["a", "b"]);
         t.push(vec!["only one"]);
-    }
-
-    #[test]
-    fn crc32_matches_reference_vectors() {
-        // The IEEE check value, and the empty-input identity.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_ne!(crc32(b"a"), crc32(b"b"));
     }
 
     #[test]

@@ -108,8 +108,8 @@ pub struct KernelPoint {
 /// lands relative to the machine's OPM ceiling, how its traffic splits
 /// across memory levels, and how far its mode gain sits from the Eq. 1
 /// break-even overhead. Every field is a deterministic function of the
-/// profile plan and configuration — identical across threads, shards,
-/// and reruns — so the telemetry gauges built from it merge exactly.
+/// profile plan and configuration — identical across threads and
+/// reruns — so the telemetry gauges built from it are reproducible.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Attribution {
     /// Arithmetic intensity, flops/byte.

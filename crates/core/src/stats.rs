@@ -120,9 +120,9 @@ pub fn logspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
 
 /// Number of log2 latency buckets used by the telemetry histograms:
 /// upper edges `2^0 .. 2^41` (nanosecond scale: ~1 ns to ~36 minutes)
-/// plus a final `+Inf` bucket. The edge set is fixed so histograms
-/// recorded by different threads, processes, or shards merge exactly
-/// (bucket-wise integer addition) and re-render byte-identically.
+/// plus a final `+Inf` bucket. The edge set is fixed, so every
+/// histogram renders the same bucket rows and re-renders
+/// byte-identically from run to run.
 pub const LOG2_BUCKETS: usize = 43;
 
 /// Bucket index of `v` under the fixed log2 edges: the smallest `k`

@@ -44,8 +44,7 @@ pub const PATH_SEP: char = '>';
 
 /// Version tag of the telemetry stream. The JSONL trace leads with a
 /// `{"schema":"opm-telemetry/v2",...}` record and the Prometheus dump
-/// with a [`PROM_HEADER`] comment; readers accept v1 (absent header)
-/// and v2 alike.
+/// with a [`PROM_HEADER`] comment, which [`PromDump::parse`] requires.
 pub const TELEMETRY_SCHEMA: &str = "opm-telemetry/v2";
 
 /// Leading comment of a v2 Prometheus exposition.
@@ -148,8 +147,7 @@ impl CounterSnapshot {
 /// A live log2-bucketed latency histogram. Observations are relaxed
 /// atomic adds into the fixed [`LOG2_BUCKETS`] edge set plus an exact
 /// integer `sum` and `count` — increments commute, so the snapshot is
-/// exactly equal for every thread interleaving, and two histograms of
-/// the same series merge by plain bucket-wise addition.
+/// exactly equal for every thread interleaving.
 pub struct Histogram {
     buckets: Vec<AtomicU64>,
     sum: AtomicU64,
@@ -193,8 +191,8 @@ impl Histogram {
 }
 
 /// One histogram series with its per-bucket counts (non-cumulative; the
-/// Prometheus renderer cumulates at output time), as delivered to sinks
-/// and the merge path.
+/// Prometheus renderer cumulates at output time), as delivered to
+/// sinks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Metric name (`opm_point_latency_ns`, ...).
@@ -211,17 +209,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An empty series (all buckets zero) for `metric{labels}`.
-    pub fn empty(metric: &str, labels: &str) -> HistogramSnapshot {
-        HistogramSnapshot {
-            metric: metric.to_string(),
-            labels: labels.to_string(),
-            buckets: vec![0; LOG2_BUCKETS],
-            sum: 0,
-            count: 0,
-        }
-    }
-
     /// `metric{labels}` (or bare metric when unlabeled).
     pub fn series(&self) -> String {
         if self.labels.is_empty() {
@@ -231,24 +218,12 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Fold `other` (same series) into `self`: bucket-wise addition plus
-    /// `sum`/`count`. Exact — merging shard or thread histograms in any
-    /// order re-renders byte-identically to a single-process run.
-    pub fn merge_from(&mut self, other: &HistogramSnapshot) {
-        assert_eq!(self.buckets.len(), other.buckets.len(), "bucket layout");
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.sum += other.sum;
-        self.count += other.count;
-    }
-
     /// `q`-quantile (0..=1) under the upper-bucket-edge rule: the upper
     /// edge of the first bucket whose cumulative count reaches
-    /// `ceil(q * count)`. Deterministic given the bucket counts, so
-    /// `opm top` and a recomputation from the merged metrics.prom agree
-    /// exactly. Returns 0 on an empty series and `u64::MAX` when the
-    /// rank lands in the `+Inf` bucket.
+    /// `ceil(q * count)`. Deterministic given the bucket counts, so a
+    /// recomputation from a rendered metrics.prom agrees exactly.
+    /// Returns 0 on an empty series and `u64::MAX` when the rank lands
+    /// in the `+Inf` bucket.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -518,8 +493,7 @@ impl Telemetry {
     /// Set the gauge `metric{labels}` to `v` (registers it on first
     /// use). Gauges carry derived *instantaneous* values — roofline
     /// attribution, byte shares — that are deterministic functions of
-    /// the run configuration; the shard merge takes the max per series,
-    /// which on identical deterministic values is the value itself.
+    /// the run configuration.
     pub fn set_gauge(&self, metric: &str, labels: &str, v: u64) {
         lock(&self.gauges)
             .entry((metric.to_string(), labels.to_string()))
@@ -578,8 +552,7 @@ impl Telemetry {
     }
 
     /// Typed snapshot of every counter, gauge, and histogram — the unit
-    /// the Prometheus renderer, the shard snapshot files, and the exact
-    /// merge all operate on.
+    /// the Prometheus renderer operates on.
     pub fn prom_dump(&self) -> PromDump {
         PromDump {
             counters: self.snapshot_counters(),
@@ -595,8 +568,8 @@ impl Telemetry {
     }
 
     /// Write the Prometheus exposition to `path` atomically, creating
-    /// parent directories. A scraper (or `opm merge-shards`) polling the
-    /// file can never observe a torn write.
+    /// parent directories. A scraper polling the file can never observe
+    /// a torn write.
     pub fn write_prom(&self, path: &Path) -> std::io::Result<()> {
         crate::report::atomic_write(path, self.render_prom().as_bytes())
     }
@@ -711,28 +684,20 @@ pub fn parse_prom(text: &str) -> Result<Vec<(String, String, u64)>, String> {
 }
 
 /// A typed Prometheus exposition: counters, gauges, and histogram
-/// series, each held non-cumulatively so merging is exact. This is the
-/// round-trip unit of the v2 dump — [`PromDump::render`] and
-/// [`PromDump::parse`] are inverse up to canonical ordering, so
-/// `opm merge-shards` can fold shard files bucket-wise and re-render
-/// byte-identically to a single-process run.
+/// series, histograms held non-cumulatively. This is the round-trip unit
+/// of the v2 dump — [`PromDump::render`] and [`PromDump::parse`] are
+/// inverse up to canonical ordering.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PromDump {
-    /// Monotone counters (merge: sum).
+    /// Monotone counters.
     pub counters: Vec<CounterSnapshot>,
-    /// Derived instantaneous gauges (merge: max — identical
-    /// deterministic values across shards collapse to themselves).
+    /// Derived instantaneous gauges.
     pub gauges: Vec<CounterSnapshot>,
-    /// Log2-bucketed histograms (merge: bucket-wise sum).
+    /// Log2-bucketed histograms.
     pub histograms: Vec<HistogramSnapshot>,
 }
 
 impl PromDump {
-    /// Whether the dump holds no series at all.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
     /// Canonical ordering: each section sorted by (metric, labels).
     pub fn sort(&mut self) {
         self.counters
@@ -743,42 +708,11 @@ impl PromDump {
             .sort_by(|a, b| (&a.metric, &a.labels).cmp(&(&b.metric, &b.labels)));
     }
 
-    /// Fold `other` into `self`: counters sum, gauges max, histograms
-    /// bucket-wise sum; series missing on either side are unioned. The
-    /// result is independent of merge order (sum and max are associative
-    /// and commutative), which the proptest coverage pins.
-    pub fn merge(&mut self, other: &PromDump) {
-        fn fold(into: &mut Vec<CounterSnapshot>, from: &[CounterSnapshot], f: fn(u64, u64) -> u64) {
-            for o in from {
-                match into
-                    .iter_mut()
-                    .find(|c| c.metric == o.metric && c.labels == o.labels)
-                {
-                    Some(c) => c.value = f(c.value, o.value),
-                    None => into.push(o.clone()),
-                }
-            }
-        }
-        fold(&mut self.counters, &other.counters, |a, b| a + b);
-        fold(&mut self.gauges, &other.gauges, u64::max);
-        for o in &other.histograms {
-            match self
-                .histograms
-                .iter_mut()
-                .find(|h| h.metric == o.metric && h.labels == o.labels)
-            {
-                Some(h) => h.merge_from(o),
-                None => self.histograms.push(o.clone()),
-            }
-        }
-        self.sort();
-    }
-
     /// Render the v2 text exposition: the [`PROM_HEADER`] comment, then
     /// counters, gauges, and histograms, each section in canonical
     /// order with one `# TYPE` line per metric. Histogram bucket counts
     /// are cumulated here (and only here); every bucket edge is always
-    /// emitted so series from different shards line up exactly.
+    /// emitted, so every series of a metric has the same rows.
     pub fn render(&self) -> String {
         let mut dump = self.clone();
         dump.sort();
@@ -820,13 +754,15 @@ impl PromDump {
         out
     }
 
-    /// Parse a text exposition back into a typed dump. `# TYPE` lines
-    /// classify the series; metrics without one (v1 files, which carry
-    /// neither header nor gauges nor histograms) are taken as counters.
-    /// Histogram `_bucket` series are de-cumulated back to per-bucket
-    /// counts; non-monotone cumulative counts or unknown bucket edges
-    /// are errors.
+    /// Parse a v2 text exposition back into a typed dump. The text must
+    /// lead with the [`PROM_HEADER`] comment, and `# TYPE` lines classify
+    /// every series. Histogram `_bucket` series are de-cumulated back to
+    /// per-bucket counts; a missing header, an untyped series,
+    /// non-monotone cumulative counts or unknown bucket edges are errors.
     pub fn parse(text: &str) -> Result<PromDump, String> {
+        if text.lines().next().map(str::trim) != Some(PROM_HEADER) {
+            return Err(format!("missing {PROM_HEADER:?} header"));
+        }
         let mut types: BTreeMap<String, String> = BTreeMap::new();
         for line in text.lines() {
             if let Some(rest) = line.trim().strip_prefix("# TYPE ") {
@@ -859,14 +795,13 @@ impl PromDump {
                 hist.entry((base.to_string(), labels))
                     .or_insert_with(|| (vec![None; LOG2_BUCKETS], None, None))
                     .2 = Some(value);
-            } else if types.get(&metric).map(String::as_str) == Some("gauge") {
-                dump.gauges.push(CounterSnapshot {
-                    metric,
-                    labels,
-                    value,
-                });
             } else {
-                dump.counters.push(CounterSnapshot {
+                let section = match types.get(&metric).map(String::as_str) {
+                    Some("gauge") => &mut dump.gauges,
+                    Some("counter") => &mut dump.counters,
+                    _ => return Err(format!("{metric}: series without a # TYPE line")),
+                };
+                section.push(CounterSnapshot {
                     metric,
                     labels,
                     value,
@@ -1407,7 +1342,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_quantiles_and_merge() {
+    fn histogram_buckets_and_quantiles() {
         let tele = Telemetry::new(TelemetryMode::Summary);
         for v in [0, 1, 2, 3, 4, 1000, u64::MAX] {
             tele.observe("lat_ns", "stage=\"s\"", v);
@@ -1429,11 +1364,6 @@ mod tests {
                                                     // Upper-edge quantiles: rank ceil(0.5*7)=4 lands in bucket 2.
         assert_eq!(h.quantile(0.5), 4);
         assert_eq!(h.quantile(1.0), u64::MAX);
-        let mut merged = h.clone();
-        merged.merge_from(h);
-        assert_eq!(merged.count, 14);
-        assert_eq!(merged.buckets[0], 4);
-        assert_eq!(merged.quantile(0.5), 4);
     }
 
     #[test]
@@ -1458,41 +1388,10 @@ mod tests {
         let dump = PromDump::parse(&text).unwrap();
         assert_eq!(dump, tele.prom_dump());
         assert_eq!(dump.render(), text);
-        // v1 text (no headers) parses with every series as a counter.
-        let v1 = PromDump::parse("opm_points_total 3\n").unwrap();
-        assert_eq!(v1.counters.len(), 1);
-        assert!(v1.gauges.is_empty() && v1.histograms.is_empty());
-    }
-
-    #[test]
-    fn prom_dump_merge_sums_counters_maxes_gauges_adds_buckets() {
-        let a = Telemetry::new(TelemetryMode::Summary);
-        a.add("opm_points_total", "", 5);
-        a.set_gauge("g_milli", "", 7);
-        a.observe("lat", "", 3);
-        let b = Telemetry::new(TelemetryMode::Summary);
-        b.add("opm_points_total", "", 2);
-        b.add("opm_retries_total", "", 1);
-        b.set_gauge("g_milli", "", 7);
-        b.observe("lat", "", 5);
-        let mut m = a.prom_dump();
-        m.merge(&b.prom_dump());
-        let counter = |metric: &str| {
-            m.counters
-                .iter()
-                .find(|c| c.metric == metric)
-                .map(|c| c.value)
-        };
-        assert_eq!(counter("opm_points_total"), Some(7));
-        assert_eq!(counter("opm_retries_total"), Some(1));
-        assert_eq!(m.gauges[0].value, 7);
-        assert_eq!(m.histograms[0].count, 2);
-        assert_eq!(m.histograms[0].sum, 8);
-        // Merge in the opposite order gives the identical dump.
-        let mut rev = b.prom_dump();
-        rev.merge(&a.prom_dump());
-        assert_eq!(m, rev);
-        assert_eq!(m.render(), rev.render());
+        // Headerless v1 text and untyped series are rejected.
+        assert!(PromDump::parse("opm_points_total 3\n").is_err());
+        let untyped = format!("{PROM_HEADER}\nopm_points_total 3\n");
+        assert!(PromDump::parse(&untyped).is_err());
     }
 
     #[test]

@@ -30,16 +30,14 @@
 //!   a panic elsewhere must not wedge every later stage.
 //! * **Observability** — [`Engine::run_stage`] wraps each sweep with wall
 //!   time and point count, accumulated as [`StageRecord`]s for the
-//!   run-manifest emitted by `opm-bench`; an optional [`StageJournal`]
-//!   receives periodic completed-point-range flushes for the
-//!   checkpoint/resume machinery.
+//!   run-manifest emitted by `opm-bench`; with telemetry on, a
+//!   `progress` instant every [`PROGRESS_EVERY`] points feeds `opm top`.
 //!
 //! The process-wide instance ([`Engine::global`]) is configured from the
 //! environment: `OPM_REDUCED` (`1`/`on`/`true` selects the reduced
 //! harness grids in `opm-bench`), `OPM_MAX_RETRIES` (transient-failure
-//! retry budget, default 2), `OPM_CKPT_EVERY` (points between checkpoint
-//! progress flushes, default 64) and `OPM_FAULT_SPEC` (deterministic
-//! fault injection; see [`crate::faultinject`]).
+//! retry budget, default 2) and `OPM_FAULT_SPEC` (deterministic fault
+//! injection; see [`crate::faultinject`]).
 
 use crate::faultinject::{FaultKind, FaultPlan, InjectedFault};
 use opm_core::perf::{EvalPlan, ProfilePlan};
@@ -48,14 +46,19 @@ use opm_core::roofline::Attribution;
 use opm_core::telemetry::{Counter, Telemetry, TelemetryMode};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
+/// Completed points between two telemetry `progress` instants of a
+/// stage (one more fires at the stage's last point).
+const PROGRESS_EVERY: usize = 64;
+
 /// Acquire a mutex, recovering the guard if a previous holder panicked.
 ///
-/// Every lock in the engine protects plain data (an append-only log, the
-/// journal slot) whose invariants hold between operations, so the
+/// Every lock in the engine protects plain data (an append-only log)
+/// whose invariants hold between operations, so the
 /// conservative default of propagating poison would only convert one
 /// already-recorded failure into a cascade that wedges every later
 /// stage.
@@ -148,9 +151,6 @@ pub struct EngineConfig {
     /// microseconds (attempt `k` sleeps `base << k`, capped at 10 ms;
     /// 0 disables sleeping entirely).
     pub backoff_base_us: u64,
-    /// Completed-point interval between [`StageJournal::progress`]
-    /// flushes.
-    pub checkpoint_every: usize,
     /// Ignored: the engine memoizes no profiles. Kept only because the
     /// benchmark harness sets it.
     pub cache_capacity: Option<usize>,
@@ -164,11 +164,10 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Read `OPM_REDUCED` / `OPM_MAX_RETRIES` / `OPM_CKPT_EVERY` /
-    /// `OPM_FAULT_SPEC` through the typed
-    /// [`opm_core::config::Config`]; a malformed value stops the
-    /// process with the variable named instead of silently selecting a
-    /// default.
+    /// Read `OPM_REDUCED` / `OPM_MAX_RETRIES` / `OPM_FAULT_SPEC` through
+    /// the typed [`opm_core::config::Config`]; a malformed value stops
+    /// the process with the variable named instead of silently selecting
+    /// a default.
     pub fn from_env() -> Self {
         Self::from_config(&opm_core::config::Config::from_env_or_die())
     }
@@ -179,7 +178,6 @@ impl EngineConfig {
         EngineConfig {
             reduced: cfg.reduced,
             max_retries: cfg.max_retries,
-            checkpoint_every: cfg.checkpoint_every.max(1),
             fault_plan: FaultPlan::from_config(cfg).map(Arc::new),
             ..EngineConfig::default()
         }
@@ -206,7 +204,6 @@ impl Default for EngineConfig {
             reduced: false,
             max_retries: 2,
             backoff_base_us: 50,
-            checkpoint_every: 64,
             cache_capacity: None,
             fault_plan: None,
             telemetry: None,
@@ -238,8 +235,9 @@ impl CacheStats {
 /// Timing/counter record of one completed sweep stage.
 #[derive(Debug, Clone)]
 pub struct StageRecord {
-    /// Stage label, e.g. `gemm_sweep/knl-flat`.
-    pub label: String,
+    /// Stage label, e.g. `gemm_sweep/knl-flat` (shared by every record
+    /// of the same stage).
+    pub label: Arc<str>,
     /// Sweep points evaluated by the stage.
     pub points: usize,
     /// Wall-clock time of the stage.
@@ -259,6 +257,35 @@ impl StageRecord {
         } else {
             self.points as f64 / self.wall_secs()
         }
+    }
+}
+
+/// The engine's append-only stage log. Each distinct label is stored
+/// once: a process that runs the campaign many times (the benchmark
+/// harness) repeats the same ~100 labels every pass, and a fresh
+/// long-lived string per record, allocated between a pass's transient
+/// buffers, fragmented the heap by megabytes per pass.
+#[derive(Default)]
+struct StageLog {
+    labels: HashSet<Arc<str>>,
+    records: Vec<StageRecord>,
+}
+
+impl StageLog {
+    fn push(&mut self, label: &str, points: usize, wall_ns: u128) {
+        let label = match self.labels.get(label) {
+            Some(l) => l.clone(),
+            None => {
+                let l: Arc<str> = label.into();
+                self.labels.insert(l.clone());
+                l
+            }
+        };
+        self.records.push(StageRecord {
+            label,
+            points,
+            wall_ns,
+        });
     }
 }
 
@@ -297,18 +324,6 @@ impl PointFailure {
             "quarantined"
         }
     }
-}
-
-/// Sink for checkpoint/progress events emitted while stages run. The
-/// `opm-bench` checkpoint journal implements this to flush completed
-/// point ranges to `results/.checkpoint/<figure>.ckpt`.
-pub trait StageJournal: Send + Sync {
-    /// `completed` of `total` points of `stage` have finished (flushed
-    /// every [`EngineConfig::checkpoint_every`] points and once at stage
-    /// end).
-    fn progress(&self, _stage: &str, _completed: usize, _total: usize) {}
-    /// A stage finished and its record was appended to the stage log.
-    fn stage_done(&self, _record: &StageRecord) {}
 }
 
 /// Classify a caught panic payload: injected faults are transient
@@ -400,9 +415,8 @@ impl std::ops::Deref for PlannedProfile {
 /// design.
 pub struct Engine {
     config: EngineConfig,
-    stages: Mutex<Vec<StageRecord>>,
+    stages: Mutex<StageLog>,
     failures: Mutex<Vec<PointFailure>>,
-    journal: Mutex<Option<Arc<dyn StageJournal>>>,
     tele: Arc<Telemetry>,
     counters: EngineCounters,
 }
@@ -417,9 +431,8 @@ impl Engine {
         let counters = EngineCounters::resolve(&tele);
         Engine {
             config,
-            stages: Mutex::new(Vec::new()),
+            stages: Mutex::new(StageLog::default()),
             failures: Mutex::new(Vec::new()),
-            journal: Mutex::new(None),
             tele,
             counters,
         }
@@ -446,12 +459,6 @@ impl Engine {
     /// The telemetry instance this engine reports into.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.tele
-    }
-
-    /// Install (or clear) the checkpoint journal receiving stage
-    /// progress/completion events.
-    pub fn set_journal(&self, journal: Option<Arc<dyn StageJournal>>) {
-        *lock_recover(&self.journal) = journal;
     }
 
     /// Profile-memo counters: always zero, since the engine memoizes
@@ -596,16 +603,14 @@ impl Engine {
     }
 
     /// Core runner: map every item through [`Engine::eval_point`] in
-    /// order on the calling thread, flushing progress to the journal.
-    /// One point's failure never stops the others.
+    /// order on the calling thread. One point's failure never stops the
+    /// others.
     fn par_run<T, R>(
         &self,
         stage: &str,
         items: &[T],
         f: impl Fn(&T) -> R,
     ) -> Vec<Result<R, PointFailure>> {
-        let journal = lock_recover(&self.journal).clone();
-        let every = self.config.checkpoint_every.max(1);
         let total = items.len();
         // Per-point spans only in `full` mode, under the stage span
         // `run_stage` opened on this thread.
@@ -620,20 +625,15 @@ impl Engine {
         for (i, item) in items.iter().enumerate() {
             out.push(self.eval_point(stage, span_parent, i, item, &f));
             let done = i + 1;
-            if done.is_multiple_of(every) || done == total {
-                if let Some(j) = &journal {
-                    j.progress(stage, done, total);
-                }
-                if self.tele.enabled() {
-                    self.tele.instant(
-                        "progress",
-                        &[
-                            ("stage".to_string(), stage.to_string()),
-                            ("completed".to_string(), done.to_string()),
-                            ("total".to_string(), total.to_string()),
-                        ],
-                    );
-                }
+            if self.tele.enabled() && (done.is_multiple_of(PROGRESS_EVERY) || done == total) {
+                self.tele.instant(
+                    "progress",
+                    &[
+                        ("stage".to_string(), stage.to_string()),
+                        ("completed".to_string(), done.to_string()),
+                        ("total".to_string(), total.to_string()),
+                    ],
+                );
             }
         }
         out
@@ -711,18 +711,11 @@ impl Engine {
         let _guard = StageGuard(STAGE.with(|s| s.borrow_mut().replace(ctx)));
         let start = Instant::now();
         let (out, points) = f(self);
-        let record = StageRecord {
-            label: label.to_string(),
-            points,
-            wall_ns: start.elapsed().as_nanos(),
-        };
+        let wall_ns = start.elapsed().as_nanos();
         self.counters.points.add(points as u64);
         self.counters.stages.inc();
         span.arg("points", points);
-        lock_recover(&self.stages).push(record.clone());
-        if let Some(journal) = lock_recover(&self.journal).clone() {
-            journal.stage_done(&record);
-        }
+        lock_recover(&self.stages).push(label, points, wall_ns);
         out
     }
 
@@ -731,7 +724,7 @@ impl Engine {
     ///
     /// * the modeled point latency (`est.time_ns` — a deterministic
     ///   model output, never wall clock, so histograms are byte-identical
-    ///   across runs and shards) into the per-stage
+    ///   across runs) into the per-stage
     ///   `opm_point_latency_ns` histogram, and
     /// * the point's roofline [`Attribution`] — per-level achieved GB/s,
     ///   arithmetic intensity, ceiling fraction, Eq. 1 break-even
@@ -821,13 +814,13 @@ impl Engine {
     /// Number of stages recorded so far (use with [`Engine::stages_since`]
     /// to attribute stages to a window, e.g. one figure).
     pub fn stage_count(&self) -> usize {
-        lock_recover(&self.stages).len()
+        lock_recover(&self.stages).records.len()
     }
 
     /// Copies of the stage records from index `from` onward.
     pub fn stages_since(&self, from: usize) -> Vec<StageRecord> {
-        let stages = lock_recover(&self.stages);
-        stages[from.min(stages.len())..].to_vec()
+        let records = &lock_recover(&self.stages).records;
+        records[from.min(records.len())..].to_vec()
     }
 
     /// Copies of every stage record.
@@ -868,8 +861,12 @@ mod tests {
         assert_eq!(out, vec![2, 4, 6, 8, 10]);
         let stages = eng.stages();
         assert_eq!(stages.len(), 1);
-        assert_eq!(stages[0].label, "probe");
+        assert_eq!(&*stages[0].label, "probe");
         assert_eq!(stages[0].points, 5);
+        // A repeated label is stored once, not once per record.
+        eng.run_stage("probe", |_| ((), 0));
+        let stages = eng.stages();
+        assert!(Arc::ptr_eq(&stages[0].label, &stages[1].label));
     }
 
     #[test]
@@ -1026,36 +1023,32 @@ mod tests {
     }
 
     #[test]
-    fn journal_receives_progress_and_stage_done() {
+    fn progress_instants_fire_every_interval_and_at_stage_end() {
+        use opm_core::telemetry::{Telemetry, TelemetryMode, TelemetrySink};
         #[derive(Default)]
-        struct Probe {
-            progress: Mutex<Vec<(usize, usize)>>,
-            done: Mutex<Vec<String>>,
-        }
-        impl StageJournal for Probe {
-            fn progress(&self, _stage: &str, completed: usize, total: usize) {
-                lock_recover(&self.progress).push((completed, total));
-            }
-            fn stage_done(&self, record: &StageRecord) {
-                lock_recover(&self.done).push(record.label.clone());
+        struct Probe(Mutex<Vec<String>>);
+        impl TelemetrySink for Probe {
+            fn instant(&self, name: &str, args: &[(String, String)], _ts: u64, _tid: u64) {
+                if name == "progress" {
+                    lock_recover(&self.0).push(args[1].1.clone());
+                }
             }
         }
-        let eng = Engine::new(EngineConfig {
-            checkpoint_every: 8,
-            ..EngineConfig::default()
-        });
+        let tele = Telemetry::new(TelemetryMode::Summary);
         let probe = Arc::new(Probe::default());
-        eng.set_journal(Some(probe.clone()));
-        let items: Vec<usize> = (0..20).collect();
-        eng.run_stage("journal_stage", |e| {
+        tele.add_sink(probe.clone());
+        let eng = Engine::new(EngineConfig::default().with_telemetry(tele));
+        let items: Vec<usize> = (0..2 * PROGRESS_EVERY + 3).collect();
+        eng.run_stage("progress_stage", |e| {
             let v = e.par_map(&items, |&x| x);
             let n = v.len();
             (v, n)
         });
-        let progress = lock_recover(&probe.progress).clone();
-        assert_eq!(progress, vec![(8, 20), (16, 20), (20, 20)]);
-        assert_eq!(lock_recover(&probe.done).clone(), vec!["journal_stage"]);
-        eng.set_journal(None);
+        let expected: Vec<String> = [PROGRESS_EVERY, 2 * PROGRESS_EVERY, items.len()]
+            .iter()
+            .map(|n| n.to_string())
+            .collect();
+        assert_eq!(lock_recover(&probe.0).clone(), expected);
     }
 
     #[test]
@@ -1063,7 +1056,7 @@ mod tests {
         // A tiny stage can complete in 0 ns of measured wall time; the
         // rate must degrade to 0.0, never inf/NaN.
         let r = StageRecord {
-            label: "instant".to_string(),
+            label: "instant".into(),
             points: 128,
             wall_ns: 0,
         };

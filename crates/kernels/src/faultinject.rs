@@ -17,15 +17,12 @@
 //! ```text
 //! spec  := rule ("," rule)*
 //! rule  := kind "@" seg (":" seg)*
-//! kind  := "panic" | "io"                      in-process point faults
-//!        | "kill" | "hang"                     process-level faults
-//!        | "corrupt-ckpt" | "partial-write"    checkpoint-journal faults
+//! kind  := "panic" | "io"
 //! seg   := "point" ":" <usize>     exact sweep-point index
 //!        | "stage" ":" <substr>    only stages whose label contains <substr>
 //!        | "matrix" ":" <name>     exact corpus matrix/file stem
 //!        | "rate" ":" <f64>        seeded random rate over points
 //!        | "seed" ":" <u64>        seed for the rate hash (default 0xA11CE)
-//!        | "shard" ":" <usize>     only the worker whose OPM_SHARD matches
 //!        | "persist"               fire on every attempt, not just the first
 //! ```
 //!
@@ -38,36 +35,14 @@
 //! * `panic@stage:stream_curve:rate:0.05:seed:7:persist` — 5 % of the
 //!   points of every `stream_curve` stage panic on *every* attempt, so
 //!   retries are exhausted and the points are quarantined.
-//! * `kill@point:2:shard:1` — shard worker 1 exits with SIGKILL's status
-//!   (137) when it reaches point 2 of its first stage, but only on the
-//!   process's first life (`OPM_SHARD_ATTEMPT=0`); the supervisor's
-//!   restart completes normally.
-//! * `hang@point:1` — the evaluating thread wedges forever and the
-//!   heartbeat thread stops beating, so the supervisor's watchdog fires.
-//! * `partial-write@stage:fig23` — the `done` marker of any figure whose
-//!   name contains `fig23` is torn mid-write (journal truncated), which
-//!   resume must detect and recover from.
 //!
 //! Injected panics carry an [`InjectedFault`] payload, which the engine
 //! downcasts to classify the failure as transient (retryable). A rule
 //! without `persist` fires only on attempt 0, so the bounded-backoff
 //! retry path recovers it; with `persist` it fires on every attempt and
 //! the point ends in the error manifest with a placeholder result.
-//!
-//! # Process-level faults
-//!
-//! `kill`, `hang`, `corrupt-ckpt` and `partial-write` test the *process*
-//! fault domain (shard supervision, watchdog, atomic checkpoints), so
-//! their attempt counter is the process's restart generation — the
-//! `OPM_SHARD_ATTEMPT` environment variable the supervisor increments on
-//! every respawn — not the per-point retry attempt. A non-`persist`
-//! process rule therefore fires once per shard lifetime: the restarted
-//! worker runs clean, and the merged campaign output is byte-identical
-//! to a fault-free run. The `shard:<i>` selector additionally restricts
-//! any rule to the worker whose `OPM_SHARD` matches.
 
 use std::panic::panic_any;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Default seed for `rate` rules without an explicit `seed` segment.
 pub const DEFAULT_RATE_SEED: u64 = 0xA11CE;
@@ -80,21 +55,6 @@ pub enum FaultKind {
     /// An I/O error (corpus file read); in compute stages it is simulated
     /// by a panic whose payload is classified as an I/O fault.
     Io,
-    /// The whole process exits with status 137 (what a `kill -9` leaves
-    /// behind) mid-evaluation — the supervisor must respawn the shard.
-    Kill,
-    /// The evaluating thread wedges forever and the heartbeat stops —
-    /// the supervisor's stale-heartbeat watchdog must kill and respawn
-    /// the shard.
-    Hang,
-    /// A checkpoint journal write lands but a byte of the file is
-    /// corrupted (bit rot / torn sector) — resume must reject the
-    /// journal instead of trusting it.
-    CorruptCkpt,
-    /// A checkpoint journal write is torn: the file is truncated a few
-    /// bytes short of the last record — resume must fall back to the
-    /// last intact entry.
-    PartialWrite,
 }
 
 impl FaultKind {
@@ -103,49 +63,8 @@ impl FaultKind {
         match self {
             FaultKind::Panic => "panic",
             FaultKind::Io => "io",
-            FaultKind::Kill => "kill",
-            FaultKind::Hang => "hang",
-            FaultKind::CorruptCkpt => "corrupt-ckpt",
-            FaultKind::PartialWrite => "partial-write",
         }
     }
-
-    /// Whether this kind takes down (or wedges) the whole process rather
-    /// than one point evaluation.
-    pub fn is_process(&self) -> bool {
-        matches!(self, FaultKind::Kill | FaultKind::Hang)
-    }
-
-    /// Whether this kind damages checkpoint-journal writes.
-    pub fn is_ckpt(&self) -> bool {
-        matches!(self, FaultKind::CorruptCkpt | FaultKind::PartialWrite)
-    }
-}
-
-/// Set once an injected `hang` fault has wedged a thread in this process;
-/// the heartbeat thread polls it and stops beating, so the supervisor's
-/// watchdog observes exactly what a real livelock looks like.
-static HUNG: AtomicBool = AtomicBool::new(false);
-
-/// Whether an injected `hang` fault has fired in this process.
-pub fn is_hung() -> bool {
-    HUNG.load(Ordering::Relaxed)
-}
-
-/// This process's shard index, when running as a shard worker
-/// (`OPM_SHARD`, set by the supervisor).
-pub fn shard_index() -> Option<usize> {
-    std::env::var("OPM_SHARD").ok()?.trim().parse().ok()
-}
-
-/// This process's restart generation (`OPM_SHARD_ATTEMPT`, incremented by
-/// the supervisor on every respawn; 0 for a first life or a standalone
-/// run). Process-level rules use this as their attempt counter.
-pub fn shard_attempt() -> usize {
-    std::env::var("OPM_SHARD_ATTEMPT")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
 }
 
 /// One parsed injection rule. All selectors present must match for the
@@ -164,31 +83,17 @@ pub struct FaultRule {
     pub rate: Option<f64>,
     /// Seed for the rate hash.
     pub seed: u64,
-    /// Only the shard worker whose `OPM_SHARD` matches.
-    pub shard: Option<usize>,
     /// Fire on every attempt (exhausting retries) instead of only the
     /// first.
     pub persistent: bool,
 }
 
 impl FaultRule {
-    /// The `shard:<i>` selector, evaluated against this process's
-    /// `OPM_SHARD`. A rule with no shard selector matches every process.
-    fn shard_matches(&self) -> bool {
-        match self.shard {
-            Some(s) => shard_index() == Some(s),
-            None => true,
-        }
-    }
-
     fn fires_on_point(&self, stage: &str, index: usize, attempt: usize) -> bool {
         if self.matrix.is_some() {
             return false; // matrix rules only fire on corpus loads
         }
         if !self.persistent && attempt > 0 {
-            return false;
-        }
-        if !self.shard_matches() {
             return false;
         }
         if let Some(s) = &self.stage {
@@ -215,31 +120,9 @@ impl FaultRule {
         if !self.persistent && attempt > 0 {
             return false;
         }
-        if !self.shard_matches() {
-            return false;
-        }
         match &self.matrix {
             Some(m) => m == name,
             None => false,
-        }
-    }
-
-    /// Whether a checkpoint-fault rule fires for `figure`'s journal. The
-    /// `stage` selector matches against the figure name; `point`/`rate`
-    /// selectors do not apply to journal writes and disable the rule.
-    fn fires_on_ckpt(&self, figure: &str, attempt: usize) -> bool {
-        if self.matrix.is_some() || self.point.is_some() || self.rate.is_some() {
-            return false;
-        }
-        if !self.persistent && attempt > 0 {
-            return false;
-        }
-        if !self.shard_matches() {
-            return false;
-        }
-        match &self.stage {
-            Some(s) => figure.contains(s.as_str()),
-            None => true,
         }
     }
 }
@@ -285,10 +168,6 @@ impl FaultPlan {
             let kind = match kind.trim() {
                 "panic" => FaultKind::Panic,
                 "io" => FaultKind::Io,
-                "kill" => FaultKind::Kill,
-                "hang" => FaultKind::Hang,
-                "corrupt-ckpt" => FaultKind::CorruptCkpt,
-                "partial-write" => FaultKind::PartialWrite,
                 other => return Err(format!("rule {raw:?}: unknown fault kind {other:?}")),
             };
             let mut rule = FaultRule {
@@ -298,7 +177,6 @@ impl FaultPlan {
                 matrix: None,
                 rate: None,
                 seed: DEFAULT_RATE_SEED,
-                shard: None,
                 persistent: false,
             };
             let mut toks = rest.split(':');
@@ -334,13 +212,6 @@ impl FaultPlan {
                             .parse()
                             .map_err(|_| format!("rule {raw:?}: bad seed"))?
                     }
-                    "shard" => {
-                        rule.shard = Some(
-                            arg("shard")?
-                                .parse()
-                                .map_err(|_| format!("rule {raw:?}: bad shard index"))?,
-                        )
-                    }
                     "persist" => rule.persistent = true,
                     "" => {}
                     other => return Err(format!("rule {raw:?}: unknown selector {other:?}")),
@@ -373,85 +244,30 @@ impl FaultPlan {
         }
     }
 
-    /// The in-process fault (if any) injected at sweep point `index` of
+    /// The fault (if any) injected at sweep point `index` of
     /// `stage` on attempt `attempt` (0 = first try). Pure function of its
-    /// arguments; process-level and checkpoint kinds never fire here.
+    /// arguments.
     pub fn point_fault(&self, stage: &str, index: usize, attempt: usize) -> Option<FaultKind> {
         self.rules
             .iter()
-            .filter(|r| !r.kind.is_process() && !r.kind.is_ckpt())
             .find(|r| r.fires_on_point(stage, index, attempt))
             .map(|r| r.kind)
     }
 
     /// The fault (if any) injected when loading corpus matrix `name` on
-    /// attempt `attempt`. Only in-process kinds (`panic`/`io`) apply.
+    /// attempt `attempt`.
     pub fn matrix_fault(&self, name: &str, attempt: usize) -> Option<FaultKind> {
         self.rules
             .iter()
-            .filter(|r| !r.kind.is_process() && !r.kind.is_ckpt())
             .find(|r| r.fires_on_matrix(name, attempt))
             .map(|r| r.kind)
     }
 
-    /// The process-level fault (`kill`/`hang`) a rule injects at this
-    /// sweep point, with the *process restart generation*
-    /// ([`shard_attempt`]) as the attempt counter — a non-`persist` rule
-    /// fires once per shard lifetime, so the supervisor's respawn runs
-    /// clean.
-    pub fn process_fault(&self, stage: &str, index: usize) -> Option<FaultKind> {
-        if !self.rules.iter().any(|r| r.kind.is_process()) {
-            return None;
-        }
-        let attempt = shard_attempt();
-        self.rules
-            .iter()
-            .filter(|r| r.kind.is_process())
-            .find(|r| r.fires_on_point(stage, index, attempt))
-            .map(|r| r.kind)
-    }
-
-    /// The checkpoint-journal fault (`corrupt-ckpt`/`partial-write`) a
-    /// rule injects on `figure`'s journal, keyed by the process restart
-    /// generation like [`process_fault`].
-    pub fn ckpt_fault(&self, figure: &str) -> Option<FaultKind> {
-        if !self.rules.iter().any(|r| r.kind.is_ckpt()) {
-            return None;
-        }
-        let attempt = shard_attempt();
-        self.rules
-            .iter()
-            .filter(|r| r.kind.is_ckpt())
-            .find(|r| r.fires_on_ckpt(figure, attempt))
-            .map(|r| r.kind)
-    }
-
-    /// Fire whatever rule matches this sweep point. Process-level faults
-    /// act first: `kill` exits the process with status 137 (SIGKILL's
-    /// wait status), `hang` wedges the calling thread forever and raises
-    /// the [`is_hung`] flag so the heartbeat stops. In-process faults
-    /// panic with an [`InjectedFault`] payload; the engine's per-point
-    /// `catch_unwind` routes them through the same recovery path as
-    /// organic panics.
+    /// Fire whatever rule matches this sweep point: the fault panics
+    /// with an [`InjectedFault`] payload, and the engine's per-point
+    /// `catch_unwind` routes it through the same recovery path as an
+    /// organic panic.
     pub fn fire_point(&self, stage: &str, index: usize, attempt: usize) {
-        match self.process_fault(stage, index) {
-            Some(FaultKind::Kill) => {
-                eprintln!("fault injection: kill at {stage}@point:{index} (exit 137)");
-                // The flight recorder's ring already holds this point's
-                // span begin; dump the post-mortem before dying.
-                opm_core::telemetry::flight_dump("kill");
-                std::process::exit(137);
-            }
-            Some(FaultKind::Hang) => {
-                eprintln!("fault injection: hang at {stage}@point:{index}");
-                opm_core::telemetry::flight_dump("hang");
-                HUNG.store(true, Ordering::SeqCst);
-                loop {
-                    std::thread::sleep(std::time::Duration::from_secs(3600));
-                }
-            }
-            _ => {}
-        }
         if let Some(kind) = self.point_fault(stage, index, attempt) {
             panic_any(InjectedFault {
                 kind,
@@ -559,71 +375,17 @@ mod tests {
         assert!(FaultPlan::parse("panic@point:x").is_err());
         assert!(FaultPlan::parse("panic@rate:1.5").is_err());
         assert!(FaultPlan::parse("panic@wibble:3").is_err());
-    }
-
-    #[test]
-    fn process_kinds_parse_and_stay_out_of_point_faults() {
-        let plan =
-            FaultPlan::parse("kill@point:2:shard:1,hang@point:1,corrupt-ckpt@stage:fig23").unwrap();
-        assert_eq!(plan.rules[0].kind, FaultKind::Kill);
-        assert_eq!(plan.rules[0].shard, Some(1));
-        assert_eq!(plan.rules[1].kind, FaultKind::Hang);
-        assert_eq!(plan.rules[2].kind, FaultKind::CorruptCkpt);
-        // Process/ckpt kinds never leak into the engine's per-point path
-        // (they would be misclassified as retryable panics).
-        for i in 0..8 {
-            assert_eq!(plan.point_fault("any", i, 0), None);
+        // The process and checkpoint-journal kinds and the shard selector
+        // left with the multi-process campaign.
+        for retired in [
+            "kill@point:1",
+            "hang@point:1",
+            "corrupt-ckpt@stage:fig23",
+            "partial-write@stage:fig23",
+            "panic@point:1:shard:0",
+        ] {
+            assert!(FaultPlan::parse(retired).is_err(), "{retired}");
         }
-        assert!(FaultKind::Kill.is_process());
-        assert!(FaultKind::Hang.is_process());
-        assert!(FaultKind::PartialWrite.is_ckpt());
-        assert!(!FaultKind::Panic.is_process());
-        assert!(FaultPlan::parse("kill@shard:x").is_err());
-    }
-
-    /// Serializes the tests that mutate `OPM_SHARD*`.
-    static SHARD_ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn process_fault_uses_shard_attempt_and_shard_selector() {
-        let _lock = SHARD_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let plan = FaultPlan::parse("kill@point:2,hang@point:1:shard:3:persist").unwrap();
-        std::env::remove_var("OPM_SHARD");
-        std::env::remove_var("OPM_SHARD_ATTEMPT");
-        // No shard env: unselected shard rule is silent, bare rule fires.
-        assert_eq!(plan.process_fault("s", 2), Some(FaultKind::Kill));
-        assert_eq!(plan.process_fault("s", 1), None);
-        // Restart generation 1: non-persist kill is spent.
-        std::env::set_var("OPM_SHARD_ATTEMPT", "1");
-        assert_eq!(plan.process_fault("s", 2), None);
-        // Matching shard: persistent hang still fires on any attempt.
-        std::env::set_var("OPM_SHARD", "3");
-        assert_eq!(plan.process_fault("s", 1), Some(FaultKind::Hang));
-        std::env::set_var("OPM_SHARD", "0");
-        assert_eq!(plan.process_fault("s", 1), None);
-        std::env::remove_var("OPM_SHARD");
-        std::env::remove_var("OPM_SHARD_ATTEMPT");
-    }
-
-    #[test]
-    fn ckpt_fault_selects_by_figure_name() {
-        let _lock = SHARD_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        std::env::remove_var("OPM_SHARD");
-        std::env::remove_var("OPM_SHARD_ATTEMPT");
-        let plan = FaultPlan::parse("partial-write@stage:fig23,corrupt-ckpt@stage:fig12").unwrap();
-        assert_eq!(
-            plan.ckpt_fault("fig23_stream_knl"),
-            Some(FaultKind::PartialWrite)
-        );
-        assert_eq!(
-            plan.ckpt_fault("fig12_stream_broadwell"),
-            Some(FaultKind::CorruptCkpt)
-        );
-        assert_eq!(plan.ckpt_fault("fig06_stepping_model"), None);
-        // Point faults stay silent for ckpt kinds and vice versa.
-        assert_eq!(plan.point_fault("fig23_stream_knl", 0, 0), None);
-        let point_plan = FaultPlan::parse("panic@point:1").unwrap();
-        assert_eq!(point_plan.ckpt_fault("fig23_stream_knl"), None);
     }
 
     #[test]

@@ -17,9 +17,7 @@ pub mod summary;
 pub mod sweeps;
 pub mod traces;
 
-pub use engine::{
-    lock_recover, CacheStats, Engine, EngineConfig, PointFailure, StageJournal, StageRecord,
-};
+pub use engine::{lock_recover, CacheStats, Engine, EngineConfig, PointFailure, StageRecord};
 pub use faultinject::{FaultKind, FaultPlan, FaultRule, InjectedFault};
 pub use registry::{IntensityClass, KernelId};
 pub use summary::{cross_kernel, summarize_pair, CrossKernelSummary, SummaryRow};

@@ -162,10 +162,7 @@ fn full_telemetry_campaign_writes_reconciling_trace_and_prom() {
         "fig12_stream_broadwell".to_string(),
         "fig23_stream_knl".to_string(),
     ];
-    opm_bench::manifest::run_and_write_opt(
-        Some(&names),
-        &opm_bench::manifest::RunOptions::default(),
-    );
+    opm_bench::manifest::run_and_write(Some(&names));
 
     // --- the JSONL trace ---
     let trace_path = dir.join("telemetry").join("itest.jsonl");
