@@ -93,7 +93,8 @@ pub fn init(tele: &Arc<Telemetry>) -> Option<TelemetryRun> {
 /// hook dumping on any panic (injected faults included), and a detached
 /// periodic dump thread so even an external SIGKILL (an operator's
 /// `kill -9`, an OOM kill) leaves a post-mortem no older than the dump
-/// interval.
+/// interval. A periodic dump with no new event writes nothing, so an
+/// idle process (a quiet `opm serve`) does no file I/O.
 fn install_flight_hooks() {
     static HOOKS: Once = Once::new();
     HOOKS.call_once(|| {

@@ -1013,6 +1013,11 @@ pub struct FlightRecorder {
     cap: usize,
     ring: Mutex<VecDeque<String>>,
     last_ts: AtomicU64,
+    /// Events pushed so far (changed only under the `ring` lock), and
+    /// their count at the last written dump (`u64::MAX` before the
+    /// first).
+    pushed: AtomicU64,
+    dumped_at: AtomicU64,
 }
 
 impl FlightRecorder {
@@ -1023,6 +1028,8 @@ impl FlightRecorder {
             cap: cap.max(1),
             ring: Mutex::new(VecDeque::new()),
             last_ts: AtomicU64::new(0),
+            pushed: AtomicU64::new(0),
+            dumped_at: AtomicU64::new(u64::MAX),
         })
     }
 
@@ -1038,19 +1045,30 @@ impl FlightRecorder {
             ring.pop_front();
         }
         ring.push_back(line);
+        self.pushed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Atomically write the ring plus a trailing
     /// `flight_dump {reason}` record. Later dumps overwrite earlier
     /// ones — the file always holds the most recent view; on the
     /// terminal failure paths (panic hook, injected kill/hang) it is
-    /// the crash post-mortem.
+    /// the crash post-mortem. A `periodic` dump with no new event since
+    /// the last dump writes nothing, so an idle process does no file
+    /// I/O; every other reason always writes.
     pub fn dump(&self, reason: &str) {
         let mut out = String::new();
-        for l in lock(&self.ring).iter() {
-            out.push_str(l);
-            out.push('\n');
-        }
+        let pushed = {
+            let ring = lock(&self.ring);
+            let pushed = self.pushed.load(Ordering::Relaxed);
+            if reason == "periodic" && self.dumped_at.load(Ordering::Relaxed) == pushed {
+                return;
+            }
+            for l in ring.iter() {
+                out.push_str(l);
+                out.push('\n');
+            }
+            pushed
+        };
         out.push_str(&render_instant_line(
             "flight_dump",
             &[("reason".to_string(), reason.to_string())],
@@ -1061,8 +1079,9 @@ impl FlightRecorder {
         if let Some(parent) = self.path.parent() {
             let _ = fs::create_dir_all(parent);
         }
-        if let Err(e) = crate::report::atomic_write(&self.path, out.as_bytes()) {
-            eprintln!("telemetry: flight dump {}: {e}", self.path.display());
+        match crate::report::atomic_write(&self.path, out.as_bytes()) {
+            Ok(()) => self.dumped_at.store(pushed, Ordering::Relaxed),
+            Err(e) => eprintln!("telemetry: flight dump {}: {e}", self.path.display()),
         }
     }
 }
@@ -1092,11 +1111,6 @@ pub fn install_flight_recorder(path: &Path) -> Arc<FlightRecorder> {
     FLIGHT
         .get_or_init(|| FlightRecorder::new(path, FLIGHT_RING_CAP))
         .clone()
-}
-
-/// The installed process-wide flight recorder, if any.
-pub fn flight_recorder() -> Option<Arc<FlightRecorder>> {
-    FLIGHT.get().cloned()
 }
 
 /// Dump the process-wide flight recorder with `reason`; no-op when none
@@ -1416,9 +1430,42 @@ mod tests {
         assert!(!text.contains("s0>point:0"));
         assert!(lines[4].contains("flight_dump") && lines[4].contains("\"reason\":\"kill\""));
         // A later dump overwrites with the newer reason.
+        rec.dump("hang");
+        let text = fs::read_to_string(&path).unwrap();
+        assert!(text.contains("\"reason\":\"hang\""));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn idle_periodic_dumps_write_nothing() {
+        let dir = std::env::temp_dir().join(format!("opm_flight_idle_{}", std::process::id()));
+        let path = dir.join("flight-idle.jsonl");
+        let rec = FlightRecorder::new(&path, 4);
+        let tele = Telemetry::new(TelemetryMode::Full);
+        tele.add_sink(rec.clone());
+        tele.instant("tick", &[]);
+        rec.dump("periodic");
+        assert!(path.exists(), "the first periodic dump writes");
+        fs::remove_file(&path).unwrap();
+        // No new event: the next periodic dump must not recreate the file.
+        rec.dump("periodic");
+        assert!(!path.exists(), "an idle periodic dump rewrote the file");
+        // Other reasons always write, new event or not.
+        rec.dump("panic");
+        assert!(fs::read_to_string(&path)
+            .unwrap()
+            .contains("\"reason\":\"panic\""));
+        fs::remove_file(&path).unwrap();
+        rec.dump("periodic");
+        assert!(!path.exists(), "nothing new since the panic dump");
+        // A new event makes the next periodic dump write again.
+        tele.instant("tock", &[]);
         rec.dump("periodic");
         let text = fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"reason\":\"periodic\""));
+        assert!(
+            text.contains("tock") && text.contains("\"reason\":\"periodic\""),
+            "{text}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -31,7 +31,8 @@
 //! * **Observability** — [`Engine::run_stage`] wraps each sweep with wall
 //!   time and point count, accumulated as [`StageRecord`]s for the
 //!   run-manifest emitted by `opm-bench`; with telemetry on, a
-//!   `progress` instant every [`PROGRESS_EVERY`] points feeds `opm top`.
+//!   `progress` instant every 64 points (`PROGRESS_EVERY`) feeds
+//!   `opm top`.
 //!
 //! The process-wide instance ([`Engine::global`]) is configured from the
 //! environment: `OPM_REDUCED` (`1`/`on`/`true` selects the reduced
@@ -502,11 +503,6 @@ impl Engine {
     /// Copies of every recorded point failure.
     pub fn failures(&self) -> Vec<PointFailure> {
         self.failures_since(0)
-    }
-
-    /// Drain the failure log, returning every record.
-    pub fn take_failures(&self) -> Vec<PointFailure> {
-        std::mem::take(&mut *lock_recover(&self.failures))
     }
 
     /// Deterministic bounded backoff before retry `attempt + 1`:

@@ -19,9 +19,11 @@
 //!   classic per-way LRU stamp array — half the metadata traffic and no
 //!   O(ways) victim scan. Associativities above 16 (only used by tests as
 //!   a stand-in for fully-associative caches) fall back to stamps.
-//! * `fp`: one 8-bit **fingerprint** per way (7 low tag bits + a
-//!   valid marker), packed eight ways to a `u64`. A SWAR compare against
-//!   the broadcast fingerprint of the probed line answers "definitely
+//! * `fp`: one 8-bit **fingerprint** per way of every 2..=16-way set
+//!   (the 7 line bits just above the set index + a valid marker), packed
+//!   eight ways to a `u64`; the set-index bits below them are equal for
+//!   every line of a set and would tell no two ways apart. A SWAR compare against the
+//!   broadcast fingerprint of the probed line answers "definitely
 //!   absent" and "first invalid way" in a handful of register ops, so a
 //!   miss — the common case on every level below the first — usually
 //!   touches no tag words at all. Fingerprint matches are *candidates*
@@ -36,10 +38,8 @@
 //!   times in a row (a sequential 8-byte sweep touches it 8×) and keep
 //!   returning to the lines they just used, so most hits land there —
 //!   and an MRU hit changes only the dirty bit and the hit counter,
-//!   because promoting the MRU way is the identity. Narrow sets probe the
-//!   remaining ways in recency order too, read from the same nibbles.
-//!   Direct-mapped caches need no recency state at all and keep no
-//!   `perm` array.
+//!   because promoting the MRU way is the identity. Direct-mapped
+//!   caches need no recency state at all and keep no `perm` array.
 //!
 //! The observable behaviour (hit/miss/eviction/writeback counts and the
 //! exact victim sequence) is bit-for-bit identical to the unpacked
@@ -78,6 +78,13 @@ const TAG_SHIFT: u32 = 2;
 /// 4 bits); wider caches fall back to LRU stamps.
 const PERM_MAX_WAYS: usize = 16;
 
+/// Simulator-metadata size above which a direct-mapped level prefetches
+/// ahead in [`SetAssocCache::access_each`] (tag arrays below this fit
+/// comfortably in the CPU's own L2).
+const PREFETCH_METADATA_BYTES: usize = 256 * 1024;
+/// How many touches ahead [`SetAssocCache::access_each`] prefetches.
+const PREFETCH_AHEAD: usize = 8;
+
 /// Hit/miss counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -111,13 +118,6 @@ impl CacheStats {
 /// The identity permutation `15,14,...,1,0` packed low-nibble-first: way 0
 /// is LRU, way 15 is MRU. Truncated to `ways` nibbles at construction.
 const PERM_IDENTITY: u64 = 0xFEDC_BA98_7654_3210;
-
-/// Fingerprint byte of a line: 7 low tag bits plus the 0x80 valid marker
-/// (so a valid fingerprint is never 0, and 0 always means "empty way").
-#[inline(always)]
-fn fp_byte(line: u64) -> u64 {
-    (line & 0x7F) | 0x80
-}
 
 /// SWAR marker mask: high bit set in every byte lane of `word` that equals
 /// byte `b` (exact — the `!x` term kills borrow-propagation artifacts).
@@ -169,6 +169,9 @@ pub struct SetAssocCache {
     ways: usize,
     /// `sets - 1`; set counts are powers of two, so indexing is a mask.
     set_mask: u64,
+    /// `log2(sets)`: the line bits above it are what tells a set's lines
+    /// apart, so fingerprints are taken from there.
+    set_bits: u32,
     /// Bit-packed per-way line state, contiguous per set (see module docs).
     tags: Vec<u64>,
     /// Packed per-set LRU recency permutation (2..=16 ways), else empty.
@@ -211,12 +214,11 @@ impl SetAssocCache {
             ),
             _ => (Vec::new(), vec![0; sets * ways]),
         };
-        // Fingerprints pay off only on wide sets: a <=8-way set is a single
-        // cache line of tags whose compares all issue in parallel, and the
-        // fingerprint's extra serial load loses there (measured on the
-        // random-trace bench cases). Direct-mapped and the stamp fallback
-        // also keep plain tags.
-        let fpw = if (9..=PERM_MAX_WAYS).contains(&ways) {
+        // Every permutation-LRU set is fingerprinted, the 8-way L2 too: on
+        // the kernel twins one fingerprint word beats an 8-tag scan (the
+        // Broadwell L2 stage ran ~20% faster). Direct-mapped and the stamp
+        // fallback keep plain tags.
+        let fpw = if (2..=PERM_MAX_WAYS).contains(&ways) {
             ways.div_ceil(8)
         } else {
             0
@@ -226,6 +228,7 @@ impl SetAssocCache {
             sets,
             ways,
             set_mask: sets as u64 - 1,
+            set_bits: sets.trailing_zeros(),
             tags: vec![0; sets * ways],
             perm,
             stamp,
@@ -281,6 +284,15 @@ impl SetAssocCache {
             * std::mem::size_of::<u64>()
     }
 
+    /// Fingerprint byte of a line: the 7 line bits just above the set
+    /// index (the bits below are the same for every line of a set) plus
+    /// the 0x80 valid marker (so a valid fingerprint is never 0, and 0
+    /// always means "empty way").
+    #[inline(always)]
+    fn fp_byte(&self, line: u64) -> u64 {
+        ((line >> self.set_bits) & 0x7F) | 0x80
+    }
+
     /// Index of the first `tags` word of `line`'s set.
     #[inline(always)]
     fn set_base(&self, line: u64) -> usize {
@@ -311,6 +323,71 @@ impl SetAssocCache {
         }
     }
 
+    /// Look up every touch of `words` in order, as [`access`](Self::access)
+    /// would, calling `on_miss(word, evicted)` for each miss with the
+    /// line it displaced (`(line, dirty)`), if any. A word is a line touch
+    /// packed as `line << 1 | write`.
+    ///
+    /// The associativity is resolved once per call, so the loop over the
+    /// words is monomorphic. Large direct-mapped levels (the MCDRAM cache)
+    /// also prefetch the set of the touch 8 words ahead, overlapping their
+    /// tag-array misses with the probes in between.
+    pub fn access_each(
+        &mut self,
+        words: &[u64],
+        mut on_miss: impl FnMut(u64, Option<(u64, bool)>),
+    ) {
+        let on_miss = &mut on_miss;
+        match self.ways {
+            1 if self.prefetches_ahead() => {
+                self.each_with::<true>(words, on_miss, Self::probe_direct)
+            }
+            1 => self.each_with::<false>(words, on_miss, Self::probe_direct),
+            8 => self.each_with::<false>(words, on_miss, Self::probe_fp::<8>),
+            16 => self.each_with::<false>(words, on_miss, Self::probe_fp::<16>),
+            _ => self.each_with::<false>(words, on_miss, Self::probe_set),
+        }
+    }
+
+    /// The [`access_each`](Self::access_each) loop over one probe routine,
+    /// prefetching ahead if `PREFETCH`. The lookup counters are summed
+    /// locally and stored once.
+    #[inline(always)]
+    fn each_with<const PREFETCH: bool>(
+        &mut self,
+        words: &[u64],
+        on_miss: &mut impl FnMut(u64, Option<(u64, bool)>),
+        probe: impl Fn(&mut Self, usize, u64, u64) -> Lookup,
+    ) {
+        let mut misses = 0;
+        for (i, &word) in words.iter().enumerate() {
+            if PREFETCH {
+                if let Some(&ahead) = words.get(i + PREFETCH_AHEAD) {
+                    self.prefetch_set(ahead >> 1);
+                }
+            }
+            let line = word >> 1;
+            debug_assert!(line < 1 << (64 - TAG_SHIFT), "line address overflows tag");
+            let set = (line & self.set_mask) as usize;
+            let want = (line << TAG_SHIFT) | VALID;
+            if let Lookup::Miss { evicted, dirty } = probe(self, set, want, (word & 1) << 1) {
+                misses += 1;
+                on_miss(word, evicted.map(|e| (e, dirty)));
+            }
+        }
+        self.stats.hits += words.len() as u64 - misses;
+        self.stats.misses += misses;
+    }
+
+    /// Whether [`access_each`](Self::access_each) prefetches ahead on this
+    /// cache: a direct-mapped level whose metadata outgrows the CPU's own
+    /// L2 ([`PREFETCH_METADATA_BYTES`]). A probe of such a tag array is a
+    /// dependent CPU-cache miss; smaller arrays stay resident, where an
+    /// extra prefetch is pure overhead.
+    pub(crate) fn prefetches_ahead(&self) -> bool {
+        self.ways == 1 && self.metadata_bytes() > PREFETCH_METADATA_BYTES
+    }
+
     /// The lookup shared by [`access`](Self::access) and
     /// [`fill`](Self::fill): find `line` and make it MRU, or fill it over
     /// the reference victim. Counts evictions and writebacks, not the
@@ -319,56 +396,30 @@ impl SetAssocCache {
     fn probe(&mut self, line: u64, write: bool) -> Lookup {
         debug_assert!(line < 1 << (64 - TAG_SHIFT), "line address overflows tag");
         let set = (line & self.set_mask) as usize;
-        let want = (line << TAG_SHIFT) | VALID;
-        let dirty = (write as u64) << 1;
+        self.probe_set(set, (line << TAG_SHIFT) | VALID, (write as u64) << 1)
+    }
+
+    /// [`probe`](Self::probe) on a resolved set index, packed tag word
+    /// `want` and dirty bit `dirty`, dispatching on the associativity.
+    #[inline(always)]
+    fn probe_set(&mut self, set: usize, want: u64, dirty: u64) -> Lookup {
         match self.ways {
-            1 => {
-                // Direct-mapped: one slot decides hit, victim, and fill.
-                if self.tags[set] & !DIRTY == want {
-                    self.tags[set] |= dirty;
-                    return Lookup::Hit;
-                }
-                self.replace_slot(set, want, dirty)
-            }
-            8 => self.probe_plain::<8>(set, want, dirty),
+            1 => self.probe_direct(set, want, dirty),
+            8 => self.probe_fp::<8>(set, want, dirty),
             16 => self.probe_fp::<16>(set, want, dirty),
             w if w > PERM_MAX_WAYS => self.probe_stamp(set * w, want, dirty),
-            _ if self.fpw == 0 => self.probe_plain::<0>(set, want, dirty),
             _ => self.probe_fp::<0>(set, want, dirty),
         }
     }
 
-    /// Probe loop for narrow permutation-LRU sets (no fingerprint): the
-    /// ways in recency order, MRU first, read from the `perm` nibbles. A
-    /// hit on the MRU way leaves the permutation as it is. On a miss the
-    /// victim is the first invalid way by index, else the LRU nibble —
-    /// the rule [`fp_victim`](Self::fp_victim) also follows.
+    /// Direct-mapped probe: one slot decides hit, victim and fill.
     #[inline(always)]
-    fn probe_plain<const W: usize>(&mut self, set: usize, want: u64, dirty: u64) -> Lookup {
-        let ways = if W == 0 { self.ways } else { W };
-        let base = set * ways;
-        let perm = self.perm[set];
-        let tags = &mut self.tags[base..base + ways];
-        let mut holes = 0u32; // bit w: way w is invalid
-        for k in (0..ways).rev() {
-            let w = ((perm >> (4 * k)) & 0xF) as usize;
-            let t = tags[w];
-            if t & !DIRTY == want {
-                tags[w] = t | dirty;
-                if k != ways - 1 {
-                    self.perm[set] = perm_promote(perm, w as u64, ways);
-                }
-                return Lookup::Hit;
-            }
-            holes |= ((t & VALID == 0) as u32) << w;
+    fn probe_direct(&mut self, set: usize, want: u64, dirty: u64) -> Lookup {
+        if self.tags[set] & !DIRTY == want {
+            self.tags[set] |= dirty;
+            return Lookup::Hit;
         }
-        let victim = if holes != 0 {
-            holes.trailing_zeros() as usize
-        } else {
-            (perm & 0xF) as usize
-        };
-        self.perm[set] = perm_promote(perm, victim as u64, ways);
-        self.replace_slot(base + victim, want, dirty)
+        self.replace_slot(set, want, dirty)
     }
 
     /// Find the way holding `want` in a fingerprinted set, via SWAR
@@ -376,7 +427,7 @@ impl SetAssocCache {
     /// the dirty bit with `extra` on the match. `usize::MAX` if absent.
     #[inline(always)]
     fn fp_find(&mut self, base: usize, fbase: usize, fpw: usize, want: u64, extra: u64) -> usize {
-        let b = fp_byte(want >> TAG_SHIFT);
+        let b = self.fp_byte(want >> TAG_SHIFT);
         for j in 0..fpw {
             let mut m = swar_eq_bytes(self.fp[fbase + j], b);
             while m != 0 {
@@ -407,7 +458,7 @@ impl SetAssocCache {
         (perm & 0xF) as usize
     }
 
-    /// Probe path for wide permutation-LRU sets. The MRU way is compared
+    /// Probe path for permutation-LRU sets. The MRU way is compared
     /// first; past it, the fingerprint filter resolves the common
     /// definite-miss without reading any tag words, and candidate
     /// matches are verified against the full tag. `W` is the
@@ -441,8 +492,9 @@ impl SetAssocCache {
     #[inline(always)]
     fn fp_set(&mut self, fbase: usize, way: usize, line: u64) {
         let sh = (way & 7) * 8;
+        let b = self.fp_byte(line);
         let w = &mut self.fp[fbase + (way >> 3)];
-        *w = (*w & !(0xFFu64 << sh)) | (fp_byte(line) << sh);
+        *w = (*w & !(0xFFu64 << sh)) | (b << sh);
     }
 
     /// Probe loop for stamp-LRU sets (ways > 16): one pass decides both
@@ -473,13 +525,12 @@ impl SetAssocCache {
         self.replace_slot(base + victim, want, dirty)
     }
 
-    /// Hint the CPU to pull `line`'s set metadata into cache. The
-    /// hierarchy walker issues this for the levels *below* the one it is
-    /// probing, overlapping their metadata fetch with the current scan —
-    /// large direct-mapped levels (the MCDRAM cache) have tag arrays far
-    /// bigger than the CPU's own caches, so the walk otherwise stalls on
-    /// a dependent miss per level. No architectural effect; a no-op off
-    /// x86-64.
+    /// Hint the CPU to pull `line`'s set metadata into cache.
+    /// [`access_each`](Self::access_each) issues this a few touches ahead
+    /// of its probes on large direct-mapped levels (the MCDRAM cache),
+    /// whose tag arrays are far bigger than the CPU's own caches, so the
+    /// loop overlaps their fetches instead of stalling on a dependent miss
+    /// per touch. No architectural effect; a no-op off x86-64.
     #[inline]
     pub fn prefetch_set(&self, line: u64) {
         #[cfg(target_arch = "x86_64")]
@@ -509,7 +560,7 @@ impl SetAssocCache {
         let want = (line << TAG_SHIFT) | VALID;
         if self.fpw != 0 {
             let fbase = (base / self.ways) * self.fpw;
-            let b = fp_byte(line);
+            let b = self.fp_byte(line);
             for j in 0..self.fpw {
                 let mut m = swar_eq_bytes(self.fp[fbase + j], b);
                 while m != 0 {
@@ -822,8 +873,9 @@ mod tests {
     fn direct_mapped_keeps_no_recency_state() {
         let dm = SetAssocCache::direct_mapped("dm", 64 * 64);
         assert_eq!(dm.metadata_bytes(), dm.sets() * 8, "tags only");
+        // 8 tag words, one permutation word and one fingerprint word a set.
         let sa = SetAssocCache::new("sa", 64 * 64, 8);
-        assert_eq!(sa.metadata_bytes(), (sa.sets() * 8 + sa.sets()) * 8);
+        assert_eq!(sa.metadata_bytes(), (sa.sets() * 8 + 2 * sa.sets()) * 8);
     }
 
     #[test]

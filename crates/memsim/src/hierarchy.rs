@@ -6,6 +6,23 @@
 //! The simulator is exact but slow, so the experiment harness uses it on
 //! scaled-down hierarchies to validate the analytic model in `opm-core`;
 //! the scaling preserves capacity *ratios*.
+//!
+//! ## Level-at-a-time simulation
+//!
+//! [`HierarchySim::run`] does not walk each line touch down the whole
+//! chain. It expands the trace into blocks of touches, and each chain
+//! level takes a whole block before the next level starts
+//! ([`SetAssocCache::access_each`], one tight loop per level and block);
+//! only a level's misses go on to the next. The last level's misses,
+//! each with the line it evicted, then go in order through one backing
+//! stage: the eDRAM victim fill, the victim take, and the flat-or-DRAM
+//! split. This is exact because the chain only feeds forward: no level
+//! reads or writes another level's state (there is no back-invalidation,
+//! and a non-last level's eviction goes nowhere), so each level sees the
+//! same touches in the same order as in a per-touch walk, and the victim
+//! still sees each miss's fill before its take. [`HierarchySim::touch`]
+//! is that per-touch walk, kept for callers that need where a single
+//! touch was served; both share the backing stage.
 
 use crate::cache::{Lookup, SetAssocCache};
 use crate::trace::{Trace, LINE_BYTES};
@@ -258,22 +275,13 @@ pub struct HierarchySim {
     /// MCDRAM flat partition: line addresses below this byte boundary are
     /// OPM-resident (preferred allocation packs the low addresses first).
     flat_boundary: Option<u64>,
-    /// Chain levels whose simulator metadata exceeds the CPU's own caches
-    /// (the direct-mapped MCDRAM): prefetched at the top of every touch so
-    /// their tag fetch overlaps the upper-level scans.
-    prefetch_levels: Vec<usize>,
     result: SimResult,
 }
 
-/// Simulator-metadata size above which a level's set is prefetched ahead
-/// of the walk (tag arrays below this fit comfortably in the CPU's own
-/// L2, where an extra prefetch is pure overhead).
-const PREFETCH_METADATA_BYTES: usize = 256 * 1024;
-
-/// Touches processed per inner-loop iteration of [`HierarchySim::run`]:
-/// metadata prefetches for the whole batch are issued before the first
-/// probe, overlapping the tag-array fetches of up to this many accesses.
-const PROBE_BATCH: usize = 8;
+/// Line touches per block of [`HierarchySim::run`]: each chain level takes
+/// a whole block before the next level starts. 4 Ki words (32 KiB) keep a
+/// block's buffers beside the upper levels' metadata in the CPU's L2.
+const BLOCK_TOUCHES: usize = 4096;
 
 impl HierarchySim {
     /// Build from explicit parts.
@@ -284,18 +292,10 @@ impl HierarchySim {
     ) -> Self {
         assert!(!chain.is_empty() || victim.is_some(), "empty hierarchy");
         let levels = chain.len();
-        let prefetch_levels = chain
-            .iter()
-            .enumerate()
-            .skip(1)
-            .filter(|(_, c)| c.metadata_bytes() > PREFETCH_METADATA_BYTES)
-            .map(|(i, _)| i)
-            .collect();
         HierarchySim {
             chain,
             victim,
             flat_boundary,
-            prefetch_levels,
             result: SimResult {
                 level_hits: vec![0; levels],
                 ..Default::default()
@@ -336,30 +336,34 @@ impl HierarchySim {
         Self::new(chain, victim, flat_boundary)
     }
 
-    /// Run a trace through the hierarchy.
+    /// Run a trace through the hierarchy, level by level (see the module
+    /// docs).
     ///
-    /// Touches are processed in batches of [`PROBE_BATCH`]: the whole
-    /// batch's lower-level metadata prefetches are issued up front (their
-    /// set locations depend only on the line address), then the touches
-    /// are probed in original order — results are bit-identical to a
-    /// touch-at-a-time walk, but the big tag arrays' CPU-cache misses
-    /// overlap instead of serializing one dependent miss per touch.
+    /// The accesses expand into blocks of 4 Ki line touches, each packed
+    /// as a word `line << 1 | write`; an access longer than a block
+    /// spreads over several, so the buffers stay bounded. Each chain
+    /// level takes the whole block through
+    /// [`SetAssocCache::access_each`], and only its misses go on to the
+    /// next level. The last level's misses, each with the line it
+    /// evicted, then pass in order through the backing stage of
+    /// [`touch`](Self::touch): victim fill, victim take, flat or DRAM.
+    /// Every counter is exactly what a [`touch`](Self::touch) per line
+    /// yields.
     pub fn run(&mut self, trace: &Trace) -> &SimResult {
-        let mut buf = [(0u64, false); PROBE_BATCH];
-        let mut n = 0;
+        let mut words = Vec::with_capacity(BLOCK_TOUCHES);
+        let mut spare = Vec::with_capacity(BLOCK_TOUCHES);
+        let mut misses = Vec::with_capacity(BLOCK_TOUCHES);
         for acc in &trace.accesses {
-            let write = acc.kind == crate::trace::AccessKind::Write;
+            let write = (acc.kind == crate::trace::AccessKind::Write) as u64;
             // Expand lines inline (most accesses touch exactly one line;
             // the explicit bounds keep the per-access cost at two shifts).
             let first = acc.addr / LINE_BYTES;
             let last = (acc.addr + acc.len.max(1) as u64 - 1) / LINE_BYTES;
             let mut line = first;
             loop {
-                buf[n] = (line, write);
-                n += 1;
-                if n == PROBE_BATCH {
-                    self.probe_batch(&buf);
-                    n = 0;
+                words.push(line << 1 | write);
+                if words.len() == BLOCK_TOUCHES {
+                    self.run_block(&mut words, &mut spare, &mut misses);
                 }
                 if line == last {
                     break;
@@ -367,71 +371,74 @@ impl HierarchySim {
                 line += 1;
             }
         }
-        self.probe_batch(&buf[..n]);
+        self.run_block(&mut words, &mut spare, &mut misses);
         self.sync_levels();
         &self.result
     }
 
-    /// Issue the whole batch's metadata prefetches, then probe the
-    /// touches in order.
-    fn probe_batch(&mut self, batch: &[(u64, bool)]) {
-        for &i in &self.prefetch_levels {
-            for &(line, _) in batch {
-                self.chain[i].prefetch_set(line);
+    /// Simulate one block of packed touches, leaving `words` empty.
+    /// `spare` and `misses` are the stage buffers, reused across blocks.
+    fn run_block(
+        &mut self,
+        words: &mut Vec<u64>,
+        spare: &mut Vec<u64>,
+        misses: &mut Vec<(u64, Option<(u64, bool)>)>,
+    ) {
+        self.result.accesses += words.len() as u64;
+        misses.clear();
+        match self.chain.split_last_mut() {
+            Some((last, upper)) => {
+                for (cache, hits) in upper.iter_mut().zip(&mut self.result.level_hits) {
+                    spare.clear();
+                    cache.access_each(words, |w, _| spare.push(w));
+                    *hits += (words.len() - spare.len()) as u64;
+                    std::mem::swap(words, spare);
+                }
+                last.access_each(words, |w, evicted| misses.push((w, evicted)));
+                self.result.level_hits[upper.len()] += (words.len() - misses.len()) as u64;
             }
+            // A victim-only hierarchy: every touch reaches the backing stage.
+            None => misses.extend(words.iter().map(|&w| (w, None))),
         }
-        for &(line, write) in batch {
-            self.touch_core(line, write);
+        for &(word, evicted) in misses.iter() {
+            self.serve_below(word >> 1, evicted);
         }
+        words.clear();
     }
 
-    /// Simulate one line touch.
+    /// Simulate one line touch: walk the chain until a level hits, then
+    /// serve a miss of every level from below.
     pub fn touch(&mut self, line: u64, write: bool) -> ServedBy {
-        // Overlap the lower levels' metadata fetch with the upper levels'
-        // scans: their set locations depend only on `line`, and the big
-        // direct-mapped MCDRAM tag array in particular costs a dependent
-        // CPU-cache miss if fetched on demand.
-        for &i in &self.prefetch_levels {
-            self.chain[i].prefetch_set(line);
-        }
-        self.touch_core(line, write)
-    }
-
-    /// The probe walk itself, sans prefetch (batch processing issues the
-    /// prefetches for several touches ahead).
-    fn touch_core(&mut self, line: u64, write: bool) -> ServedBy {
         self.result.accesses += 1;
-        for i in 0..self.chain.len() {
-            match self.chain[i].access(line, write) {
+        let mut evicted = None;
+        for (i, cache) in self.chain.iter_mut().enumerate() {
+            match cache.access(line, write) {
                 Lookup::Hit => {
                     self.result.level_hits[i] += 1;
                     return ServedBy::Cache(i);
                 }
-                Lookup::Miss { evicted, dirty } => {
-                    // Victim cache is filled by evictions from the *last*
-                    // chain level only (the L3 on Broadwell); without one,
-                    // dirty evictions write back to the backing store.
-                    if i == self.chain.len() - 1 {
-                        match (self.victim.as_mut(), evicted) {
-                            (Some(v), Some(tag)) => {
-                                if let Some((_, victim_dirty)) = v.fill(tag, dirty) {
-                                    if victim_dirty {
-                                        self.result.dram_writebacks += 1;
-                                    }
-                                }
-                            }
-                            (None, Some(_)) if dirty => {
-                                self.result.dram_writebacks += 1;
-                            }
-                            _ => {}
-                        }
-                    }
-                    // continue to next level for the requested line
-                }
+                Lookup::Miss { evicted: e, dirty } => evicted = e.map(|tag| (tag, dirty)),
             }
         }
-        // Past the cache chain: check the victim cache. `take` removes the
-        // line on a hit (victim semantics: it moves back to the L3 side).
+        self.serve_below(line, evicted)
+    }
+
+    /// Serve a touch of `line` that missed the whole chain, whose last
+    /// level evicted `evicted` (`(line, dirty)`) to make room for it.
+    #[inline(always)]
+    fn serve_below(&mut self, line: u64, evicted: Option<(u64, bool)>) -> ServedBy {
+        // The victim cache is filled by evictions from the *last* chain
+        // level only (the L3 on Broadwell); without one, dirty evictions
+        // write back to the backing store.
+        if let Some((tag, dirty)) = evicted {
+            let written_back = match self.victim.as_mut() {
+                Some(v) => matches!(v.fill(tag, dirty), Some((_, true))),
+                None => dirty,
+            };
+            self.result.dram_writebacks += written_back as u64;
+        }
+        // Then check the victim cache. `take` removes the line on a hit
+        // (victim semantics: it moves back to the L3 side).
         if let Some(v) = self.victim.as_mut() {
             if v.take(line) {
                 self.result.victim_hits += 1;
@@ -578,17 +585,34 @@ mod tests {
     fn milli_mcdram_caches_are_the_prefetched_levels() {
         // Direct-mapped MCDRAM keeps only its tag array (2 MiB at milli
         // scale, 1 MiB for the hybrid half), still past the threshold;
-        // the L2 and L3 tag arrays stay below it.
-        for (mode, want) in [
-            (McdramMode::Cache, vec![1]),
-            (McdramMode::Hybrid, vec![1]),
-            (McdramMode::Flat, vec![]),
+        // the L2, L3 and eDRAM tag arrays stay below it.
+        for (config, want) in [
+            (
+                OpmConfig::Knl(McdramMode::Cache),
+                vec![("L2", false), ("MCDRAM", true)],
+            ),
+            (
+                OpmConfig::Knl(McdramMode::Hybrid),
+                vec![("L2", false), ("MCDRAM/2", true)],
+            ),
+            (OpmConfig::Knl(McdramMode::Flat), vec![("L2", false)]),
+            (
+                OpmConfig::Broadwell(EdramMode::On),
+                vec![("L2", false), ("L3", false)],
+            ),
         ] {
-            let sim = HierarchySim::for_config(OpmConfig::Knl(mode), SCALE);
-            assert_eq!(sim.prefetch_levels, want, "{mode:?}");
+            let sim = HierarchySim::for_config(config, SCALE);
+            let got: Vec<_> = sim
+                .chain
+                .iter()
+                .map(|c| (c.name(), c.prefetches_ahead()))
+                .collect();
+            assert_eq!(got, want, "{config:?}");
+            if let Some(v) = &sim.victim {
+                assert_eq!(v.name(), "eDRAM");
+                assert!(!v.prefetches_ahead());
+            }
         }
-        let brd = HierarchySim::for_config(OpmConfig::Broadwell(EdramMode::On), SCALE);
-        assert!(brd.prefetch_levels.is_empty());
     }
 
     #[test]

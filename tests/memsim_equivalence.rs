@@ -19,7 +19,9 @@
 //! The hierarchy test replays every touch through both cache
 //! implementations under all six platform configurations and demands the
 //! same `ServedBy` at every step plus identical per-level counters; the
-//! batched `HierarchySim::run` path must land on the same counters.
+//! staged `HierarchySim::run` path (a block of touches through one level
+//! at a time) must land on the same counters, also across block
+//! boundaries, over repeated runs and for a victim-only hierarchy.
 
 use opm_repro::core::platform::{EdramMode, McdramMode, OpmConfig, PlatformSpec};
 use opm_repro::kernels::traces::{
@@ -27,7 +29,7 @@ use opm_repro::kernels::traces::{
 };
 use opm_repro::memsim::{
     reuse_histogram, reuse_histogram_reference, CacheStats, HierarchySim, Lookup, ServedBy,
-    SetAssocCache, Trace, LINE_BYTES,
+    SetAssocCache, SimResult, Trace, LINE_BYTES,
 };
 use opm_repro::sparse::gen::{MatrixKind, MatrixSpec};
 use proptest::prelude::*;
@@ -347,6 +349,21 @@ struct RefHierarchy {
 }
 
 impl RefHierarchy {
+    fn new(chain: Vec<RefCache>, victim: Option<RefCache>, flat_boundary: Option<u64>) -> Self {
+        let levels = chain.len();
+        RefHierarchy {
+            chain,
+            victim,
+            flat_boundary,
+            level_hits: vec![0; levels],
+            victim_hits: 0,
+            opm_flat: 0,
+            dram: 0,
+            dram_writebacks: 0,
+            accesses: 0,
+        }
+    }
+
     fn for_config(config: OpmConfig, scale: u64) -> Self {
         let p = PlatformSpec::for_machine(config.machine());
         let mut chain = Vec::new();
@@ -369,18 +386,7 @@ impl RefHierarchy {
                 (None, Some(opm_cap / 2))
             }
         };
-        let levels = chain.len();
-        RefHierarchy {
-            chain,
-            victim,
-            flat_boundary,
-            level_hits: vec![0; levels],
-            victim_hits: 0,
-            opm_flat: 0,
-            dram: 0,
-            dram_writebacks: 0,
-            accesses: 0,
-        }
+        Self::new(chain, victim, flat_boundary)
     }
 
     fn touch(&mut self, line: u64, write: bool) -> ServedBy {
@@ -438,50 +444,65 @@ const ALL_CONFIGS: [OpmConfig; 6] = [
 
 /// Drive both hierarchies through `trace` and demand the same serving
 /// level at every touch, then identical per-level counters. The same
-/// trace also goes through a fresh hierarchy's batched
+/// trace also goes through a fresh hierarchy's staged
 /// [`HierarchySim::run`], whose counters must match the reference too.
 fn assert_hierarchy_equivalent(config: OpmConfig, scale: u64, trace: &Trace) {
-    let mut sim = HierarchySim::for_config(config, scale);
-    let mut reference = RefHierarchy::for_config(config, scale);
+    assert_equivalent(
+        &format!("{config:?}"),
+        HierarchySim::for_config(config, scale),
+        RefHierarchy::for_config(config, scale),
+        trace,
+    );
+}
+
+/// [`assert_hierarchy_equivalent`] on explicitly built hierarchies: `sim`
+/// and `reference` must start out alike.
+fn assert_equivalent(
+    label: &str,
+    mut sim: HierarchySim,
+    mut reference: RefHierarchy,
+    trace: &Trace,
+) {
+    let mut staged = sim.clone();
     let mut step = 0u64;
     for acc in &trace.accesses {
         let write = !matches!(acc.kind, opm_repro::memsim::AccessKind::Read);
         for line in acc.lines() {
             let got = sim.touch(line, write);
             let want = reference.touch(line, write);
-            assert_eq!(got, want, "{config:?}: touch #{step} of line {line}");
+            assert_eq!(got, want, "{label}: touch #{step} of line {line}");
             step += 1;
         }
     }
     sim.sync_levels();
-    let mut batched = HierarchySim::for_config(config, scale);
-    for (path, r) in [("touch", sim.result()), ("run", batched.run(trace))] {
-        assert_eq!(r.accesses, reference.accesses, "{config:?} {path}");
-        assert_eq!(r.level_hits, reference.level_hits, "{config:?} {path}");
-        assert_eq!(r.victim_hits, reference.victim_hits, "{config:?} {path}");
-        assert_eq!(r.opm_flat, reference.opm_flat, "{config:?} {path}");
-        assert_eq!(r.dram, reference.dram, "{config:?} {path}");
-        assert_eq!(
-            r.dram_writebacks, reference.dram_writebacks,
-            "{config:?} {path}"
-        );
-        assert_eq!(r.levels.len(), reference.chain.len(), "{config:?} {path}");
-        for (l, c) in r.levels.iter().zip(&reference.chain) {
-            assert_eq!(
-                (l.hits, l.misses, l.evictions, l.writebacks),
-                (
-                    c.stats.hits,
-                    c.stats.misses,
-                    c.stats.evictions,
-                    c.stats.writebacks
-                ),
-                "{config:?} {path}: level {} counters",
-                l.name
-            );
-        }
-        r.reconcile()
-            .unwrap_or_else(|e| panic!("{config:?} {path}: {e}"));
+    for (path, r) in [("touch", sim.result()), ("run", staged.run(trace))] {
+        assert_matches_reference(&format!("{label} {path}"), r, &reference);
     }
+}
+
+/// Demand every counter of `r` equal the reference's.
+fn assert_matches_reference(label: &str, r: &SimResult, reference: &RefHierarchy) {
+    assert_eq!(r.accesses, reference.accesses, "{label}");
+    assert_eq!(r.level_hits, reference.level_hits, "{label}");
+    assert_eq!(r.victim_hits, reference.victim_hits, "{label}");
+    assert_eq!(r.opm_flat, reference.opm_flat, "{label}");
+    assert_eq!(r.dram, reference.dram, "{label}");
+    assert_eq!(r.dram_writebacks, reference.dram_writebacks, "{label}");
+    assert_eq!(r.levels.len(), reference.chain.len(), "{label}");
+    for (l, c) in r.levels.iter().zip(&reference.chain) {
+        assert_eq!(
+            (l.hits, l.misses, l.evictions, l.writebacks),
+            (
+                c.stats.hits,
+                c.stats.misses,
+                c.stats.evictions,
+                c.stats.writebacks
+            ),
+            "{label}: level {} counters",
+            l.name
+        );
+    }
+    r.reconcile().unwrap_or_else(|e| panic!("{label}: {e}"));
 }
 
 #[test]
@@ -495,6 +516,120 @@ fn hierarchy_matches_reference_on_structured_traces() {
             assert_hierarchy_equivalent(config, scale, &Trace::strided(0, 1 << 20, 4096));
         }
     }
+}
+
+#[test]
+fn hierarchy_matches_reference_on_kernel_twins() {
+    // The kernel trace twins at the benchmark's canary sizes, on the
+    // milli-machine the benchmark simulates.
+    let a = MatrixSpec::new(MatrixKind::RandomUniform, 4096, 40_000, 7).build();
+    let twins = [
+        gemm_blocked_trace(32, 8),
+        spmv_trace(&a, 1),
+        stencil_trace(20),
+        stream_triad_trace(20_000, 1),
+    ];
+    for config in ALL_CONFIGS {
+        for trace in &twins {
+            assert_hierarchy_equivalent(config, 1024, trace);
+        }
+    }
+}
+
+/// Line touches per block of the staged `HierarchySim::run` (4 Ki).
+const BLOCK: u64 = 4096;
+
+/// A trace of `n` single-line touches: a cyclic sweep over 12 KiB, one
+/// write in three. It overflows the milli-Broadwell L2 and L3 (dirty
+/// evictions included) and fits the eDRAM, so the victim fills and hits.
+fn pad(n: u64) -> Trace {
+    let mut t = Trace::new();
+    for i in 0..n {
+        let addr = (i % 192) * LINE_BYTES;
+        if i % 3 == 0 {
+            t.write(addr, 8);
+        } else {
+            t.read(addr, 8);
+        }
+    }
+    t
+}
+
+#[test]
+fn staged_run_matches_reference_across_block_boundaries() {
+    // A 3-line access starting at every touch position near the end of
+    // the first block, so it straddles the boundary in each way.
+    for before in BLOCK - 3..=BLOCK {
+        let mut t = pad(before);
+        t.write(5 * LINE_BYTES + 40, 2 * LINE_BYTES as u32);
+        t.accesses.extend(pad(50).accesses);
+        for config in ALL_CONFIGS {
+            assert_hierarchy_equivalent(config, 1024, &t);
+        }
+    }
+    // One access spanning more lines than two blocks: expansion must
+    // flush inside the access.
+    let mut t = pad(100);
+    t.read(LINE_BYTES / 2, (2 * BLOCK + 300) as u32 * LINE_BYTES as u32);
+    t.accesses.extend(pad(100).accesses);
+    for config in ALL_CONFIGS {
+        assert_hierarchy_equivalent(config, 1024, &t);
+    }
+}
+
+#[test]
+fn staged_runs_continue_where_the_last_one_stopped() {
+    // Two runs on one simulator equal one run of the concatenated trace:
+    // every level's contents carry over, and the first run's partial
+    // last block is complete before the second begins.
+    let first = Trace::random(0, 1 << 20, BLOCK as usize + 777, 5);
+    let second = Trace::sequential(1 << 19, 96 * 1024, 2);
+    let mut both = first.clone();
+    both.accesses.extend(second.accesses.iter().cloned());
+    for config in ALL_CONFIGS {
+        let mut split = HierarchySim::for_config(config, 1024);
+        split.run(&first);
+        split.run(&second);
+        let mut whole = HierarchySim::for_config(config, 1024);
+        assert_eq!(split.result(), whole.run(&both), "{config:?}");
+        let mut reference = RefHierarchy::for_config(config, 1024);
+        for acc in &both.accesses {
+            let write = !matches!(acc.kind, opm_repro::memsim::AccessKind::Read);
+            for line in acc.lines() {
+                reference.touch(line, write);
+            }
+        }
+        assert_matches_reference(&format!("{config:?} split"), split.result(), &reference);
+    }
+}
+
+#[test]
+fn staged_run_of_an_empty_trace_changes_nothing() {
+    for config in ALL_CONFIGS {
+        let mut sim = HierarchySim::for_config(config, 1024);
+        let r = sim.run(&Trace::new()).clone();
+        assert_eq!(r.accesses, 0, "{config:?}");
+        assert_matches_reference(
+            &format!("{config:?} empty"),
+            &r,
+            &RefHierarchy::for_config(config, 1024),
+        );
+    }
+}
+
+#[test]
+fn victim_only_hierarchy_matches_reference() {
+    // No chain: every touch goes straight to the victim stage, which
+    // never fills (nothing is evicted into it) and so never hits.
+    let sim = HierarchySim::new(
+        vec![],
+        Some(SetAssocCache::new("eDRAM", 16 * 1024, 16)),
+        None,
+    );
+    let reference = RefHierarchy::new(vec![], Some(RefCache::new(16 * 1024, 16)), None);
+    let mut t = pad(BLOCK + 10);
+    t.write(0, 3 * BLOCK as u32 * LINE_BYTES as u32);
+    assert_equivalent("victim-only", sim, reference, &t);
 }
 
 proptest! {
