@@ -6,14 +6,16 @@
 //! * **Spans** — timed, named, nested regions (`figure` → `stage` →
 //!   `point`). Nesting is tracked per thread through a thread-local
 //!   stack, so a span opened while another is active becomes its child;
-//!   work handed to worker threads attaches to an explicit parent path
-//!   with [`Telemetry::span_under`]. A span's *path* (`parent>child`)
-//!   identifies its position in the tree independently of timestamps or
-//!   scheduling, which is what the determinism tests compare.
-//! * **Counters** — process-lifetime monotonic `u64`s (memsim per-level
-//!   hits/misses/evictions/bytes-moved, profile-cache traffic, retries,
-//!   quarantines). Counters are plain relaxed atomics: increments
-//!   commute, so totals are exactly equal for every thread count.
+//!   the engine's point spans attach to an explicit parent path with
+//!   [`Telemetry::span_under`]. A span's *path* (`parent>child`)
+//!   identifies its position in the tree independently of timestamps,
+//!   which is what the determinism tests compare.
+//! * **Counters** — process-lifetime monotonic `u64`s (memsim accesses
+//!   and per-level hits/misses/evictions/bytes-moved, sweep points and
+//!   stages, retries, recoveries, quarantines, served requests). Counters
+//!   are plain relaxed atomics, so a daemon's connection threads add to
+//!   them without a lock; increments commute, so the totals do not
+//!   depend on the order they land in.
 //! * **Events** — timestamped instants (sweep progress, run lifecycle
 //!   markers) that let an external tail — `opm top` — reconstruct live
 //!   run state from the trace alone.

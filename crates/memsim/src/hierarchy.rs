@@ -308,6 +308,24 @@ impl HierarchySim {
     /// `scale` divides every capacity (1 = full size; 1024 = milli-machine
     /// for fast exact simulation). Associativities: L2/L3 are 8/16-way,
     /// eDRAM 16-way victim, MCDRAM direct-mapped.
+    ///
+    /// [`SetAssocCache::new`] keeps a power-of-two number of sets, rounded
+    /// down, so a capacity that is not a power of two times the ways
+    /// loses the rest. The levels built, as sets × ways = usable bytes
+    /// (pinned by the `geometry_of_every_config_at_both_scales` test):
+    ///
+    /// | level | scale 1 | scale 1024 |
+    /// |---|---|---|
+    /// | Broadwell L2 (4 × 256 KiB) | 2048 × 8 = 1 MiB | 2 × 8 = 1 KiB |
+    /// | Broadwell L3 (6 MiB) | 4096 × 16 = **4 MiB** | 4 × 16 = **4 KiB** |
+    /// | eDRAM victim (128 MiB) | 131072 × 16 = 128 MiB | 128 × 16 = 128 KiB |
+    /// | KNL L2 (32 MiB) | 65536 × 8 = 32 MiB | 64 × 8 = 32 KiB |
+    /// | MCDRAM cache (16 GiB) | 2^28 × 1 = 16 GiB | 262144 × 1 = 16 MiB |
+    /// | MCDRAM/2 hybrid cache | 2^27 × 1 = 8 GiB | 131072 × 1 = 8 MiB |
+    ///
+    /// The flat MCDRAM boundary is 16 GiB (hybrid: 8 GiB) divided by
+    /// `scale`. The Broadwell L3 thus holds 4 of its 6 MiB at every scale;
+    /// the real part is 12-way, which would keep all 6 MiB in 8192 sets.
     pub fn for_config(config: OpmConfig, scale: u64) -> Self {
         assert!(scale >= 1, "scale must be >= 1");
         let p = PlatformSpec::for_machine(config.machine());
@@ -491,7 +509,7 @@ mod tests {
     use super::*;
     use opm_core::platform::{EdramMode, McdramMode, OpmConfig};
 
-    const SCALE: u64 = 1024; // milli-machine: L2 1 KiB, L3 6 KiB, eDRAM 128 KiB
+    const SCALE: u64 = 1024; // milli-machine: L2 1 KiB, L3 4 KiB, eDRAM 128 KiB
 
     /// Line-granularity cyclic sweep (one touch per 64-byte line), so hit
     /// ratios reflect the hierarchy rather than intra-line spatial reuse.
@@ -522,14 +540,15 @@ mod tests {
 
     #[test]
     fn fits_in_l3_hits_l3() {
-        // 4 KiB working set on the milli-Broadwell (L3 = 6 KiB).
+        // 4 KiB working set on the milli-Broadwell (L3 = 4 KiB, 4 sets of
+        // 16 ways).
         let r = stream_result(OpmConfig::Broadwell(EdramMode::Off), 4 * 1024);
         assert!(r.on_package_ratio() > 0.95, "{r:?}");
     }
 
     #[test]
     fn exceeds_l3_without_edram_goes_to_dram() {
-        // 32 KiB working set: beyond milli-L3 (6 KiB), cyclic LRU thrash.
+        // 32 KiB working set: beyond milli-L3 (4 KiB), cyclic LRU thrash.
         let r = stream_result(OpmConfig::Broadwell(EdramMode::Off), 32 * 1024);
         assert!(
             r.dram as f64 / r.accesses as f64 > 0.8,
@@ -712,6 +731,50 @@ mod tests {
         OpmConfig::Knl(McdramMode::Flat),
         OpmConfig::Knl(McdramMode::Hybrid),
     ];
+
+    #[test]
+    fn geometry_of_every_config_at_both_scales() {
+        // (name, sets, ways, usable bytes) of every chain level, then the
+        // victim cache, and the flat boundary; the table in the
+        // `for_config` docs states the same numbers. The Broadwell L3
+        // rounds down to 4 MiB, so at the benchmark's scale 1024 it holds
+        // 4 KiB (64 lines) and the L2 1 KiB (16 lines).
+        const MIB: u64 = 1 << 20;
+        const GIB: u64 = 1 << 30;
+        let brd = |scale: u64| {
+            vec![
+                ("L2", 2048 / scale as usize, 8, MIB / scale),
+                ("L3", 4096 / scale as usize, 16, 4 * MIB / scale),
+            ]
+        };
+        let knl_l2 = |scale: u64| ("L2", 65536 / scale as usize, 8, 32 * MIB / scale);
+        for scale in [1, 1024] {
+            let edram = ("eDRAM", 131072 / scale as usize, 16, 128 * MIB / scale);
+            let mcdram = ("MCDRAM", (1 << 28) / scale as usize, 1, 16 * GIB / scale);
+            let half = ("MCDRAM/2", (1 << 27) / scale as usize, 1, 8 * GIB / scale);
+            let expected = [
+                (brd(scale), None),
+                ([brd(scale), vec![edram]].concat(), None),
+                (vec![knl_l2(scale)], None),
+                (vec![knl_l2(scale), mcdram], None),
+                (vec![knl_l2(scale)], Some(16 * GIB / scale)),
+                (vec![knl_l2(scale), half], Some(8 * GIB / scale)),
+            ];
+            for (config, (levels, flat)) in ALL_CONFIGS.into_iter().zip(expected) {
+                let sim = HierarchySim::for_config(config, scale);
+                let built: Vec<_> = (sim.chain.iter().chain(&sim.victim))
+                    .map(|c| (c.name(), c.sets(), c.ways(), c.capacity()))
+                    .collect();
+                assert_eq!(built, levels, "{} at scale {scale}", config.label());
+                assert_eq!(
+                    sim.flat_boundary,
+                    flat,
+                    "{} at scale {scale}",
+                    config.label()
+                );
+            }
+        }
+    }
 
     #[test]
     fn levels_reconcile_on_every_config() {

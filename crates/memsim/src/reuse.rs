@@ -9,28 +9,41 @@
 //!
 //! Two implementations live here:
 //!
-//! * [`reuse_histogram`] — the production Bennett–Kruskal pass: a Fenwick
-//!   tree over timestamps counting "most recent access positions",
-//!   O(N log N). An 8-deep **recency stack** sits in front of it: it holds
-//!   the 8 most recent distinct lines, most recent first, and a touch
-//!   found at depth `p` has distance `p` — counted and rotated to the
-//!   front with no map or tree work. Consecutive touches of one line
-//!   (7/8 of a sequential 8-byte sweep) are the `p = 0` case, and a few
-//!   interleaved streams (a triad's three arrays) stay inside the stack.
-//!   A line that falls off the bottom takes the next tree timestamp: it
-//!   is older than every stack line and newer than every tree line, so
-//!   the tree stays in recency order, and a reuse from below the stack
-//!   has distance 8 plus the tree marks after its timestamp (one prefix
-//!   query, against a running mark count). The rest of the constant
-//!   factor is an open-addressing last-timestamp map (Fibonacci hash,
-//!   linear probing) instead of SipHash `HashMap`, and a thread-local
-//!   scratch arena so sweeping thousands of profile points reuses the
-//!   tree/map/histogram buffers instead of reallocating per call.
+//! * [`reuse_histogram`] — the production one-pass Bennett–Kruskal
+//!   analyzer, in three parts:
+//!   - An 8-deep **recency stack** holds the 8 most recent distinct
+//!     lines, most recent first. A touch found at depth `p` has distance
+//!     `p` and only rotates the stack. Consecutive touches of one line
+//!     (7/8 of a sequential 8-byte sweep) are the `p = 0` case, and a few
+//!     interleaved streams (a triad's three arrays) stay inside it.
+//!   - A line pushed off the bottom takes the next **timestamp**. It is
+//!     older than every stack line and newer than every earlier
+//!     timestamp, so timestamps stay in recency order. Each line below
+//!     the stack owns one *mark*, at its latest timestamp, and a reuse
+//!     from below the stack has distance 8 plus the marks after that
+//!     timestamp. The marks live in a **counted bitmap**: one bit per
+//!     timestamp, a byte count per 64-bit word, and `u32` counts per 64
+//!     entries of the level below, up to a level of at most 64 entries.
+//!     A query sums the entries after its own in its group of 64 on
+//!     every level, so it costs at most 63 reads per level, whatever the
+//!     distance; a mark update touches one entry per level.
+//!   - The last timestamp of each line sits in a **paged line map**:
+//!     open addressing (Fibonacci hash, linear probing, at most half
+//!     full) over pages of 16 consecutive lines, each page 16 `u32`
+//!     timestamps in one cache line. A streaming array's touches land in
+//!     one page.
+//!
+//!   Memory, for `N` line touches: `N/8` bytes of bitmap plus
+//!   `N/64 + N/1024 + …` of counts, and 9 to 18 bytes per distinct line
+//!   on dense traces (a 72-byte slot per 16 lines, the map a quarter to
+//!   half full), 144 to 288 when every line sits on a page of its own;
+//!   all of it is allocated per call. Time is O(N) map and bitmap work
+//!   plus at most 63 reads on each of the log₆₄ N count levels per reuse
+//!   from below the stack.
 //! * [`reuse_histogram_reference`] — the executable specification: a naive
 //!   LRU stack, O(N·D). `tests/memsim_equivalence.rs` proves the two agree
 //!   bin-for-bin on random traces; keep this one obviously correct.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 
 use crate::trace::{Trace, LINE_BYTES};
@@ -100,132 +113,169 @@ impl ReuseHistogram {
     }
 }
 
-/// Sentinel timestamp marking an empty [`LineMap`] slot. Real timestamps
-/// are trace positions, far below `u64::MAX`.
-const EMPTY: u64 = u64::MAX;
-
 /// Fibonacci-hashing multiplier (the 64-bit golden ratio).
 const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
-#[inline]
-fn line_hash(line: u64) -> usize {
-    (line.wrapping_mul(HASH_MUL) >> 32) as usize
-}
+/// Lines per page of the [`PageMap`].
+const PAGE_LINES: usize = 16;
 
-/// Open-addressing line → last-timestamp map with linear probing. The
-/// slot array lives in the scratch arena and is reused across calls.
-struct LineMap<'a> {
-    slots: &'a mut Vec<(u64, u64)>,
-    mask: usize,
+/// Timestamp of a line that has none yet: it never left the stack.
+/// Real timestamps are below the trace's line-touch count, which
+/// [`reuse_histogram`] keeps under `u32::MAX`.
+const NONE: u32 = u32::MAX;
+
+/// Key of a free [`PageMap`] slot. Real keys are `line / PAGE_LINES`,
+/// far below it.
+const FREE: u64 = u64::MAX;
+
+/// The last timestamps of one page of consecutive lines, one cache line.
+#[derive(Clone, Copy)]
+#[repr(align(64))]
+struct Page([u32; PAGE_LINES]);
+
+/// Line → last-timestamp map over pages of [`PAGE_LINES`] consecutive
+/// lines: open addressing on the page key, linear probing, at most half
+/// full.
+struct PageMap {
+    keys: Vec<u64>,
+    pages: Vec<Page>,
     len: usize,
 }
 
-impl<'a> LineMap<'a> {
-    /// Reset `slots` to hold at least `hint` lines at < 50% load.
-    fn reset(slots: &'a mut Vec<(u64, u64)>, hint: usize) -> Self {
-        let cap = (hint.max(8) * 2).next_power_of_two();
-        slots.clear();
-        slots.resize(cap, (0, EMPTY));
-        LineMap {
-            mask: cap - 1,
+impl PageMap {
+    fn new() -> Self {
+        PageMap {
+            keys: vec![FREE; 16],
+            pages: vec![Page([NONE; PAGE_LINES]); 16],
             len: 0,
-            slots,
         }
     }
 
-    /// The timestamp last recorded for `line`, if any.
+    /// The slot holding page `key`, or the free slot where it belongs.
     #[inline]
-    fn get(&self, line: u64) -> Option<u64> {
-        let mut i = line_hash(line) & self.mask;
-        loop {
-            let slot = self.slots[i];
-            if slot.1 == EMPTY {
-                return None;
-            }
-            if slot.0 == line {
-                return Some(slot.1);
-            }
-            i = (i + 1) & self.mask;
+    fn slot(&self, key: u64) -> usize {
+        let mask = self.keys.len() - 1;
+        let mut i = (key.wrapping_mul(HASH_MUL) >> 32) as usize & mask;
+        while self.keys[i] != key && self.keys[i] != FREE {
+            i = (i + 1) & mask;
         }
+        i
+    }
+
+    /// The timestamp last recorded for `line`, or [`NONE`].
+    #[inline]
+    fn get(&self, line: u64) -> u32 {
+        let i = self.slot(line / PAGE_LINES as u64);
+        self.pages[i].0[line as usize % PAGE_LINES]
     }
 
     /// Record timestamp `t` for `line`, replacing any earlier one.
     #[inline]
-    fn put(&mut self, line: u64, t: u64) {
-        if (self.len + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
-        let mut i = line_hash(line) & self.mask;
-        loop {
-            let slot = &mut self.slots[i];
-            if slot.1 == EMPTY {
-                *slot = (line, t);
-                self.len += 1;
-                return;
+    fn put(&mut self, line: u64, t: u32) {
+        let key = line / PAGE_LINES as u64;
+        let mut i = self.slot(key);
+        if self.keys[i] == FREE {
+            if (self.len + 1) * 2 > self.keys.len() {
+                self.grow();
+                i = self.slot(key);
             }
-            if slot.0 == line {
-                slot.1 = t;
-                return;
-            }
-            i = (i + 1) & self.mask;
+            self.keys[i] = key;
+            self.len += 1;
         }
+        self.pages[i].0[line as usize % PAGE_LINES] = t;
     }
 
     #[cold]
     fn grow(&mut self) {
-        let old = std::mem::take(self.slots);
-        self.slots.resize(old.len() * 2, (0, EMPTY));
-        self.mask = self.slots.len() - 1;
-        for (line, t) in old {
-            if t == EMPTY {
-                continue;
+        let cap = self.keys.len() * 2;
+        let keys = std::mem::replace(&mut self.keys, vec![FREE; cap]);
+        let pages = std::mem::replace(&mut self.pages, vec![Page([NONE; PAGE_LINES]); cap]);
+        for (key, page) in keys.into_iter().zip(pages) {
+            if key != FREE {
+                let i = self.slot(key);
+                self.keys[i] = key;
+                self.pages[i] = page;
             }
-            let mut i = line_hash(line) & self.mask;
-            while self.slots[i].1 != EMPTY {
-                i = (i + 1) & self.mask;
-            }
-            self.slots[i] = (line, t);
         }
     }
 }
 
-/// Fenwick prefix add over a 1-based tree slice.
-#[inline]
-fn fen_add(tree: &mut [u64], mut i: usize, delta: i64) {
-    i += 1;
-    while i < tree.len() {
-        tree[i] = (tree[i] as i64 + delta) as u64;
-        i += i & i.wrapping_neg();
+/// The marks of the lines below the stack, one per line at its latest
+/// timestamp, as a counted bitmap: `bits` has one bit per timestamp,
+/// `words` the marks of each 64-bit word, `levels[0]` the marks of each
+/// 64 words and every further level the sum of 64 entries of the one
+/// below, up to a top level of at most 64 entries.
+struct Marks {
+    bits: Vec<u64>,
+    words: Vec<u8>,
+    levels: Vec<Vec<u32>>,
+}
+
+impl Marks {
+    /// Room for timestamps `0..stamps`, all unmarked.
+    fn new(stamps: usize) -> Self {
+        let words = stamps.div_ceil(64).max(1);
+        let mut levels = Vec::new();
+        let mut len = words;
+        while len > 64 {
+            len = len.div_ceil(64);
+            levels.push(vec![0; len]);
+        }
+        Marks {
+            bits: vec![0; words],
+            words: vec![0; words],
+            levels,
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, t: usize) {
+        self.bits[t / 64] |= 1 << (t % 64);
+        self.words[t / 64] += 1;
+        let mut i = t / 4096;
+        for level in &mut self.levels {
+            level[i] += 1;
+            i /= 64;
+        }
+    }
+
+    #[inline]
+    fn clear(&mut self, t: usize) {
+        self.bits[t / 64] &= !(1 << (t % 64));
+        self.words[t / 64] -= 1;
+        let mut i = t / 4096;
+        for level in &mut self.levels {
+            level[i] -= 1;
+            i /= 64;
+        }
+    }
+
+    /// Marks at timestamps after `t`: the later bits of its word, then
+    /// on every level the later entries of its group of 64. The top
+    /// level is one group, so that covers every later timestamp.
+    #[inline]
+    fn after(&self, t: usize) -> u32 {
+        let w = t / 64;
+        let mut n = (self.bits[w] & (!1 << (t % 64))).count_ones();
+        n += after_in_group(&self.words, w);
+        let mut i = w / 64;
+        for level in &self.levels {
+            n += after_in_group(level, i);
+            i /= 64;
+        }
+        n
     }
 }
 
-/// Fenwick prefix sum of values at indices `[0, i]`.
+/// The sum of the entries after `v[i]` in its group of 64.
 #[inline]
-fn fen_prefix(tree: &[u64], i: usize) -> u64 {
-    let mut i = i + 1;
-    let mut s = 0;
-    while i > 0 {
-        s += tree[i];
-        i -= i & i.wrapping_neg();
-    }
-    s
+fn after_in_group<T: Copy + Into<u32>>(v: &[T], i: usize) -> u32 {
+    let end = v.len().min((i | 63) + 1);
+    v[i + 1..end].iter().map(|&c| c.into()).sum()
 }
 
-/// Per-thread scratch buffers reused across [`reuse_histogram`] calls, so
-/// a sweep of thousands of points pays one allocation, not thousands.
-#[derive(Default)]
-struct Scratch {
-    fen: Vec<u64>,
-    hist: Vec<u64>,
-    slots: Vec<(u64, u64)>,
-}
-
-thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
-}
-
-/// Depth of the recency stack in front of the Fenwick tree: the most
-/// recent distinct lines, whose reuses are counted without map or tree
+/// Depth of the recency stack in front of the counted bitmap: the most
+/// recent distinct lines, whose reuses are counted without map or bitmap
 /// work.
 const STACK: usize = 8;
 
@@ -233,8 +283,13 @@ const STACK: usize = 8;
 ///
 /// Identical output to [`reuse_histogram_reference`] — the fast path is
 /// differential-tested against it bin for bin.
+///
+/// # Panics
+///
+/// If the trace has 2^32 line touches or more (a `Vec<Access>` of 64 GiB
+/// or more): timestamps are `u32`.
 pub fn reuse_histogram(trace: &Trace) -> ReuseHistogram {
-    // Total line touches (determines tree capacity and `total`).
+    // Total line touches (bounds the timestamps, and is `total`).
     let n: usize = trace
         .accesses
         .iter()
@@ -251,75 +306,69 @@ pub fn reuse_histogram(trace: &Trace) -> ReuseHistogram {
             total: 0,
         };
     }
-    SCRATCH.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        let scratch = &mut *scratch;
-        scratch.fen.clear();
-        scratch.fen.resize(n + 1, 0);
-        scratch.hist.clear();
-        scratch.hist.resize(STACK, 0); // every stack distance has a bin
-        let mut map = LineMap::reset(&mut scratch.slots, n.min(1 << 16));
-        // The most recent distinct lines, most recent first; `EMPTY`
-        // (no real line) pads it until STACK lines have been seen.
-        let mut stack = [EMPTY; STACK];
-        let mut cold = 0u64;
-        let mut in_tree = 0u64; // marks currently in the tree
-        let mut t = 0usize; // next tree timestamp
-        for acc in &trace.accesses {
-            let first = acc.addr / LINE_BYTES;
-            let last = (acc.addr + acc.len.max(1) as u64 - 1) / LINE_BYTES;
-            for line in first..=last {
-                if let Some(p) = stack.iter().position(|&l| l == line) {
-                    // Exactly the `p` lines above it were touched since.
-                    scratch.hist[p] += 1;
-                    for i in (1..=p).rev() {
-                        stack[i] = stack[i - 1];
-                    }
-                    stack[0] = line;
-                    continue;
+    assert!(
+        n < NONE as usize,
+        "reuse_histogram: {n} line touches, timestamps hold fewer than 2^32"
+    );
+    let mut marks = Marks::new(n);
+    let mut map = PageMap::new();
+    // Every stack distance has a bin.
+    let mut hist = vec![0u64; STACK];
+    // The most recent distinct lines, most recent first; `FREE` (no real
+    // line) pads it until STACK lines have been seen.
+    let mut stack = [FREE; STACK];
+    let mut cold = 0u64;
+    let mut t = 0u32; // next timestamp
+    for acc in &trace.accesses {
+        let first = acc.addr / LINE_BYTES;
+        let last = (acc.addr + acc.len.max(1) as u64 - 1) / LINE_BYTES;
+        for line in first..=last {
+            if let Some(p) = stack.iter().position(|&l| l == line) {
+                // Exactly the `p` lines above it were touched since.
+                hist[p] += 1;
+                for i in (1..=p).rev() {
+                    stack[i] = stack[i - 1];
                 }
-                // Below the stack: every stack line, plus each tree line
-                // marked after this line's timestamp, was touched since.
-                match map.get(line) {
-                    Some(prev) => {
-                        let d =
-                            STACK + (in_tree - fen_prefix(&scratch.fen, prev as usize)) as usize;
-                        if d >= scratch.hist.len() {
-                            scratch.hist.resize(d + 1, 0);
-                        }
-                        scratch.hist[d] += 1;
-                        fen_add(&mut scratch.fen, prev as usize, -1);
-                        in_tree -= 1;
-                    }
-                    None => cold += 1,
-                }
-                // The line pushed off the bottom is older than every stack
-                // line and newer than every tree line: it takes the next
-                // timestamp, which keeps the tree in recency order.
-                let out = stack[STACK - 1];
-                stack.copy_within(..STACK - 1, 1);
                 stack[0] = line;
-                if out != EMPTY {
-                    map.put(out, t as u64);
-                    fen_add(&mut scratch.fen, t, 1);
-                    in_tree += 1;
-                    t += 1;
+                continue;
+            }
+            // Below the stack: every stack line, plus each line marked
+            // after this line's timestamp, was touched since.
+            match map.get(line) {
+                NONE => cold += 1,
+                prev => {
+                    let d = STACK + marks.after(prev as usize) as usize;
+                    if d >= hist.len() {
+                        hist.resize(d + 1, 0);
+                    }
+                    hist[d] += 1;
+                    marks.clear(prev as usize);
                 }
             }
+            // The line pushed off the bottom is older than every stack
+            // line and newer than every marked one: it takes the next
+            // timestamp, which keeps the marks in recency order.
+            let out = stack[STACK - 1];
+            stack.copy_within(..STACK - 1, 1);
+            stack[0] = line;
+            if out != FREE {
+                map.put(out, t);
+                marks.set(t as usize);
+                t += 1;
+            }
         }
-        let finite: Vec<(u64, u64)> = scratch
-            .hist
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c != 0)
-            .map(|(d, &c)| (d as u64, c))
-            .collect();
-        ReuseHistogram {
-            finite,
-            cold,
-            total: n as u64,
-        }
-    })
+    }
+    let finite: Vec<(u64, u64)> = hist
+        .iter()
+        .enumerate()
+        .filter(|(_, &c)| c != 0)
+        .map(|(d, &c)| (d as u64, c))
+        .collect();
+    ReuseHistogram {
+        finite,
+        cold,
+        total: n as u64,
+    }
 }
 
 /// Reference implementation: an explicit LRU stack, O(N·D).

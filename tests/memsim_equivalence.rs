@@ -13,8 +13,8 @@
 //!   results, victim identities, counters).
 //! * [`opm_repro::memsim::reuse_histogram_reference`] — the naive
 //!   O(N·D) LRU-stack reuse-distance computation, against which the
-//!   recency-stack + Fenwick-tree fast path must be bin-for-bin
-//!   identical.
+//!   fast path (recency stack, counted bitmap, paged line map) must be
+//!   bin-for-bin identical.
 //!
 //! The hierarchy test replays every touch through both cache
 //! implementations under all six platform configurations and demands the
@@ -647,7 +647,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Reuse-distance differential: Fenwick fast path vs LRU-stack reference.
+// Reuse-distance differential: counted-bitmap fast path vs LRU-stack
+// reference.
 // ---------------------------------------------------------------------------
 
 fn assert_reuse_equivalent(trace: &Trace) {
@@ -686,7 +687,7 @@ proptest! {
         lines in proptest::collection::vec(0u64..48, 1..1024),
     ) {
         // A tiny line universe maximizes finite reuse distances, which is
-        // where the Fenwick prefix arithmetic can go wrong.
+        // where the counted-bitmap arithmetic can go wrong.
         let mut t = Trace::new();
         for l in lines {
             t.read(l * LINE_BYTES, 8);
@@ -751,4 +752,107 @@ fn reuse_histogram_matches_reference_on_kernel_twins() {
     assert_reuse_equivalent(&spmv_trace(&a, 1));
     assert_reuse_equivalent(&stencil_trace(20));
     assert_reuse_equivalent(&stream_triad_trace(20_000, 1));
+}
+
+/// `n` line touches: a cycle over 24 lines, which pushes a line off the
+/// 8-deep recency stack and takes a timestamp at every touch, with three
+/// sets of 10 anchor lines touched at the start, half-way and
+/// seven-eighths of the way in, and all 30 anchors again at the end. The
+/// anchors' reuses count marks across every level of the bitmap, from
+/// the start, the middle and the end of a group.
+fn spill_trace(n: usize) -> Trace {
+    const WINDOW: u64 = 24;
+    const ANCHORS: usize = 10;
+    let sets = [0, n / 2, n / 8 * 7];
+    let anchor = |set: usize, k: usize| 1000 + (set * ANCHORS + k) as u64;
+    let mut t = Trace::new();
+    let mut w = 0;
+    for pos in 0..n - 3 * ANCHORS {
+        let line = match sets.iter().position(|&p| (p..p + ANCHORS).contains(&pos)) {
+            Some(set) => anchor(set, pos - sets[set]),
+            None => {
+                w += 1;
+                w % WINDOW
+            }
+        };
+        t.read(line * LINE_BYTES, 8);
+    }
+    for set in 0..sets.len() {
+        for k in 0..ANCHORS {
+            t.read(anchor(set, k) * LINE_BYTES, 8);
+        }
+    }
+    t
+}
+
+#[test]
+fn reuse_histogram_matches_reference_around_the_count_levels() {
+    // The bitmap has one bit per timestamp, a count per 64-bit word, a
+    // count per 64 words (4096 timestamps) and one per 64 of those
+    // (262 144 timestamps); it is sized by the line touches and takes one
+    // timestamp per touch after the first 8. These put both the touches
+    // and the timestamps just below, at and just above each boundary,
+    // and then 100 touches past it, so reuses query marks on both sides.
+    for boundary in [64, 4096, 1 << 18] {
+        for n in [0, 1, 7, 8, 9, 100].map(|k| boundary + k - 1) {
+            let t = spill_trace(n);
+            assert_eq!(t.len(), n);
+            assert_reuse_equivalent(&t);
+        }
+    }
+}
+
+#[test]
+fn reuse_histogram_matches_reference_with_one_line_per_page() {
+    // Line map pages hold 16 consecutive lines. Strides of 16 and 17
+    // lines put every touched line on a page of its own, at one offset
+    // or at every offset; three passes make every line a reuse.
+    for stride_lines in [16u64, 17, 64] {
+        let pass = Trace::strided(
+            0,
+            3000 * stride_lines * LINE_BYTES,
+            stride_lines * LINE_BYTES,
+        );
+        let mut t = Trace::new();
+        for _ in 0..3 {
+            t.accesses.extend_from_slice(&pass.accesses);
+        }
+        assert_reuse_equivalent(&t);
+    }
+}
+
+#[test]
+fn reuse_histogram_matches_reference_across_page_and_line_boundaries() {
+    // An access that starts 4 bytes before a page boundary touches the
+    // last line of one page and the first of the next; longer ones span
+    // several lines and pages.
+    let page = 16 * LINE_BYTES;
+    let mut t = Trace::new();
+    for pass in 0..3u64 {
+        for k in 1..200u64 {
+            t.read(k * page - 4, 8);
+            t.write(k * page + pass * 8, 2 * page as u32 + 8);
+            t.read(
+                (k * 37 % 199 + 1) * page - LINE_BYTES / 2,
+                LINE_BYTES as u32,
+            );
+        }
+    }
+    assert_reuse_equivalent(&t);
+}
+
+#[test]
+fn reuse_histogram_matches_reference_on_empty_and_single_line_traces() {
+    assert_reuse_equivalent(&Trace::new());
+    let mut one = Trace::new();
+    one.read(12_345 * LINE_BYTES + 3, 8);
+    assert_reuse_equivalent(&one);
+    // One line touched again and again, with empty and full-line
+    // accesses: everything after the first touch is at distance 0.
+    let mut same = Trace::new();
+    for k in 0..100u32 {
+        same.read(7 * LINE_BYTES, k % 2 * LINE_BYTES as u32);
+    }
+    assert_reuse_equivalent(&same);
+    assert_eq!(reuse_histogram(&same).finite, vec![(0, 99)]);
 }
