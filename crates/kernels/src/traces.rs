@@ -16,7 +16,7 @@ const PTR: u32 = 8;
 /// STREAM TRIAD `a = b + α·c` over `n` doubles, `passes` repetitions.
 /// Layout: `a @ 0`, `b`, `c` contiguous.
 pub fn stream_triad_trace(n: usize, passes: usize) -> Trace {
-    let mut t = Trace::new();
+    let mut t = Trace::with_capacity(3 * n * passes);
     let a0 = 0u64;
     let b0 = (n as u64) * 8;
     let c0 = 2 * (n as u64) * 8;
@@ -35,7 +35,7 @@ pub fn stream_triad_trace(n: usize, passes: usize) -> Trace {
 /// [`opm_sparse::spmv_serial`]. Layout: `row_ptr @ 0`, then `col_idx`,
 /// `vals`, `x`, `y`.
 pub fn spmv_trace(a: &CsrMatrix, passes: usize) -> Trace {
-    let mut t = Trace::new();
+    let mut t = Trace::with_capacity(passes * 3 * (a.rows + a.nnz()));
     let ptr0 = 0u64;
     let idx0 = ptr0 + (a.row_ptr.len() as u64) * 8;
     let val0 = idx0 + (a.col_idx.len() as u64) * 4;
@@ -61,7 +61,8 @@ pub fn spmv_trace(a: &CsrMatrix, passes: usize) -> Trace {
 /// Blocked GEMM `C += A·B` with square tiles — the loop order of
 /// [`opm_dense::gemm_blocked`]. Layout: `A @ 0`, `B`, `C`.
 pub fn gemm_blocked_trace(n: usize, tile: usize) -> Trace {
-    let mut t = Trace::new();
+    // Per (i, l) pair: one A read per j-tile and three touches per j.
+    let mut t = Trace::with_capacity(n * n * (n.div_ceil(tile) + 3 * n));
     let a0 = 0u64;
     let b0 = (n * n) as u64 * 8;
     let c0 = 2 * (n * n) as u64 * 8;
@@ -96,7 +97,8 @@ pub fn gemm_blocked_trace(n: usize, tile: usize) -> Trace {
 pub fn stencil_trace(n: usize) -> Trace {
     use opm_stencil::HALF;
     assert!(n > 2 * HALF, "grid too small");
-    let mut t = Trace::new();
+    let m = n - 2 * HALF;
+    let mut t = Trace::with_capacity(m * m * m * (6 * HALF + 3));
     let cells = (n * n * n) as u64;
     let prev0 = 0u64;
     let cur0 = cells * 8;
@@ -126,7 +128,7 @@ pub fn stencil_trace(n: usize) -> Trace {
 /// the loop order of [`opm_sparse::sptrans_scan`]. Layout: input CSR
 /// arrays, then the output CSC arrays.
 pub fn sptrans_trace(a: &CsrMatrix) -> Trace {
-    let mut t = Trace::new();
+    let mut t = Trace::with_capacity(7 * a.nnz() + 2 * (a.cols + 1));
     let nnz = a.nnz() as u64;
     let in_idx = 0u64;
     let in_val = in_idx + nnz * 4;
@@ -172,7 +174,10 @@ pub fn sptrans_trace(a: &CsrMatrix) -> Trace {
 /// [`opm_sparse::sptrsv_serial`] — like SpMV but the gathered vector is
 /// the output `x` itself (the dependency that kills MLP).
 pub fn sptrsv_trace(l: &CsrMatrix) -> Trace {
-    let mut t = Trace::new();
+    let gathers: usize = (0..l.rows)
+        .map(|i| l.row(i).0.iter().filter(|&&c| (c as usize) < i).count())
+        .sum();
+    let mut t = Trace::with_capacity(3 * l.rows + 2 * l.nnz() + gathers);
     let ptr0 = 0u64;
     let idx0 = ptr0 + (l.row_ptr.len() as u64) * 8;
     let val0 = idx0 + (l.col_idx.len() as u64) * 4;
@@ -199,14 +204,15 @@ pub fn sptrsv_trace(l: &CsrMatrix) -> Trace {
 /// strided Y and X gathers), matching [`opm_fft::fft3d()`]'s access order at
 /// pencil granularity (butterfly-internal reuse folded to `log n` touches).
 pub fn fft3d_trace(n: usize) -> Trace {
-    let mut t = Trace::new();
     let elem = 16u32; // complex
     let log_n = (n as f64).log2().ceil().max(1.0) as u64;
+    let z_sweeps = log_n.min(3) as usize;
+    let mut t = Trace::with_capacity(n * n * n * (2 * z_sweeps + 4));
     let at = |x: usize, y: usize, z: usize| (((x * n + y) * n + z) as u64) * 16;
     // Z pass: contiguous pencils, log n sweeps each.
     for x in 0..n {
         for y in 0..n {
-            for _pass in 0..log_n.min(3) {
+            for _pass in 0..z_sweeps {
                 for z in 0..n {
                     t.read(at(x, y, z), elem);
                     t.write(at(x, y, z), elem);
@@ -244,6 +250,25 @@ mod tests {
     use super::*;
     use opm_memsim::reuse_histogram;
     use opm_sparse::{MatrixKind, MatrixSpec};
+
+    #[test]
+    fn every_twin_is_sized_exactly() {
+        let m = MatrixSpec::new(MatrixKind::RandomUniform, 512, 4096, 4).build();
+        let lower = m.to_lower_triangular();
+        for (name, t) in [
+            ("triad", stream_triad_trace(1000, 3)),
+            ("spmv", spmv_trace(&m, 2)),
+            ("gemm", gemm_blocked_trace(20, 8)),
+            ("gemm untiled", gemm_blocked_trace(12, 12)),
+            ("stencil", stencil_trace(2 * opm_stencil::HALF + 5)),
+            ("sptrans", sptrans_trace(&m)),
+            ("sptrsv", sptrsv_trace(&lower)),
+            ("fft", fft3d_trace(8)),
+            ("fft small", fft3d_trace(2)),
+        ] {
+            assert_eq!(t.accesses.capacity(), t.len(), "{name}");
+        }
+    }
 
     #[test]
     fn stream_trace_counts() {
@@ -392,13 +417,7 @@ mod tests {
         let t = spmv_trace(&m, 2);
         let mut sim = HierarchySim::for_config(OpmConfig::Broadwell(EdramMode::On), 1024);
         let r = sim.run(&t);
-        assert_eq!(
-            r.accesses,
-            t.accesses
-                .iter()
-                .map(|a| a.lines().count() as u64)
-                .sum::<u64>()
-        );
+        assert_eq!(r.accesses, t.accesses.line_touches());
         assert!(r.on_package_ratio() > 0.5);
     }
 }

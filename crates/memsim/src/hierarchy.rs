@@ -375,8 +375,7 @@ impl HierarchySim {
             let write = (acc.kind == crate::trace::AccessKind::Write) as u64;
             // Expand lines inline (most accesses touch exactly one line;
             // the explicit bounds keep the per-access cost at two shifts).
-            let first = acc.addr / LINE_BYTES;
-            let last = (acc.addr + acc.len.max(1) as u64 - 1) / LINE_BYTES;
+            let (first, last) = acc.line_span();
             let mut line = first;
             loop {
                 words.push(line << 1 | write);

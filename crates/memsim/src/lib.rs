@@ -27,4 +27,4 @@ pub use prefetch::{simulate_with_prefetcher, PrefetchStats, StreamPrefetcher};
 pub use reuse::{reuse_histogram, reuse_histogram_reference, ReuseHistogram};
 pub use synth::{trace_from_phase, trace_from_tiers, trace_from_tiers_into};
 pub use timing::{LevelPrice, SimTiming};
-pub use trace::{Access, AccessKind, Trace, LINE_BYTES};
+pub use trace::{Access, AccessKind, PackedAccesses, Trace, LINE_BYTES};

@@ -286,19 +286,13 @@ const STACK: usize = 8;
 ///
 /// # Panics
 ///
-/// If the trace has 2^32 line touches or more (a `Vec<Access>` of 64 GiB
-/// or more): timestamps are `u32`.
+/// If the trace has 2^32 line touches or more (at least 32 GiB of
+/// packed records, or fewer accesses spanning many lines each):
+/// timestamps are `u32`.
 pub fn reuse_histogram(trace: &Trace) -> ReuseHistogram {
-    // Total line touches (bounds the timestamps, and is `total`).
-    let n: usize = trace
-        .accesses
-        .iter()
-        .map(|a| {
-            let first = a.addr / LINE_BYTES;
-            let last = (a.addr + a.len.max(1) as u64 - 1) / LINE_BYTES;
-            (last - first + 1) as usize
-        })
-        .sum();
+    // Total line touches (bounds the timestamps, and is `total`), kept by
+    // the store as accesses were recorded.
+    let n = trace.accesses.line_touches();
     if n == 0 {
         return ReuseHistogram {
             finite: Vec::new(),
@@ -307,10 +301,10 @@ pub fn reuse_histogram(trace: &Trace) -> ReuseHistogram {
         };
     }
     assert!(
-        n < NONE as usize,
+        n < u64::from(NONE),
         "reuse_histogram: {n} line touches, timestamps hold fewer than 2^32"
     );
-    let mut marks = Marks::new(n);
+    let mut marks = Marks::new(n as usize);
     let mut map = PageMap::new();
     // Every stack distance has a bin.
     let mut hist = vec![0u64; STACK];
@@ -320,9 +314,7 @@ pub fn reuse_histogram(trace: &Trace) -> ReuseHistogram {
     let mut cold = 0u64;
     let mut t = 0u32; // next timestamp
     for acc in &trace.accesses {
-        let first = acc.addr / LINE_BYTES;
-        let last = (acc.addr + acc.len.max(1) as u64 - 1) / LINE_BYTES;
-        for line in first..=last {
+        for line in acc.lines() {
             if let Some(p) = stack.iter().position(|&l| l == line) {
                 // Exactly the `p` lines above it were touched since.
                 hist[p] += 1;
@@ -367,7 +359,7 @@ pub fn reuse_histogram(trace: &Trace) -> ReuseHistogram {
     ReuseHistogram {
         finite,
         cold,
-        total: n as u64,
+        total: n,
     }
 }
 

@@ -562,7 +562,7 @@ fn staged_run_matches_reference_across_block_boundaries() {
     for before in BLOCK - 3..=BLOCK {
         let mut t = pad(before);
         t.write(5 * LINE_BYTES + 40, 2 * LINE_BYTES as u32);
-        t.accesses.extend(pad(50).accesses);
+        t.accesses.extend(&pad(50).accesses);
         for config in ALL_CONFIGS {
             assert_hierarchy_equivalent(config, 1024, &t);
         }
@@ -571,10 +571,45 @@ fn staged_run_matches_reference_across_block_boundaries() {
     // flush inside the access.
     let mut t = pad(100);
     t.read(LINE_BYTES / 2, (2 * BLOCK + 300) as u32 * LINE_BYTES as u32);
-    t.accesses.extend(pad(100).accesses);
+    t.accesses.extend(&pad(100).accesses);
     for config in ALL_CONFIGS {
         assert_hierarchy_equivalent(config, 1024, &t);
     }
+}
+
+/// Packed and spilled trace records interleaved (a record spills when
+/// its address is 2^47 or more or its length 0xFFFF or more): reads and
+/// writes around 2^47, lengths on both sides of 0xFFFF, and one spilled
+/// access of 1025 lines that straddles the first block boundary.
+fn mixed_record_trace() -> Trace {
+    let high = 1u64 << 47;
+    let mut t = pad(BLOCK - 500);
+    t.read(3 * LINE_BYTES + 5, 0xFFFF);
+    for k in 0..64u64 {
+        t.read(high - 40 + k * 72, 16);
+        t.write(high + k * LINE_BYTES, 0);
+        t.write((k % 7) * LINE_BYTES, 8);
+    }
+    t.write(40 * LINE_BYTES, 0xFFFE);
+    t.read(high - 8, 0xFFFF);
+    t.accesses.extend(&pad(300).accesses);
+    t
+}
+
+#[test]
+fn packed_and_spilled_records_match_the_references() {
+    let t = mixed_record_trace();
+    let spills = |a: &opm_repro::memsim::Access| a.addr >= 1 << 47 || a.len >= 0xFFFF;
+    let spilled = t.accesses.iter().filter(spills).count();
+    assert!(
+        spilled > 64 && spilled < t.len() / 2,
+        "{spilled} of {}",
+        t.len()
+    );
+    for config in ALL_CONFIGS {
+        assert_hierarchy_equivalent(config, 1024, &t);
+    }
+    assert_reuse_equivalent(&t);
 }
 
 #[test]
@@ -585,7 +620,7 @@ fn staged_runs_continue_where_the_last_one_stopped() {
     let first = Trace::random(0, 1 << 20, BLOCK as usize + 777, 5);
     let second = Trace::sequential(1 << 19, 96 * 1024, 2);
     let mut both = first.clone();
-    both.accesses.extend(second.accesses.iter().cloned());
+    both.accesses.extend(&second.accesses);
     for config in ALL_CONFIGS {
         let mut split = HierarchySim::for_config(config, 1024);
         split.run(&first);
@@ -815,7 +850,7 @@ fn reuse_histogram_matches_reference_with_one_line_per_page() {
         );
         let mut t = Trace::new();
         for _ in 0..3 {
-            t.accesses.extend_from_slice(&pass.accesses);
+            t.accesses.extend(&pass.accesses);
         }
         assert_reuse_equivalent(&t);
     }

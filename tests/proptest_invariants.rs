@@ -525,7 +525,7 @@ proptest! {
         let t1 = Trace::random(0, region_kb * 1024, c1, s1);
         let t2 = Trace::random(0, region_kb * 1024, c2, s2);
         let mut cat = t1.clone();
-        cat.accesses.extend(t2.accesses.iter().cloned());
+        cat.accesses.extend(&t2.accesses);
         let h1 = reuse_histogram(&t1);
         let h2 = reuse_histogram(&t2);
         let h12 = reuse_histogram(&cat);
