@@ -135,14 +135,6 @@ impl Args {
     }
 }
 
-/// Parse a configuration label (as printed by `OpmConfig::label`).
-pub fn parse_config(label: &str) -> Option<OpmConfig> {
-    OpmConfig::broadwell_modes()
-        .into_iter()
-        .chain(OpmConfig::knl_modes())
-        .find(|c| c.label() == label)
-}
-
 /// Parse a kernel name (case-insensitive).
 pub fn parse_kernel(name: &str) -> Option<KernelId> {
     KernelId::ALL
@@ -571,7 +563,7 @@ fn cmd_recommend(args: &Args) -> Result<String, CliFailure> {
 }
 
 fn cmd_stepping(args: &Args) -> Result<String, CliFailure> {
-    let config = parse_config(
+    let config = OpmConfig::from_label(
         args.options
             .get("config")
             .ok_or("stepping requires --config")?,
@@ -934,12 +926,6 @@ mod tests {
     fn every_kernel_and_config_parses() {
         for k in KernelId::ALL {
             assert_eq!(parse_kernel(k.name()), Some(k));
-        }
-        for c in OpmConfig::broadwell_modes()
-            .into_iter()
-            .chain(OpmConfig::knl_modes())
-        {
-            assert_eq!(parse_config(c.label()), Some(c));
         }
         assert_eq!(parse_kernel("nope"), None);
     }

@@ -81,14 +81,14 @@ pub fn validate_model() {
     let cases: Vec<ValidationCase> = vec![
         (
             "broadwell",
-            OpmConfig::broadwell_modes().to_vec(),
+            OpmConfig::modes_of(Machine::Broadwell),
             64.0,
             8,
             (256.0 * 1024.0, 2.0 * 1024.0 * 1024.0 * 1024.0),
         ),
         (
             "knl",
-            OpmConfig::knl_modes().to_vec(),
+            OpmConfig::modes_of(Machine::Knl),
             2048.0,
             256,
             (4.0 * 1024.0 * 1024.0, 48.0 * 1024.0 * 1024.0 * 1024.0),
@@ -506,6 +506,32 @@ pub fn ext_opm_sharing() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn attribution_gain_is_measured_on_the_models_own_platform() {
+        use opm_core::perf::ProfilePlan;
+        use opm_core::roofline::Attribution;
+        let platform = ClusterMode::AllToAll.platform();
+        let flat = PerfModel::new(platform.clone(), OpmConfig::Knl(McdramMode::Flat));
+        let off = PerfModel::new(platform, OpmConfig::Knl(McdramMode::Off));
+        let stock_off = PerfModel::for_config(OpmConfig::Knl(McdramMode::Off));
+        // A bandwidth-bound stream that fits in MCDRAM.
+        let fp = 4.0 * GIB;
+        let mut ph = Phase::new("triad", fp / 4.0, fp * 4.0);
+        ph.tiers = vec![Tier::new(fp, 1.0)];
+        ph.threads = 256;
+        let pp = ProfilePlan::new(&AccessProfile::single("stream", ph, fp)).unwrap();
+        let plan = flat.plan();
+        let est = plan.evaluate_planned(&pp);
+        let a = Attribution::from_planned(&plan, &pp, &est);
+        let gain_over =
+            |base: &PerfModel| base.plan().evaluate_planned(&pp).time_ns / est.time_ns - 1.0;
+        assert_eq!(a.gain, gain_over(&off));
+        // The stock KNL's DDR is faster than all-to-all's: measured
+        // against it, the gain would come out smaller.
+        assert!(a.gain > gain_over(&stock_off), "{}", a.gain);
+        assert_eq!(a.margin, a.gain - a.breakeven);
+    }
 
     #[test]
     fn balance_formula_behaviour() {

@@ -192,10 +192,7 @@ pub fn dense_heatmap(kernel: KernelId, machine: Machine, name: &str) {
     assert!(matches!(kernel, KernelId::Gemm | KernelId::Cholesky));
     let sizes = harness_dense_sizes(machine);
     let tiles = harness_dense_tiles();
-    let configs: Vec<OpmConfig> = match machine {
-        Machine::Broadwell => OpmConfig::broadwell_modes().to_vec(),
-        Machine::Knl => OpmConfig::knl_modes().to_vec(),
-    };
+    let configs = OpmConfig::modes_of(machine);
     let mut columns = vec!["n".to_string(), "tile".to_string()];
     columns.extend(configs.iter().map(|c| format!("gflops_{}", c.label())));
     let mut s = Series::new(columns);
@@ -222,10 +219,7 @@ pub fn dense_heatmap(kernel: KernelId, machine: Machine, name: &str) {
 /// speedups + structure heat map.
 pub fn sparse_figure(kernel: SparseKernelId, machine: Machine, name: &str) {
     let specs = harness_corpus();
-    let configs: Vec<OpmConfig> = match machine {
-        Machine::Broadwell => OpmConfig::broadwell_modes().to_vec(),
-        Machine::Knl => OpmConfig::knl_modes().to_vec(),
-    };
+    let configs = OpmConfig::modes_of(machine);
     let sweeps: Vec<Vec<opm_kernels::SparsePoint>> = configs
         .iter()
         .map(|&c| sparse_sweep(c, kernel, &specs))
@@ -296,10 +290,7 @@ pub fn fig20_22_knl_structure() {
 
 /// Figs. 12–14 / 23–25: footprint/size curves for Stream, Stencil and FFT.
 pub fn curve_figure(kernel: KernelId, machine: Machine, name: &str) {
-    let configs: Vec<OpmConfig> = match machine {
-        Machine::Broadwell => OpmConfig::broadwell_modes().to_vec(),
-        Machine::Knl => OpmConfig::knl_modes().to_vec(),
-    };
+    let configs = OpmConfig::modes_of(machine);
     let curves: Vec<Vec<CurvePoint>> = configs
         .iter()
         .map(|&c| match kernel {
@@ -531,14 +522,8 @@ pub fn table4_edram_summary() {
 
 /// Table 5: MCDRAM summary statistics (flat/cache/hybrid vs DDR).
 pub fn table5_mcdram_summary() {
-    let rows = summary_rows(
-        OpmConfig::Knl(McdramMode::Off),
-        &[
-            OpmConfig::Knl(McdramMode::Flat),
-            OpmConfig::Knl(McdramMode::Cache),
-            OpmConfig::Knl(McdramMode::Hybrid),
-        ],
-    );
+    let [ddr, flat, cache, hybrid] = OpmConfig::knl_modes();
+    let rows = summary_rows(ddr, &[flat, cache, hybrid]);
     for (mode, rws) in ["flat", "cache", "hybrid"].iter().zip(&rows) {
         println!("== MCDRAM {mode} mode ==");
         print!("{}", render_summary(rws).render());

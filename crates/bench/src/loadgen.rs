@@ -200,20 +200,16 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// The deterministic query mix: request `i` asks about kernel
-/// `ALL[i % 8]` under configuration `modes[i % 6]` with default
-/// parameters.
+/// The deterministic query mix: query `k = i * batch + j` of request
+/// `i` asks about kernel `KernelId::ALL[k % 8]` under configuration
+/// `OpmConfig::ALL[k % 6]` with default parameters.
 pub fn mix_request(i: usize, batch: usize) -> Request {
-    let configs: Vec<OpmConfig> = OpmConfig::broadwell_modes()
-        .into_iter()
-        .chain(OpmConfig::knl_modes())
-        .collect();
     let queries = (0..batch)
         .map(|j| {
             let k = i * batch + j;
             Query {
                 kernel: KernelId::ALL[k % KernelId::ALL.len()].name().to_string(),
-                config: configs[k % configs.len()].label().to_string(),
+                config: OpmConfig::ALL[k % OpmConfig::ALL.len()].label().to_string(),
                 ..Query::default()
             }
         })

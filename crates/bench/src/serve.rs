@@ -18,7 +18,7 @@
 //! response per query (clients retry with backoff), so a burst cannot
 //! queue unboundedly behind slow evaluations.
 
-use crate::cli::{parse_config, parse_kernel};
+use crate::cli::parse_kernel;
 use opm_core::api::{
     read_frame, write_frame, Advice, ApiError, FrameError, LevelTraffic, Query, QueryResult,
     Request, Response, MAX_FRAME_LEN,
@@ -181,8 +181,8 @@ fn build_profile(kernel: KernelId, p: &Resolved, cores: usize) -> AccessProfile 
 fn resolve(q: &Query) -> Result<(KernelId, OpmConfig, Resolved), ApiError> {
     let kernel =
         parse_kernel(&q.kernel).ok_or_else(|| ApiError::UnknownKernel(q.kernel.clone()))?;
-    let config =
-        parse_config(&q.config).ok_or_else(|| ApiError::UnknownConfig(q.config.clone()))?;
+    let config = OpmConfig::from_label(&q.config)
+        .ok_or_else(|| ApiError::UnknownConfig(q.config.clone()))?;
     let p = Resolved::new(kernel, config.machine(), q)?;
     Ok((kernel, config, p))
 }

@@ -10,7 +10,7 @@
 //! journal.
 
 use crate::out_dir;
-use opm_core::platform::{EdramMode, McdramMode, OpmConfig};
+use opm_core::platform::{Machine, OpmConfig};
 use opm_core::telemetry::{flight_dump, install_flight_recorder, JsonlSink, Telemetry};
 use opm_memsim::{HierarchySim, Trace};
 use std::path::PathBuf;
@@ -158,25 +158,17 @@ fn line_sweep(bytes: u64, passes: usize) -> Trace {
 /// hierarchy.
 pub fn memsim_probe(tele: &Telemetry) {
     const SCALE: u64 = 1024;
-    let configs = [
-        OpmConfig::Broadwell(EdramMode::Off),
-        OpmConfig::Broadwell(EdramMode::On),
-        OpmConfig::Knl(McdramMode::Off),
-        OpmConfig::Knl(McdramMode::Cache),
-        OpmConfig::Knl(McdramMode::Flat),
-        OpmConfig::Knl(McdramMode::Hybrid),
-    ];
     let mut span = tele.span("probe", "memsim_probe");
     let mut total = 0u64;
-    for config in configs {
+    for config in OpmConfig::ALL {
         // Footprints chosen to exercise the whole hierarchy at milli
         // scale: past L3 but inside the eDRAM victim cache on Broadwell
         // (96 KiB of its 128 KiB — a cyclic sweep larger than an LRU
         // level never re-hits it), and past the flat/cache partitions on
         // KNL (24 MiB vs. MCDRAM's 16 MiB).
-        let bytes = match config {
-            OpmConfig::Broadwell(_) => 96 * 1024,
-            OpmConfig::Knl(_) => 24 * 1024 * 1024,
+        let bytes = match config.machine() {
+            Machine::Broadwell => 96 * 1024,
+            Machine::Knl => 24 * 1024 * 1024,
         };
         let mut sim = HierarchySim::for_config(config, SCALE);
         sim.run(&line_sweep(bytes, 2));

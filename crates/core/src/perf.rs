@@ -23,7 +23,7 @@
 //! conflict losses and tag-check overhead in cache mode, the flat-mode
 //! straddle cliff past 16 GB, and the hybrid 8 GB + 8 GB split.
 
-use crate::platform::{EdramMode, LevelKind, McdramMode, MemLevel, OpmConfig, PlatformSpec};
+use crate::platform::{FlatPlacement, MemLevel, OpmConfig, PlatformSpec};
 use crate::profile::AccessProfile;
 use crate::units::CACHE_LINE;
 
@@ -191,103 +191,76 @@ impl EffHierarchy {
             absorb: AbsorbKind::Proportional,
         };
         let opm = &platform.opm;
-        match config {
-            OpmConfig::Broadwell(EdramMode::Off) | OpmConfig::Knl(McdramMode::Off) => {
-                EffHierarchy {
-                    caches,
-                    backing: dram,
-                    flat_share: 0.0,
-                    flat_spec: None,
-                }
+        let opm_use = config.opm_use();
+        if opm_use.victim {
+            caches.push(EffLevel {
+                name: opm.name,
+                capacity: Some(opm.capacity * params.victim_eff),
+                bandwidth: opm.bandwidth,
+                latency_ns: opm.latency_ns,
+                absorb: AbsorbKind::Proportional,
+            });
+        }
+        if opm_use.cache > 0.0 {
+            // Direct-mapped conflicts shrink the capacity; the tag check
+            // costs bandwidth and latency (§4.2.1-III).
+            caches.push(EffLevel {
+                name: "MCDRAM(cache)",
+                capacity: Some(opm.capacity * opm_use.cache * params.direct_mapped_eff),
+                bandwidth: opm.bandwidth * params.tag_bw_eff,
+                latency_ns: opm.latency_ns + params.tag_latency_ns,
+                absorb: AbsorbKind::Proportional,
+            });
+        }
+        let flat_cap = opm.capacity * opm_use.flat;
+        let (backing, flat_share, flat_spec) = match opm_use.flat_placement() {
+            None => (dram, 0.0, None),
+            // Whole allocation lands on the MCDRAM NUMA node.
+            Some(FlatPlacement::Preferred) if footprint <= flat_cap => {
+                (opm_flat_level(opm, "MCDRAM(flat)"), 0.0, None)
             }
-            OpmConfig::Broadwell(EdramMode::On) => {
-                caches.push(EffLevel {
-                    name: opm.name,
-                    capacity: Some(opm.capacity * params.victim_eff),
-                    bandwidth: opm.bandwidth,
-                    latency_ns: opm.latency_ns,
+            Some(FlatPlacement::Preferred) => {
+                // Allocation straddles MCDRAM and DDR: harmonic-mean
+                // bandwidth of the two portions, scaled by the conflict
+                // penalty the paper measured (§4.2.1-II: "extremely
+                // poor", below pure DDR).
+                let f_mc = flat_cap / footprint;
+                let f_dd = 1.0 - f_mc;
+                let harmonic = 1.0 / (f_mc / opm.bandwidth + f_dd / dram.bandwidth);
+                let straddle = EffLevel {
+                    name: "MCDRAM+DDR(straddle)",
+                    capacity: None,
+                    bandwidth: harmonic * params.straddle_penalty,
+                    latency_ns: opm.latency_ns.max(dram.latency_ns) * 1.5,
                     absorb: AbsorbKind::Proportional,
-                });
-                EffHierarchy {
-                    caches,
-                    backing: dram,
-                    flat_share: 0.0,
-                    flat_spec: None,
-                }
-            }
-            OpmConfig::Knl(McdramMode::Cache) => {
-                caches.push(mcdram_cache_level(opm, opm.capacity, params));
-                EffHierarchy {
-                    caches,
-                    backing: dram,
-                    flat_share: 0.0,
-                    flat_spec: None,
-                }
-            }
-            OpmConfig::Knl(McdramMode::Flat) => {
-                let backing = if footprint <= opm.capacity {
-                    // Whole allocation lands on the MCDRAM NUMA node.
-                    EffLevel {
-                        name: "MCDRAM(flat)",
-                        capacity: None,
-                        bandwidth: opm.bandwidth,
-                        latency_ns: opm.latency_ns,
-                        absorb: AbsorbKind::Proportional,
-                    }
-                } else {
-                    // Allocation straddles MCDRAM and DDR: harmonic-mean
-                    // bandwidth of the two portions, scaled by the conflict
-                    // penalty the paper measured (§4.2.1-II: "extremely
-                    // poor", below pure DDR).
-                    let f_mc = opm.capacity / footprint;
-                    let f_dd = 1.0 - f_mc;
-                    let harmonic = 1.0 / (f_mc / opm.bandwidth + f_dd / dram.bandwidth);
-                    EffLevel {
-                        name: "MCDRAM+DDR(straddle)",
-                        capacity: None,
-                        bandwidth: harmonic * params.straddle_penalty,
-                        latency_ns: opm.latency_ns.max(dram.latency_ns) * 1.5,
-                        absorb: AbsorbKind::Proportional,
-                    }
                 };
-                EffHierarchy {
-                    caches,
-                    backing,
-                    flat_share: 0.0,
-                    flat_spec: None,
-                }
+                (straddle, 0.0, None)
             }
-            OpmConfig::Knl(McdramMode::Hybrid) => {
-                let half = opm.capacity / 2.0;
-                caches.push(mcdram_cache_level(opm, half, params));
-                // The 8 GB flat partition holds `min(half/footprint, 1)` of
-                // the data; that share of backing traffic is served at pure
-                // MCDRAM specs (no tag overhead).
-                let flat_share = (half / footprint).min(1.0);
-                EffHierarchy {
-                    caches,
-                    backing: dram,
-                    flat_share,
-                    flat_spec: Some(EffLevel {
-                        name: "MCDRAM(flat-half)",
-                        capacity: None,
-                        bandwidth: opm.bandwidth,
-                        latency_ns: opm.latency_ns,
-                        absorb: AbsorbKind::Proportional,
-                    }),
-                }
-            }
+            // The flat partition holds `min(flat_cap/footprint, 1)` of the
+            // data; that share of backing traffic is served at pure MCDRAM
+            // specs (no tag overhead).
+            Some(FlatPlacement::Partition) => (
+                dram,
+                (flat_cap / footprint).min(1.0),
+                Some(opm_flat_level(opm, "MCDRAM(flat-half)")),
+            ),
+        };
+        EffHierarchy {
+            caches,
+            backing,
+            flat_share,
+            flat_spec,
         }
     }
 }
 
-fn mcdram_cache_level(opm: &MemLevel, raw_capacity: f64, params: &ModelParams) -> EffLevel {
-    debug_assert_eq!(opm.kind, LevelKind::OpmCache);
+/// The flat-addressable OPM as a serving level, at its own specs.
+fn opm_flat_level(opm: &MemLevel, name: &'static str) -> EffLevel {
     EffLevel {
-        name: "MCDRAM(cache)",
-        capacity: Some(raw_capacity * params.direct_mapped_eff),
-        bandwidth: opm.bandwidth * params.tag_bw_eff,
-        latency_ns: opm.latency_ns + params.tag_latency_ns,
+        name,
+        capacity: None,
+        bandwidth: opm.bandwidth,
+        latency_ns: opm.latency_ns,
         absorb: AbsorbKind::Proportional,
     }
 }
@@ -534,7 +507,10 @@ impl PerfModel {
         &self.params
     }
 
-    /// Convenience constructor from the config alone.
+    /// A model of the stock platform of the config's machine
+    /// ([`PlatformSpec::for_machine`]) under `config`. Models of a modified
+    /// platform (a cluster mode, another eDRAM placement) use
+    /// [`PerfModel::new`].
     pub fn for_config(config: OpmConfig) -> Self {
         Self::new(PlatformSpec::for_machine(config.machine()), config)
     }
@@ -560,23 +536,17 @@ impl PerfModel {
 
     /// Build a reusable evaluation plan for this model: the effective
     /// hierarchy is constructed once and shared across every point of a
-    /// sweep axis; only the footprint-dependent parts of KNL flat/hybrid
-    /// mode are resolved per point.
+    /// sweep axis; only the footprint-dependent flat placement (see
+    /// [`FlatPlacement`]) is resolved per point.
     pub fn plan(&self) -> EvalPlan<'_> {
-        let kind = match self.config {
-            OpmConfig::Knl(McdramMode::Flat) => PlanKind::KnlFlat {
-                capacity: self.platform.opm.capacity,
-            },
-            OpmConfig::Knl(McdramMode::Hybrid) => PlanKind::KnlHybrid {
-                half: self.platform.opm.capacity / 2.0,
-            },
-            _ => PlanKind::Fixed,
-        };
-        let proto = EffHierarchy::build_with(&self.platform, self.config, 0.0, &self.params);
+        let opm_use = self.config.opm_use();
+        let flat_cap = self.platform.opm.capacity * opm_use.flat;
         EvalPlan {
             model: self,
-            proto,
-            kind,
+            proto: EffHierarchy::build_with(&self.platform, self.config, 0.0, &self.params),
+            flat: opm_use
+                .flat_placement()
+                .map(|placement| (placement, flat_cap)),
         }
     }
 }
@@ -587,27 +557,11 @@ impl PerfModel {
 #[derive(Debug, Clone)]
 pub struct EvalPlan<'m> {
     model: &'m PerfModel,
+    /// The hierarchy at footprint 0, valid for every footprint but where
+    /// `flat` says otherwise.
     proto: EffHierarchy,
-    kind: PlanKind,
-}
-
-/// How much of the prebuilt hierarchy is footprint-independent.
-#[derive(Debug, Clone, Copy)]
-enum PlanKind {
-    /// Hierarchy identical for every footprint.
-    Fixed,
-    /// KNL flat mode: `proto` is valid while the allocation fits in
-    /// MCDRAM; past capacity the straddle backing is built per point.
-    KnlFlat {
-        /// MCDRAM capacity in bytes.
-        capacity: f64,
-    },
-    /// KNL hybrid mode: `proto` is valid except `flat_share`, recomputed
-    /// per point from the footprint.
-    KnlHybrid {
-        /// Flat-partition capacity (half the MCDRAM) in bytes.
-        half: f64,
-    },
+    /// The flat placement and the flat OPM capacity in bytes, if any.
+    flat: Option<(FlatPlacement, f64)>,
 }
 
 impl EvalPlan<'_> {
@@ -686,23 +640,23 @@ impl EvalPlan<'_> {
         mut components: Option<&mut Vec<Component>>,
     ) -> (f64, f64, f64, f64, f64) {
         let straddle;
-        let (hier, flat_share) = match self.kind {
-            PlanKind::Fixed => (&self.proto, self.proto.flat_share),
-            PlanKind::KnlFlat { capacity } => {
-                if plan.footprint <= capacity {
-                    (&self.proto, self.proto.flat_share)
-                } else {
-                    straddle = EffHierarchy::build_with(
-                        &self.model.platform,
-                        self.model.config,
-                        plan.footprint,
-                        &self.model.params,
-                    );
-                    let share = straddle.flat_share;
-                    (&straddle, share)
-                }
+        let (hier, flat_share) = match self.flat {
+            // Past the preferred node's capacity the allocation straddles
+            // it and DRAM: the backing depends on the footprint.
+            Some((FlatPlacement::Preferred, capacity)) if plan.footprint > capacity => {
+                straddle = EffHierarchy::build_with(
+                    &self.model.platform,
+                    self.model.config,
+                    plan.footprint,
+                    &self.model.params,
+                );
+                (&straddle, straddle.flat_share)
             }
-            PlanKind::KnlHybrid { half } => (&self.proto, (half / plan.footprint).min(1.0)),
+            // A flat partition's share of the data depends on the footprint.
+            Some((FlatPlacement::Partition, capacity)) => {
+                (&self.proto, (capacity / plan.footprint).min(1.0))
+            }
+            _ => (&self.proto, self.proto.flat_share),
         };
         let mut time_ns = 0.0;
         let mut compute_ns = 0.0;
@@ -957,6 +911,7 @@ fn service_time(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::platform::{EdramMode, McdramMode};
     use crate::profile::{Phase, Tier};
     use crate::units::{GIB, MIB};
 
@@ -1174,25 +1129,13 @@ mod tests {
         PerfModel::new(PlatformSpec::broadwell(), OpmConfig::Knl(McdramMode::Cache));
     }
 
-    /// Every OPM configuration of both machines.
-    fn all_configs() -> Vec<OpmConfig> {
-        vec![
-            OpmConfig::Broadwell(EdramMode::Off),
-            OpmConfig::Broadwell(EdramMode::On),
-            OpmConfig::Knl(McdramMode::Off),
-            OpmConfig::Knl(McdramMode::Cache),
-            OpmConfig::Knl(McdramMode::Flat),
-            OpmConfig::Knl(McdramMode::Hybrid),
-        ]
-    }
-
     #[test]
     fn planned_evaluation_is_bit_identical_to_direct() {
         // The plan path must reproduce PerfModel::evaluate to the last
         // bit for every configuration, including KNL flat past capacity
         // (straddle rebuild) and hybrid (per-footprint flat share): the
         // golden figure CSVs pin these exact values.
-        for config in all_configs() {
+        for config in OpmConfig::ALL {
             let model = PerfModel::for_config(config);
             let plan = model.plan();
             for mb in [1.0, 6.0, 64.0, 512.0, 4096.0, 20480.0] {

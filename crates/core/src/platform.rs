@@ -58,7 +58,106 @@ pub enum OpmConfig {
     Knl(McdramMode),
 }
 
+/// What the on-package memory does under one [`OpmConfig`] (paper Table 1).
+///
+/// The one statement of the mode semantics: the analytic model, the exact
+/// simulator and its pricing, the power model and the OPM-off baselines
+/// all read it instead of matching on [`EdramMode`] or [`McdramMode`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OpmUse {
+    /// The whole OPM is a CPU-side victim cache behind the last on-die
+    /// cache, filled by its evictions (Broadwell's eDRAM L4, §2.1).
+    pub victim: bool,
+    /// Share of the OPM capacity run as a direct-mapped memory-side cache
+    /// in front of DRAM (§2.2).
+    pub cache: f64,
+    /// Share of the OPM capacity that is flat-addressable memory; see
+    /// [`OpmUse::flat_placement`].
+    pub flat: f64,
+    /// The OPM draws static power: eDRAM disabled in the BIOS does not,
+    /// MCDRAM cannot be switched off and always does (§5.2).
+    pub static_power: bool,
+}
+
+/// How data lands on a flat-addressable OPM.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlatPlacement {
+    /// The whole OPM is the NUMA node `numactl -p` prefers: the whole
+    /// allocation goes there and spills to DRAM past its capacity, where
+    /// it straddles the two and pays the penalty of §4.2.1-II (flat mode).
+    Preferred,
+    /// A flat partition beside a cache partition holds `min(partition /
+    /// footprint, 1)` of the data and serves that share of the traffic
+    /// that reaches memory (hybrid mode).
+    Partition,
+}
+
+impl OpmUse {
+    /// Which flat mechanism applies: preferred placement when the whole
+    /// OPM is flat, a partition when only part of it is.
+    pub fn flat_placement(&self) -> Option<FlatPlacement> {
+        if self.flat >= 1.0 {
+            Some(FlatPlacement::Preferred)
+        } else if self.flat > 0.0 {
+            Some(FlatPlacement::Partition)
+        } else {
+            None
+        }
+    }
+}
+
 impl OpmConfig {
+    /// All six configurations: [`broadwell_modes`](Self::broadwell_modes)
+    /// then [`knl_modes`](Self::knl_modes).
+    pub const ALL: [OpmConfig; 6] = [
+        OpmConfig::Broadwell(EdramMode::Off),
+        OpmConfig::Broadwell(EdramMode::On),
+        OpmConfig::Knl(McdramMode::Off),
+        OpmConfig::Knl(McdramMode::Flat),
+        OpmConfig::Knl(McdramMode::Cache),
+        OpmConfig::Knl(McdramMode::Hybrid),
+    ];
+
+    /// The table of modes, one row per configuration: its label and what
+    /// its OPM does.
+    fn row(&self) -> (&'static str, OpmUse) {
+        use EdramMode as E;
+        use McdramMode as M;
+        let row = |label, victim, cache, flat, static_power| {
+            let opm_use = OpmUse {
+                victim,
+                cache,
+                flat,
+                static_power,
+            };
+            (label, opm_use)
+        };
+        match self {
+            // label, victim, cache share, flat share, static power
+            OpmConfig::Broadwell(E::Off) => row("brd-no-edram", false, 0.0, 0.0, false),
+            OpmConfig::Broadwell(E::On) => row("brd-edram", true, 0.0, 0.0, true),
+            OpmConfig::Knl(M::Off) => row("knl-ddr", false, 0.0, 0.0, true),
+            OpmConfig::Knl(M::Cache) => row("knl-cache", false, 1.0, 0.0, true),
+            OpmConfig::Knl(M::Flat) => row("knl-flat", false, 0.0, 1.0, true),
+            OpmConfig::Knl(M::Hybrid) => row("knl-hybrid", false, 0.5, 0.5, true),
+        }
+    }
+
+    /// Short label used in CSV headers and plots.
+    pub fn label(&self) -> &'static str {
+        self.row().0
+    }
+
+    /// The configuration a [`label`](Self::label) names.
+    pub fn from_label(label: &str) -> Option<OpmConfig> {
+        Self::ALL.into_iter().find(|c| c.label() == label)
+    }
+
+    /// What the OPM does under this configuration.
+    pub fn opm_use(&self) -> OpmUse {
+        self.row().1
+    }
+
     /// The machine this configuration applies to.
     pub fn machine(&self) -> Machine {
         match self {
@@ -67,34 +166,31 @@ impl OpmConfig {
         }
     }
 
-    /// Short label used in CSV headers and plots.
-    pub fn label(&self) -> &'static str {
+    /// The same machine with its OPM off, the baseline of a mode's gain.
+    pub fn baseline(&self) -> OpmConfig {
         match self {
-            OpmConfig::Broadwell(EdramMode::Off) => "brd-no-edram",
-            OpmConfig::Broadwell(EdramMode::On) => "brd-edram",
-            OpmConfig::Knl(McdramMode::Off) => "knl-ddr",
-            OpmConfig::Knl(McdramMode::Cache) => "knl-cache",
-            OpmConfig::Knl(McdramMode::Flat) => "knl-flat",
-            OpmConfig::Knl(McdramMode::Hybrid) => "knl-hybrid",
+            OpmConfig::Broadwell(_) => OpmConfig::Broadwell(EdramMode::Off),
+            OpmConfig::Knl(_) => OpmConfig::Knl(McdramMode::Off),
         }
+    }
+
+    /// The configurations of one machine, in [`ALL`](Self::ALL) order.
+    pub fn modes_of(machine: Machine) -> Vec<OpmConfig> {
+        let mut modes = Self::ALL.to_vec();
+        modes.retain(|c| c.machine() == machine);
+        modes
     }
 
     /// All four KNL modes in the order the paper plots them.
     pub fn knl_modes() -> [OpmConfig; 4] {
-        [
-            OpmConfig::Knl(McdramMode::Off),
-            OpmConfig::Knl(McdramMode::Flat),
-            OpmConfig::Knl(McdramMode::Cache),
-            OpmConfig::Knl(McdramMode::Hybrid),
-        ]
+        let [_, _, knl @ ..] = Self::ALL;
+        knl
     }
 
     /// Both Broadwell modes.
     pub fn broadwell_modes() -> [OpmConfig; 2] {
-        [
-            OpmConfig::Broadwell(EdramMode::Off),
-            OpmConfig::Broadwell(EdramMode::On),
-        ]
+        let [off, on, ..] = Self::ALL;
+        [off, on]
     }
 }
 
@@ -283,15 +379,51 @@ mod tests {
     }
 
     #[test]
-    fn labels_are_unique() {
-        let mut labels: Vec<&str> = OpmConfig::knl_modes()
-            .iter()
-            .chain(OpmConfig::broadwell_modes().iter())
-            .map(|c| c.label())
-            .collect();
+    fn labels_are_unique_and_parse_back() {
+        let mut labels: Vec<&str> = OpmConfig::ALL.iter().map(|c| c.label()).collect();
+        for c in OpmConfig::ALL {
+            assert_eq!(OpmConfig::from_label(c.label()), Some(c));
+        }
+        assert_eq!(OpmConfig::from_label("knl"), None);
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), 6);
+    }
+
+    #[test]
+    fn all_is_broadwell_then_knl_modes() {
+        let listed: Vec<OpmConfig> = OpmConfig::broadwell_modes()
+            .into_iter()
+            .chain(OpmConfig::knl_modes())
+            .collect();
+        assert_eq!(listed, OpmConfig::ALL);
+        assert_eq!(OpmConfig::knl_modes()[1], OpmConfig::Knl(McdramMode::Flat));
+        for m in [Machine::Broadwell, Machine::Knl] {
+            let modes = OpmConfig::modes_of(m);
+            assert!(modes.iter().all(|c| c.machine() == m));
+            assert_eq!(modes[0], modes[0].baseline());
+        }
+    }
+
+    #[test]
+    fn mode_rows_state_table1() {
+        for c in OpmConfig::ALL {
+            let u = c.opm_use();
+            let base = c.baseline().opm_use();
+            // The baseline holds no data in its OPM.
+            assert!(!base.victim && base.cache == 0.0 && base.flat == 0.0);
+            assert_eq!(c.baseline().machine(), c.machine());
+            // Caching and flat shares never exceed the capacity.
+            assert!(u.cache + u.flat <= 1.0, "{}", c.label());
+            assert!(!(u.victim && u.cache > 0.0), "{}", c.label());
+            // Only eDRAM can be switched off in the BIOS.
+            assert_eq!(u.static_power, c != OpmConfig::Broadwell(EdramMode::Off));
+        }
+        let flat = |m| OpmConfig::Knl(m).opm_use().flat_placement();
+        assert_eq!(flat(McdramMode::Flat), Some(FlatPlacement::Preferred));
+        assert_eq!(flat(McdramMode::Hybrid), Some(FlatPlacement::Partition));
+        assert_eq!(flat(McdramMode::Cache), None);
+        assert!(OpmConfig::Broadwell(EdramMode::On).opm_use().victim);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! performance gain `P` exceeds the power overhead `W`.
 
 use crate::perf::Estimate;
-use crate::platform::{EdramMode, Machine, OpmConfig};
+use crate::platform::{Machine, OpmConfig};
 
 /// Per-machine energy coefficients.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,12 +103,10 @@ impl PowerModel {
         let gflops = total_flops / t; // flops/ns == Gflop/s
         let cache_bytes = (total_bytes - est.dram_bytes - est.opm_bytes).max(0.0);
         // nJ/ns == W.
-        let opm_static = match config {
-            // eDRAM physically off in BIOS: no static power (paper §5.2).
-            OpmConfig::Broadwell(EdramMode::Off) => 0.0,
-            // MCDRAM always powered, even when unused.
-            OpmConfig::Knl(_) => self.opm_static_w,
-            OpmConfig::Broadwell(EdramMode::On) => self.opm_static_w,
+        let opm_static = if config.opm_use().static_power {
+            self.opm_static_w
+        } else {
+            0.0
         };
         let package_w = self.pkg_idle_w
             + opm_static
@@ -215,7 +213,7 @@ impl Objective {
 mod tests {
     use super::*;
     use crate::perf::PerfModel;
-    use crate::platform::McdramMode;
+    use crate::platform::{EdramMode, McdramMode};
     use crate::profile::{AccessProfile, Phase, Tier};
     use crate::units::MIB;
 

@@ -5,7 +5,7 @@
 //! intensity, ceiling fraction, Eq. 1 break-even margin).
 
 use crate::perf::{Estimate, EvalPlan, PerfModel, ProfilePlan};
-use crate::platform::{EdramMode, Machine, McdramMode, OpmConfig, PlatformSpec};
+use crate::platform::{Machine, PlatformSpec};
 
 /// One bandwidth ceiling (a slanted roof segment).
 #[derive(Debug, Clone, PartialEq)]
@@ -119,7 +119,7 @@ pub struct Attribution {
     /// Fraction of the attainable performance under the machine's OPM
     /// ceiling at this intensity (`gflops / attainable`).
     pub ceiling_frac: f64,
-    /// Fractional performance gain over the same machine with its OPM
+    /// Fractional performance gain over the same platform with its OPM
     /// off (0 when this configuration *is* the OPM-off baseline).
     pub gain: f64,
     /// The machine's Eq. 1 power overhead `W`
@@ -136,9 +136,9 @@ pub struct Attribution {
 
 impl Attribution {
     /// Derive the attribution of one point evaluated as `est` under
-    /// `plan`. Builds the same-machine OPM-off baseline model to
-    /// compute the mode gain — telemetry-only cost, off the golden CSV
-    /// path.
+    /// `plan`. Builds the OPM-off baseline ([`OpmConfig::baseline`](crate::platform::OpmConfig::baseline)) of
+    /// the plan's own platform and model parameters to compute the mode
+    /// gain — telemetry-only cost, off the golden CSV path.
     pub fn from_planned(plan: &EvalPlan<'_>, pp: &ProfilePlan, est: &Estimate) -> Attribution {
         let model = plan.model();
         let platform = model.platform();
@@ -154,14 +154,11 @@ impl Attribution {
         } else {
             0.0
         };
-        let base_cfg = match model.config() {
-            OpmConfig::Broadwell(_) => OpmConfig::Broadwell(EdramMode::Off),
-            OpmConfig::Knl(_) => OpmConfig::Knl(McdramMode::Off),
-        };
+        let base_cfg = model.config().baseline();
         let gain = if model.config() == base_cfg || est.time_ns <= 0.0 {
             0.0
         } else {
-            let base = PerfModel::for_config(base_cfg);
+            let base = PerfModel::with_params(platform.clone(), base_cfg, *model.params());
             let base_est = base.plan().evaluate_planned(pp);
             base_est.time_ns / est.time_ns - 1.0
         };
@@ -193,6 +190,7 @@ impl Attribution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::platform::{EdramMode, OpmConfig};
 
     #[test]
     fn broadwell_ridge_points() {

@@ -98,8 +98,9 @@ pub fn evaluate_sharing(
                 // configuration with a DRAM bandwidth share.
                 let mut spec = base.clone();
                 spec.dram.bandwidth *= 1.0 / n as f64;
-                let ddr_cfg = ddr_only(config);
-                PerfModel::new(spec, ddr_cfg).evaluate(prof).gflops
+                PerfModel::new(spec, config.baseline())
+                    .evaluate(prof)
+                    .gflops
             } else {
                 let mut spec = base.clone();
                 spec.opm.capacity *= cap_shares[i];
@@ -124,14 +125,6 @@ pub fn evaluate_sharing(
         system_throughput: sum / n as f64,
         fairness: (sum * sum) / (n as f64 * sumsq),
         apps,
-    }
-}
-
-fn ddr_only(config: OpmConfig) -> OpmConfig {
-    use crate::platform::{EdramMode, McdramMode};
-    match config {
-        OpmConfig::Broadwell(_) => OpmConfig::Broadwell(EdramMode::Off),
-        OpmConfig::Knl(_) => OpmConfig::Knl(McdramMode::Off),
     }
 }
 

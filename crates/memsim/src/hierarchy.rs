@@ -26,7 +26,7 @@
 
 use crate::cache::{Lookup, SetAssocCache};
 use crate::trace::{Trace, LINE_BYTES};
-use opm_core::platform::{EdramMode, McdramMode, OpmConfig, PlatformSpec};
+use opm_core::platform::{OpmConfig, PlatformSpec};
 use opm_core::telemetry::Telemetry;
 
 /// Where an access was finally served.
@@ -303,7 +303,14 @@ impl HierarchySim {
         }
     }
 
-    /// Build a scaled-down replica of a platform + OPM configuration.
+    /// Build a scaled-down replica of the stock platform of a
+    /// configuration's machine, with the OPM used as
+    /// [`OpmConfig::opm_use`] states: a 16-way victim cache behind the
+    /// last chain level, a direct-mapped memory-side cache partition at
+    /// the end of the chain (named after the OPM, `/2` for a half), and a
+    /// flat partition whose lines below the boundary are served by the
+    /// OPM. The simulator places lines by address, so whole-OPM flat
+    /// placement and a hybrid flat partition differ only in the boundary.
     ///
     /// `scale` divides every capacity (1 = full size; 1024 = milli-machine
     /// for fast exact simulation). Associativities: L2/L3 are 8/16-way,
@@ -336,21 +343,19 @@ impl HierarchySim {
             chain.push(SetAssocCache::new(c.name, cap, ways));
         }
         let opm_cap = ((p.opm.capacity as u64) / scale).max(64 * 16);
-        let (victim, flat_boundary) = match config {
-            OpmConfig::Broadwell(EdramMode::On) => {
-                (Some(SetAssocCache::new("eDRAM", opm_cap, 16)), None)
-            }
-            OpmConfig::Broadwell(EdramMode::Off) | OpmConfig::Knl(McdramMode::Off) => (None, None),
-            OpmConfig::Knl(McdramMode::Cache) => {
-                chain.push(SetAssocCache::direct_mapped("MCDRAM", opm_cap));
-                (None, None)
-            }
-            OpmConfig::Knl(McdramMode::Flat) => (None, Some(opm_cap)),
-            OpmConfig::Knl(McdramMode::Hybrid) => {
-                chain.push(SetAssocCache::direct_mapped("MCDRAM/2", opm_cap / 2));
-                (None, Some(opm_cap / 2))
-            }
-        };
+        // A share of the OPM in bytes; exact, so half is `opm_cap / 2`.
+        let part = |share: f64| (opm_cap as f64 * share) as u64;
+        let opm_use = config.opm_use();
+        let victim = opm_use
+            .victim
+            .then(|| SetAssocCache::new(p.opm.name, opm_cap, 16));
+        if opm_use.cache == 1.0 {
+            chain.push(SetAssocCache::direct_mapped(p.opm.name, opm_cap));
+        } else if opm_use.cache > 0.0 {
+            let name = format!("{}/{}", p.opm.name, 1.0 / opm_use.cache);
+            chain.push(SetAssocCache::direct_mapped(name, part(opm_use.cache)));
+        }
+        let flat_boundary = (opm_use.flat > 0.0).then(|| part(opm_use.flat));
         Self::new(chain, victim, flat_boundary)
     }
 
@@ -722,15 +727,6 @@ mod tests {
         assert_eq!(sim.touch(0, false), ServedBy::Cache(0));
     }
 
-    const ALL_CONFIGS: [OpmConfig; 6] = [
-        OpmConfig::Broadwell(EdramMode::Off),
-        OpmConfig::Broadwell(EdramMode::On),
-        OpmConfig::Knl(McdramMode::Off),
-        OpmConfig::Knl(McdramMode::Cache),
-        OpmConfig::Knl(McdramMode::Flat),
-        OpmConfig::Knl(McdramMode::Hybrid),
-    ];
-
     #[test]
     fn geometry_of_every_config_at_both_scales() {
         // (name, sets, ways, usable bytes) of every chain level, then the
@@ -755,11 +751,11 @@ mod tests {
                 (brd(scale), None),
                 ([brd(scale), vec![edram]].concat(), None),
                 (vec![knl_l2(scale)], None),
-                (vec![knl_l2(scale), mcdram], None),
                 (vec![knl_l2(scale)], Some(16 * GIB / scale)),
+                (vec![knl_l2(scale), mcdram], None),
                 (vec![knl_l2(scale), half], Some(8 * GIB / scale)),
             ];
-            for (config, (levels, flat)) in ALL_CONFIGS.into_iter().zip(expected) {
+            for (config, (levels, flat)) in OpmConfig::ALL.into_iter().zip(expected) {
                 let sim = HierarchySim::for_config(config, scale);
                 let built: Vec<_> = (sim.chain.iter().chain(&sim.victim))
                     .map(|c| (c.name(), c.sets(), c.ways(), c.capacity()))
@@ -777,7 +773,7 @@ mod tests {
 
     #[test]
     fn levels_reconcile_on_every_config() {
-        for config in ALL_CONFIGS {
+        for config in OpmConfig::ALL {
             let mut sim = HierarchySim::for_config(config, SCALE);
             sim.run(&line_sweep(64 * 1024, 2));
             let r = sim.result();

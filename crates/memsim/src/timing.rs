@@ -6,7 +6,8 @@
 
 use crate::hierarchy::SimResult;
 use crate::trace::LINE_BYTES;
-use opm_core::platform::{EdramMode, McdramMode, OpmConfig, PlatformSpec};
+use opm_core::perf::{TAG_BW_EFF, TAG_LATENCY_NS};
+use opm_core::platform::{OpmConfig, PlatformSpec};
 
 /// Service pricing for one level.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,9 +18,9 @@ pub struct LevelPrice {
     pub latency_ns: f64,
 }
 
-/// Pricing for a whole configuration (aligned with the simulator's
+/// Pricing for a whole configuration, level for level the hierarchy that
 /// [`HierarchySim::for_config`](crate::hierarchy::HierarchySim::for_config)
-/// level order).
+/// builds for it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimTiming {
     /// Cache-chain levels, upper first.
@@ -35,7 +36,11 @@ pub struct SimTiming {
 impl SimTiming {
     /// Prices for one OPM configuration at full-machine specs (the
     /// simulator may run at reduced capacity; bandwidth/latency ratios are
-    /// scale-free).
+    /// scale-free). The levels follow
+    /// [`OpmConfig::opm_use`] as the simulator does: a victim or flat OPM
+    /// is priced at the OPM's own specs, and a memory-side cache partition
+    /// pays the analytic model's tag check ([`TAG_BW_EFF`],
+    /// [`TAG_LATENCY_NS`]).
     pub fn for_config(config: OpmConfig) -> Self {
         let p = PlatformSpec::for_machine(config.machine());
         let price = |bw: f64, lat: f64| LevelPrice {
@@ -47,45 +52,19 @@ impl SimTiming {
             .iter()
             .map(|c| price(c.bandwidth, c.latency_ns))
             .collect();
-        let dram = price(p.dram.bandwidth, p.dram.latency_ns);
         let opm = price(p.opm.bandwidth, p.opm.latency_ns);
-        match config {
-            OpmConfig::Broadwell(EdramMode::Off) | OpmConfig::Knl(McdramMode::Off) => SimTiming {
-                chain,
-                victim: None,
-                flat: None,
-                dram,
-            },
-            OpmConfig::Broadwell(EdramMode::On) => SimTiming {
-                chain,
-                victim: Some(opm),
-                flat: None,
-                dram,
-            },
-            OpmConfig::Knl(McdramMode::Cache) => {
-                chain.push(price(opm.bandwidth * 0.85, opm.latency_ns + 10.0));
-                SimTiming {
-                    chain,
-                    victim: None,
-                    flat: None,
-                    dram,
-                }
-            }
-            OpmConfig::Knl(McdramMode::Flat) => SimTiming {
-                chain,
-                victim: None,
-                flat: Some(opm),
-                dram,
-            },
-            OpmConfig::Knl(McdramMode::Hybrid) => {
-                chain.push(price(opm.bandwidth * 0.85, opm.latency_ns + 10.0));
-                SimTiming {
-                    chain,
-                    victim: None,
-                    flat: Some(opm),
-                    dram,
-                }
-            }
+        let opm_use = config.opm_use();
+        if opm_use.cache > 0.0 {
+            chain.push(price(
+                opm.bandwidth * TAG_BW_EFF,
+                opm.latency_ns + TAG_LATENCY_NS,
+            ));
+        }
+        SimTiming {
+            chain,
+            victim: opm_use.victim.then_some(opm),
+            flat: (opm_use.flat > 0.0).then_some(opm),
+            dram: price(p.dram.bandwidth, p.dram.latency_ns),
         }
     }
 
@@ -129,6 +108,8 @@ mod tests {
     use super::*;
     use crate::hierarchy::HierarchySim;
     use crate::trace::Trace;
+    use opm_core::platform::{EdramMode, McdramMode};
+    use opm_core::units::GIB;
 
     fn line_sweep(bytes: u64, passes: usize) -> Trace {
         let mut t = Trace::new();
@@ -220,6 +201,40 @@ mod tests {
         let fast = timing.estimate_ns(sim.result(), 256.0);
         let slow = timing.estimate_ns(sim.result(), 1.0);
         assert!(slow > 5.0 * fast);
+    }
+
+    #[test]
+    fn cache_partition_is_priced_as_the_model_prices_it() {
+        use opm_core::perf::EffHierarchy;
+        for mode in [McdramMode::Cache, McdramMode::Hybrid] {
+            let config = OpmConfig::Knl(mode);
+            let model = EffHierarchy::build(&PlatformSpec::knl(), config, GIB);
+            let level = model.caches.last().unwrap();
+            assert_eq!(level.name, "MCDRAM(cache)");
+            let price = *SimTiming::for_config(config).chain.last().unwrap();
+            assert_eq!(
+                price,
+                LevelPrice {
+                    bandwidth: level.bandwidth,
+                    latency_ns: level.latency_ns,
+                },
+                "{}",
+                config.label()
+            );
+        }
+    }
+
+    #[test]
+    fn prices_line_up_with_the_simulated_levels() {
+        for config in OpmConfig::ALL {
+            let sim = HierarchySim::for_config(config, 1024);
+            let timing = SimTiming::for_config(config);
+            let r = sim.result();
+            assert_eq!(timing.chain.len(), r.level_hits.len(), "{}", config.label());
+            let u = config.opm_use();
+            assert_eq!(timing.victim.is_some(), u.victim);
+            assert_eq!(timing.flat.is_some(), u.flat > 0.0);
+        }
     }
 
     #[test]

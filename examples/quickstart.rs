@@ -39,10 +39,7 @@ fn main() {
     ]);
     let big_n = 8192;
     let big_tile = 384;
-    for config in OpmConfig::broadwell_modes()
-        .into_iter()
-        .chain(OpmConfig::knl_modes())
-    {
+    for config in OpmConfig::ALL {
         let machine = config.machine();
         let platform = opm_repro::core::PlatformSpec::for_machine(machine);
         let threads = opm_repro::kernels::KernelId::Gemm.threads(machine);

@@ -41,6 +41,22 @@ impl EnvGuard {
         }
         text
     }
+
+    /// Assert that `name.csv` equals, byte for byte, the copy committed
+    /// under `results/` (which a full run regenerates).
+    fn same_as_committed(&self, name: &str) {
+        let fresh = self.csv(name);
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("results")
+            .join(format!("{name}.csv"));
+        let committed =
+            fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing {}: {e}", path.display()));
+        assert!(
+            fresh == committed,
+            "{name}.csv differs from {}",
+            path.display()
+        );
+    }
 }
 
 impl Drop for EnvGuard {
@@ -112,8 +128,10 @@ fn tables_power_and_extensions_regenerate() {
     opm_bench::figures::power_figure(Machine::Knl, "fig27_power_knl");
     opm_bench::figures::table4_edram_summary();
     opm_bench::figures::table5_mcdram_summary();
-    g.csv("fig26_power_broadwell");
-    g.csv("fig27_power_knl");
+    // The power figures and every study CSV are independent of the
+    // corpus size, so they must equal the committed full-run copies.
+    g.same_as_committed("fig26_power_broadwell");
+    g.same_as_committed("fig27_power_knl");
     let t4 = g.csv("table4_edram_summary");
     assert_eq!(t4.lines().count() - 1, 8, "eight kernels");
     g.csv("table5_mcdram_flat_summary");
@@ -132,7 +150,7 @@ fn tables_power_and_extensions_regenerate() {
             .collect();
         assert!(!stems.is_empty(), "study {name} wrote no CSV");
         for stem in stems {
-            g.csv(&stem);
+            g.same_as_committed(&stem);
         }
     }
     assert!(g.dir.join("validate_model_broadwell.csv").exists());
