@@ -5,9 +5,8 @@
 //! configuration), `recommend` (§6 guidelines), `stepping` (print a
 //! stepping curve), `corpus` (inspect the UF-substitute corpus),
 //! `serve`/`advise`/`loadgen` (the `opm-api/v1` query service and its
-//! clients) and `top` (inspect a run's telemetry trace). Argument parsing
-//! is hand-rolled (`--key value` or `--key=value` pairs) to stay inside the
-//! approved dependency set.
+//! clients). Argument parsing is hand-rolled (`--key value` or
+//! `--key=value` pairs) to stay inside the approved dependency set.
 //!
 //! ## Globals and exit codes
 //!
@@ -244,7 +243,6 @@ pub fn dispatch(raw: &[String]) -> Result<String, CliFailure> {
         "recommend" => cmd_recommend(&args),
         "stepping" => cmd_stepping(&args),
         "corpus" => cmd_corpus(&args),
-        "top" => cmd_top(&args),
         "serve" => cmd_serve(&args),
         "advise" => cmd_advise(&args),
         "loadgen" => cmd_loadgen(&args),
@@ -323,11 +321,6 @@ USAGE:
       results/quarantine_manifest.csv (with the parse reason) instead of
       aborting the sweep. OPM_FAULT_SPEC=io@matrix:<stem> injects load
       faults for testing.
-  opm top [--dir <path>] [--run <id>] [--follow] [--interval-ms <n>]
-      inspect a figure run from its telemetry trace (newest .jsonl
-      under results/telemetry by default; run `opm figures
-      --telemetry full` to produce one). --follow re-renders every
-      --interval-ms (default 500) until the run_end marker appears.
 ";
 
 /// Build one `opm-api/v1` query from `--kernel`/`--config` plus the
@@ -624,40 +617,6 @@ fn cmd_corpus(args: &Args) -> Result<String, CliFailure> {
     }
 }
 
-/// `opm top`: render the run dashboard from a telemetry JSONL trace
-/// (see [`crate::top`]). `--follow` polls until the run finishes.
-fn cmd_top(args: &Args) -> Result<String, CliFailure> {
-    args.reject_unknown("top", &["dir", "run", "follow", "interval-ms"])?;
-    let follow = args.get_flag("follow");
-    let interval = args.get_usize("interval-ms", 500)?.max(50) as u64;
-    let dir = args
-        .options
-        .get("dir")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(crate::telemetry::telemetry_dir);
-    let path = match args.options.get("run") {
-        Some(id) => dir.join(format!("{id}.jsonl")),
-        None => crate::top::latest_trace(&dir)
-            .ok_or_else(|| format!("no .jsonl traces under {}", dir.display()))?,
-    };
-    loop {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let snap = crate::top::parse_trace(&text);
-        if !follow || snap.finished {
-            return Ok(format!(
-                "trace {}\n{}",
-                path.display(),
-                crate::top::render(&snap)
-            ));
-        }
-        // Live mode: repaint in place, then poll again.
-        print!("\x1b[2J\x1b[H{}", crate::top::render(&snap));
-        let _ = std::io::Write::flush(&mut std::io::stdout());
-        std::thread::sleep(std::time::Duration::from_millis(interval));
-    }
-}
-
 /// `opm corpus --dir <path>`: quarantining directory load (see
 /// [`crate::corpus`]).
 fn cmd_corpus_dir(dir: &std::path::Path) -> Result<String, String> {
@@ -788,6 +747,8 @@ mod tests {
             "figures --resume",
             "figures --shard 0/1",
             "top --campaign x",
+            "top",
+            "top --follow",
         ] {
             assert_eq!(exit_code(cmd), 2, "{cmd}");
         }
@@ -840,32 +801,6 @@ mod tests {
         assert!(out.contains("QUAR"), "{out}");
         assert!(results.join("quarantine_manifest.csv").exists());
         assert!(run_str("corpus --dir /nonexistent/dir").is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn top_command_renders_a_trace() {
-        let dir = std::env::temp_dir().join(format!("opm_cli_top_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        assert!(run_str(&format!("top --dir {}", dir.display())).is_err());
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("ci.jsonl"),
-            concat!(
-                "{\"name\":\"run_start\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":0,\"pid\":1,\"tid\":1,\"s\":\"g\",\"args\":{\"run\":\"ci\",\"mode\":\"full\"}}\n",
-                "{\"name\":\"fig12_stream_broadwell\",\"cat\":\"figure\",\"ph\":\"B\",\"ts\":1,\"pid\":1,\"tid\":1,\"args\":{\"path\":\"fig12_stream_broadwell\"}}\n",
-                "{\"name\":\"fig12_stream_broadwell\",\"cat\":\"figure\",\"ph\":\"E\",\"ts\":90,\"pid\":1,\"tid\":1,\"args\":{\"path\":\"fig12_stream_broadwell\",\"status\":\"ok\",\"points\":\"42\",\"failures\":\"0\"}}\n",
-                "{\"name\":\"run_end\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":100,\"pid\":1,\"tid\":1,\"s\":\"g\",\"args\":{}}\n",
-            ),
-        )
-        .unwrap();
-        let out = run_str(&format!("top --dir {}", dir.display())).unwrap();
-        assert!(out.contains("run ci (telemetry full) — finished"), "{out}");
-        assert!(out.contains("figures: 1 done / 1 seen, 0 failed"), "{out}");
-        // --follow terminates immediately on a finished trace.
-        let followed = run_str(&format!("top --dir {} --run ci --follow", dir.display())).unwrap();
-        assert!(followed.contains("finished"), "{followed}");
-        assert!(run_str(&format!("top --dir {} --run missing", dir.display())).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -349,7 +349,6 @@ pub mod manifest;
 pub mod plot;
 pub mod serve;
 pub mod telemetry;
-pub mod top;
 
 /// Serializes lib tests that mutate process environment (`OPM_RESULTS`).
 #[cfg(test)]

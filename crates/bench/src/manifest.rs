@@ -362,9 +362,6 @@ pub fn run_figures(names: Option<&[String]>) -> Vec<FigureReport> {
         span.arg("points", report.points);
         span.arg("failures", report.failures);
         drop(span);
-        // Counter snapshot after every figure: a trace tail (`opm top`)
-        // sees totals advance figure by figure.
-        engine.telemetry().publish_counters();
         eprintln!(
             "[{}/{}] {} [{}]: {:.2}s, {} points ({:.0} pts/s){}",
             i + 1,

@@ -5,9 +5,9 @@
 //! engine reports into; [`TelemetryRun::finish`] closes the run — it
 //! executes the deterministic [`memsim_probe`], publishes every counter,
 //! and writes the Prometheus exposition to
-//! `results/telemetry/metrics.prom`. The `opm top` subcommand
-//! ([`crate::top`]) reconstructs live run state by tailing the JSONL
-//! journal.
+//! `results/telemetry/metrics.prom`. The JSONL journal is a post-hoc
+//! record of the run; `run_manifest.csv` and `metrics.prom` carry its
+//! per-figure and per-counter totals.
 
 use crate::out_dir;
 use opm_core::platform::{Machine, OpmConfig};

@@ -88,18 +88,30 @@ impl Default for ModelParams {
     }
 }
 
-/// How a cache's hit fraction degrades once a working set outgrows it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AbsorbKind {
-    /// On-die SRAM LRU cache: cyclic reuse thrashes, hits collapse just past
-    /// capacity (sharp shoulder at `THRASH`).
-    #[default]
-    Sharp,
-    /// Memory-side OPM cache (eDRAM victim L4, direct-mapped MCDRAM): hit
-    /// fraction degrades proportionally as `C / W`. This is why the paper
-    /// never observes eDRAM hurting performance (§5.1) and why MCDRAM cache
-    /// mode degrades gracefully past its capacity (Figs. 23–25).
-    Proportional,
+/// The role a serving level plays in the effective hierarchy. It fixes
+/// how the level's hit fraction degrades once a working set outgrows it
+/// and whether the bytes it serves count as on-package or DRAM traffic,
+/// so the model never reads a level's name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LevelKind {
+    /// On-die SRAM LRU cache (L2, L3): cyclic reuse thrashes, hits
+    /// collapse just past capacity (sharp shoulder at [`THRASH`]).
+    Cache,
+    /// On-package memory acting as a memory-side cache (eDRAM victim L4,
+    /// direct-mapped MCDRAM): hit fraction degrades proportionally as
+    /// `C / W`. This is why the paper never observes eDRAM hurting
+    /// performance (§5.1) and why MCDRAM cache mode degrades gracefully
+    /// past its capacity (Figs. 23–25).
+    OpmCache,
+    /// Flat-addressable on-package memory serving as backing store
+    /// (MCDRAM flat node, hybrid flat partition).
+    OpmFlat,
+    /// A flat-mode allocation straddling the on-package memory and DRAM;
+    /// its bytes count as on-package traffic, and 30% of them again as
+    /// DRAM traffic.
+    Straddle,
+    /// Off-package DRAM backing store.
+    Dram,
 }
 
 /// A serving point in the effective hierarchy.
@@ -113,8 +125,8 @@ pub struct EffLevel {
     pub bandwidth: f64,
     /// Loaded latency in ns.
     pub latency_ns: f64,
-    /// Hit-fraction degradation shape.
-    pub absorb: AbsorbKind,
+    /// Role of the level.
+    pub kind: LevelKind,
 }
 
 impl EffLevel {
@@ -127,10 +139,8 @@ impl EffLevel {
     pub fn absorb_fraction_with(&self, w: f64, thrash: f64) -> f64 {
         match self.capacity {
             None => 1.0,
-            Some(c) => match self.absorb {
-                AbsorbKind::Sharp => absorb_with(c, w, thrash),
-                AbsorbKind::Proportional => absorb_proportional(c, w),
-            },
+            Some(c) if self.kind == LevelKind::Cache => absorb_with(c, w, thrash),
+            Some(c) => absorb_proportional(c, w),
         }
     }
 }
@@ -180,7 +190,7 @@ impl EffHierarchy {
                 capacity: Some(c.capacity),
                 bandwidth: c.bandwidth,
                 latency_ns: c.latency_ns,
-                absorb: AbsorbKind::Sharp,
+                kind: LevelKind::Cache,
             })
             .collect();
         let dram = EffLevel {
@@ -188,7 +198,7 @@ impl EffHierarchy {
             capacity: None,
             bandwidth: platform.dram.bandwidth,
             latency_ns: platform.dram.latency_ns,
-            absorb: AbsorbKind::Proportional,
+            kind: LevelKind::Dram,
         };
         let opm = &platform.opm;
         let opm_use = config.opm_use();
@@ -198,7 +208,7 @@ impl EffHierarchy {
                 capacity: Some(opm.capacity * params.victim_eff),
                 bandwidth: opm.bandwidth,
                 latency_ns: opm.latency_ns,
-                absorb: AbsorbKind::Proportional,
+                kind: LevelKind::OpmCache,
             });
         }
         if opm_use.cache > 0.0 {
@@ -209,7 +219,7 @@ impl EffHierarchy {
                 capacity: Some(opm.capacity * opm_use.cache * params.direct_mapped_eff),
                 bandwidth: opm.bandwidth * params.tag_bw_eff,
                 latency_ns: opm.latency_ns + params.tag_latency_ns,
-                absorb: AbsorbKind::Proportional,
+                kind: LevelKind::OpmCache,
             });
         }
         let flat_cap = opm.capacity * opm_use.flat;
@@ -232,7 +242,7 @@ impl EffHierarchy {
                     capacity: None,
                     bandwidth: harmonic * params.straddle_penalty,
                     latency_ns: opm.latency_ns.max(dram.latency_ns) * 1.5,
-                    absorb: AbsorbKind::Proportional,
+                    kind: LevelKind::Straddle,
                 };
                 (straddle, 0.0, None)
             }
@@ -261,7 +271,7 @@ fn opm_flat_level(opm: &MemLevel, name: &'static str) -> EffLevel {
         capacity: None,
         bandwidth: opm.bandwidth,
         latency_ns: opm.latency_ns,
-        absorb: AbsorbKind::Proportional,
+        kind: LevelKind::OpmFlat,
     }
 }
 
@@ -775,7 +785,7 @@ fn eval_phase_core(
                     params,
                 );
                 memory_ns += t;
-                if lvl.name.starts_with("MCDRAM") || lvl.name == "eDRAM" {
+                if lvl.kind == LevelKind::OpmCache {
                     opm_bytes += b;
                 }
                 if let Some(c) = components.as_deref_mut() {
@@ -788,7 +798,7 @@ fn eval_phase_core(
                 served_below -= here;
                 absorbed_cum += here;
             }
-            if lvl.absorb == AbsorbKind::Sharp {
+            if lvl.kind == LevelKind::Cache {
                 upper_sharp_cap = cap;
             }
         }
@@ -846,14 +856,14 @@ fn eval_phase_core(
                 params,
             );
             memory_ns += t;
-            if hier.backing.name.starts_with("MCDRAM") {
+            match hier.backing.kind {
                 // Flat mode: backing *is* the OPM (plus straddle DDR).
-                opm_bytes += back_b;
-                if hier.backing.name.contains("straddle") {
+                LevelKind::OpmFlat => opm_bytes += back_b,
+                LevelKind::Straddle => {
+                    opm_bytes += back_b;
                     dram_bytes += back_b * 0.3;
                 }
-            } else {
-                dram_bytes += back_b;
+                _ => dram_bytes += back_b,
             }
             if let Some(c) = components.as_deref_mut() {
                 c.push(Component {
@@ -1109,6 +1119,27 @@ mod tests {
         let g_strict = strict.evaluate(&prof).gflops;
         assert!(g_lenient > 3.0 * g_strict, "{g_lenient} vs {g_strict}");
         assert_eq!(strict.params(), &ModelParams::default());
+    }
+
+    #[test]
+    fn byte_split_reads_level_roles_not_names() {
+        // Renaming the on-package level must not move its bytes between
+        // the on-package and DRAM totals (the power model reads both).
+        for config in OpmConfig::ALL {
+            let stock = PerfModel::for_config(config);
+            let mut platform = PlatformSpec::for_machine(config.machine());
+            platform.opm.name = "L4";
+            let renamed = PerfModel::new(platform, config);
+            for mb in [8.0, 64.0, 512.0, 20480.0] {
+                let prof = stream_profile(mb * MIB);
+                let (a, b) = (stock.evaluate(&prof), renamed.evaluate(&prof));
+                assert_eq!(a.dram_bytes, b.dram_bytes, "{config:?} at {mb} MiB");
+                assert_eq!(a.opm_bytes, b.opm_bytes, "{config:?} at {mb} MiB");
+            }
+        }
+        // The victim eDRAM serves a 64 MiB stream from on-package.
+        let edram = PerfModel::for_config(OpmConfig::Broadwell(EdramMode::On));
+        assert!(edram.evaluate(&stream_profile(64.0 * MIB)).opm_bytes > 0.0);
     }
 
     #[test]

@@ -194,19 +194,6 @@ impl OpmConfig {
     }
 }
 
-/// What role a memory level plays in the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LevelKind {
-    /// An on-die SRAM cache (L2, L3).
-    Cache,
-    /// An on-package memory acting as cache (eDRAM L4, MCDRAM cache mode).
-    OpmCache,
-    /// Flat-addressable on-package memory (MCDRAM flat partition).
-    OpmFlat,
-    /// Off-package DRAM backing store.
-    Dram,
-}
-
 /// Static description of one level of the memory hierarchy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemLevel {
@@ -218,8 +205,6 @@ pub struct MemLevel {
     pub bandwidth: f64,
     /// Loaded access latency in nanoseconds.
     pub latency_ns: f64,
-    /// Role of the level.
-    pub kind: LevelKind,
 }
 
 /// Compute-side description of a machine (paper Table 3).
@@ -273,14 +258,12 @@ impl PlatformSpec {
                     capacity: 4.0 * 256.0 * KIB,
                     bandwidth: 420.0,
                     latency_ns: 3.5,
-                    kind: LevelKind::Cache,
                 },
                 MemLevel {
                     name: "L3",
                     capacity: 6.0 * MIB,
                     bandwidth: 210.0,
                     latency_ns: 12.0,
-                    kind: LevelKind::Cache,
                 },
             ],
             dram: MemLevel {
@@ -288,14 +271,12 @@ impl PlatformSpec {
                 capacity: 16.0 * GIB,
                 bandwidth: 34.1,
                 latency_ns: 60.0,
-                kind: LevelKind::Dram,
             },
             opm: MemLevel {
                 name: "eDRAM",
                 capacity: 128.0 * MIB,
                 bandwidth: 102.4,
                 latency_ns: 42.0, // shorter than DDR (paper §2.3 (b))
-                kind: LevelKind::OpmCache,
             },
         }
     }
@@ -314,21 +295,18 @@ impl PlatformSpec {
                 capacity: 32.0 * MIB,
                 bandwidth: 1500.0,
                 latency_ns: 15.0,
-                kind: LevelKind::Cache,
             }],
             dram: MemLevel {
                 name: "DDR4-2133",
                 capacity: 96.0 * GIB,
                 bandwidth: 102.0,
                 latency_ns: 125.0,
-                kind: LevelKind::Dram,
             },
             opm: MemLevel {
                 name: "MCDRAM",
                 capacity: 16.0 * GIB,
                 bandwidth: 490.0,
                 latency_ns: 150.0, // *higher* than DDR (paper §2.2)
-                kind: LevelKind::OpmCache,
             },
         }
     }

@@ -5,9 +5,9 @@
 //!
 //! * **Spans** — timed, named, nested regions (`figure` → `stage` →
 //!   `point`). Nesting is tracked per thread through a thread-local
-//!   stack, so a span opened while another is active becomes its child;
-//!   the engine's point spans attach to an explicit parent path with
-//!   [`Telemetry::span_under`]. A span's *path* (`parent>child`)
+//!   stack, so a span opened while another is active becomes its child
+//!   (the engine's point spans nest under the stage span open on the
+//!   same thread). A span's *path* (`parent>child`)
 //!   identifies its position in the tree independently of timestamps,
 //!   which is what the determinism tests compare.
 //! * **Counters** — process-lifetime monotonic `u64`s (memsim accesses
@@ -16,15 +16,16 @@
 //!   are plain relaxed atomics, so a daemon's connection threads add to
 //!   them without a lock; increments commute, so the totals do not
 //!   depend on the order they land in.
-//! * **Events** — timestamped instants (sweep progress, run lifecycle
-//!   markers) that let an external tail — `opm top` — reconstruct live
-//!   run state from the trace alone.
+//! * **Events** — timestamped instants: run lifecycle markers
+//!   (`run_start`, `run_end`), per-point roofline detail and flight
+//!   dumps.
 //!
 //! Three sinks ship with the module: [`JsonlSink`] writes a
 //! chrome://tracing-compatible JSONL journal (one Trace Event per line),
 //! [`Aggregator`] collects spans and counter snapshots in process (tests,
-//! summaries), and [`render_prom`]/[`Telemetry::render_prom`] produce a
-//! Prometheus text exposition of every counter. The hot path is
+//! summaries), and [`Telemetry::render_prom`] (through
+//! [`PromDump::render`]) produces a Prometheus text exposition of every
+//! counter, gauge and histogram. The hot path is
 //! lock-cheap: with no sinks attached and mode [`TelemetryMode::Off`],
 //! spans are inert no-ops and counter increments are single relaxed
 //! atomic adds.
@@ -383,29 +384,6 @@ impl Telemetry {
     /// Open a span nested under this thread's innermost open span (of
     /// this instance). Inert when the mode is `Off`.
     pub fn span(&self, cat: &'static str, name: &str) -> Span<'_> {
-        let parent = SPAN_STACK.with(|s| {
-            s.borrow()
-                .iter()
-                .rev()
-                .find(|(id, _)| *id == self.id)
-                .map(|(_, p)| p.clone())
-        });
-        self.open_span(cat, name, parent.as_deref())
-    }
-
-    /// Open a span under an explicit parent path — for work dispatched to
-    /// threads that did not open the parent (sweep points on the worker
-    /// pool). An empty parent makes a root span.
-    pub fn span_under(&self, parent: &str, cat: &'static str, name: &str) -> Span<'_> {
-        let parent = if parent.is_empty() {
-            None
-        } else {
-            Some(parent)
-        };
-        self.open_span(cat, name, parent)
-    }
-
-    fn open_span(&self, cat: &'static str, name: &str, parent: Option<&str>) -> Span<'_> {
         if !self.enabled() {
             return Span {
                 tele: None,
@@ -417,11 +395,15 @@ impl Telemetry {
                 args: Vec::new(),
             };
         }
-        let path = match parent {
-            Some(p) => format!("{p}{PATH_SEP}{name}"),
-            None => name.to_string(),
-        };
-        SPAN_STACK.with(|s| s.borrow_mut().push((self.id, path.clone())));
+        let path = SPAN_STACK.with(|s| {
+            let mut stack = s.borrow_mut();
+            let path = match stack.iter().rev().find(|(id, _)| *id == self.id) {
+                Some((_, p)) => format!("{p}{PATH_SEP}{name}"),
+                None => name.to_string(),
+            };
+            stack.push((self.id, path.clone()));
+            path
+        });
         let start_us = self.now_us();
         for sink in self.sinks() {
             sink.span_begin(name, cat, &path, start_us, thread_id());
@@ -630,21 +612,6 @@ impl Drop for Span<'_> {
             sink.span_end(&record);
         }
     }
-}
-
-/// Render counters as Prometheus text exposition (one `# TYPE` line per
-/// metric, every series monotone `counter`).
-pub fn render_prom(counters: &[CounterSnapshot]) -> String {
-    let mut out = String::new();
-    let mut last_metric = "";
-    for c in counters {
-        if c.metric != last_metric {
-            let _ = writeln!(out, "# TYPE {} counter", c.metric);
-            last_metric = &c.metric;
-        }
-        let _ = writeln!(out, "{} {}", c.series(), c.value);
-    }
-    out
 }
 
 /// Parse a Prometheus text exposition back into `(metric, labels, value)`
@@ -872,8 +839,8 @@ fn render_args(args: &[(String, String)]) -> String {
 }
 
 /// The leading v2 trace record: a metadata instant whose first key is
-/// the schema tag. v1 readers that skip unknown event names (and
-/// `opm top`) pass over it; v2 readers can dispatch on the first line.
+/// the schema tag. v1 readers that skip unknown event names pass over
+/// it; v2 readers can dispatch on the first line.
 fn render_schema_line() -> String {
     format!(
         "{{\"schema\":\"{TELEMETRY_SCHEMA}\",\"name\":\"telemetry_schema\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":0,\"pid\":1,\"tid\":0,\"s\":\"g\",\"args\":{{\"schema\":\"{TELEMETRY_SCHEMA}\"}}}}"
@@ -940,7 +907,8 @@ fn render_histogram_line(h: &HistogramSnapshot, ts_us: u64) -> String {
 }
 
 /// Chrome-trace JSONL writer: one Trace Event JSON object per line,
-/// flushed per line so an external tail (`opm top`) sees events live.
+/// flushed per line so a process that dies mid-run (a panic, a kill)
+/// leaves every event it emitted up to that point on disk.
 ///
 /// Span begin/end become `B`/`E` pairs (same tid by construction); point
 /// spans become single `X` complete events; instants become `i`; counter
@@ -1229,35 +1197,6 @@ mod tests {
     }
 
     #[test]
-    fn span_under_attaches_to_explicit_parent() {
-        let tele = Telemetry::new(TelemetryMode::Full);
-        let agg = Aggregator::new();
-        tele.add_sink(agg.clone());
-        {
-            let stage = tele.span("stage", "sweep");
-            let path = stage.path().to_string();
-            std::thread::scope(|s| {
-                for i in 0..3 {
-                    let tele = &tele;
-                    let path = &path;
-                    s.spawn(move || {
-                        let _p = tele.span_under(path, "point", &format!("point:{i}"));
-                    });
-                }
-            });
-        }
-        assert_eq!(
-            agg.span_paths(),
-            vec![
-                "sweep".to_string(),
-                "sweep>point:0".to_string(),
-                "sweep>point:1".to_string(),
-                "sweep>point:2".to_string(),
-            ]
-        );
-    }
-
-    #[test]
     fn off_mode_spans_are_inert() {
         let tele = Telemetry::off();
         let agg = Aggregator::new();
@@ -1321,38 +1260,31 @@ mod tests {
         {
             let mut fig = tele.span("figure", "figX");
             fig.arg("status", "ok");
-            let stage = tele.span("stage", "sweepY");
-            let _pt = tele.span_under(stage.path(), "point", "point:0");
+            let _stage = tele.span("stage", "sweepY");
+            let _pt = tele.span("point", "point:0");
         }
         tele.instant(
-            "progress",
-            &[
-                ("completed".into(), "4".into()),
-                ("total".into(), "8".into()),
-            ],
+            "run_start",
+            &[("run".into(), "x".into()), ("mode".into(), "full".into())],
         );
         tele.add("opm_points_total", "", 8);
         tele.publish_counters();
         let text = fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         // schema, B figure, B stage, X point, E stage, E figure,
-        // i progress, C counter.
+        // i run_start, C counter.
         assert_eq!(lines.len(), 8, "{text}");
         assert!(lines[0].starts_with("{\"schema\":\"opm-telemetry/v2\""));
         assert!(lines[1].contains("\"ph\":\"B\"") && lines[1].contains("\"figX\""));
         assert!(lines[3].contains("\"ph\":\"X\"") && lines[3].contains("\"dur\":"));
         assert!(lines[3].contains("figX>sweepY>point:0"));
         assert!(lines[5].contains("\"ph\":\"E\"") && lines[5].contains("\"status\":\"ok\""));
-        assert!(lines[6].contains("\"ph\":\"i\"") && lines[6].contains("\"completed\":\"4\""));
+        assert!(lines[6].contains("\"ph\":\"i\"") && lines[6].contains("\"mode\":\"full\""));
         assert!(lines[7].contains("\"ph\":\"C\"") && lines[7].contains("\"value\":8"));
-        // Every line is an object with balanced braces (cheap validity check).
+        // Every line is one strict JSON object.
         for l in lines {
-            assert!(l.starts_with('{') && l.ends_with('}'), "{l}");
-            assert_eq!(
-                l.matches('{').count(),
-                l.matches('}').count(),
-                "unbalanced: {l}"
-            );
+            let doc = crate::api::Json::parse(l).unwrap_or_else(|e| panic!("{e}: {l}"));
+            assert!(doc.root().get("ph").is_some(), "{l}");
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1418,8 +1350,8 @@ mod tests {
         let tele = Telemetry::new(TelemetryMode::Full);
         tele.add_sink(rec.clone());
         for i in 0..10 {
-            let stage = tele.span("stage", &format!("s{i}"));
-            let _pt = tele.span_under(stage.path(), "point", &format!("point:{i}"));
+            let _stage = tele.span("stage", &format!("s{i}"));
+            let _pt = tele.span("point", &format!("point:{i}"));
         }
         rec.dump("kill");
         let text = fs::read_to_string(&path).unwrap();

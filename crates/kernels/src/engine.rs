@@ -30,9 +30,8 @@
 //!   a panic elsewhere must not wedge every later stage.
 //! * **Observability** — [`Engine::run_stage`] wraps each sweep with wall
 //!   time and point count, accumulated as [`StageRecord`]s for the
-//!   run-manifest emitted by `opm-bench`; with telemetry on, a
-//!   `progress` instant every 64 points (`PROGRESS_EVERY`) feeds
-//!   `opm top`.
+//!   run-manifest emitted by `opm-bench`; with telemetry `full`, each
+//!   point gets a `point:{i}` span nested under the stage span.
 //!
 //! The process-wide instance ([`Engine::global`]) is configured from the
 //! environment: `OPM_REDUCED` (`1`/`on`/`true` selects the reduced
@@ -52,10 +51,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Completed points between two telemetry `progress` instants of a
-/// stage (one more fires at the stage's last point).
-const PROGRESS_EVERY: usize = 64;
-
 /// Acquire a mutex, recovering the guard if a previous holder panicked.
 ///
 /// Every lock in the engine protects plain data (an append-only log)
@@ -68,8 +63,8 @@ pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// The stage running on one thread: its label (fault-plan and failure-log
-/// key) and its telemetry span path (parent of per-point spans, label of
-/// the latency histogram; empty when telemetry is off).
+/// key) and its telemetry span path (label of the latency histogram;
+/// empty when telemetry is off).
 struct StageCtx {
     label: String,
     path: String,
@@ -530,17 +525,15 @@ impl Engine {
     fn eval_point<T, R>(
         &self,
         stage: &str,
-        span_parent: Option<&str>,
         index: usize,
         item: &T,
         f: &impl Fn(&T) -> R,
     ) -> Result<R, PointFailure> {
-        // One span per point (mode `full` only), covering every retry;
-        // dropped on both the Ok and Err paths below.
-        let mut span = span_parent.map(|parent| {
-            self.tele
-                .span_under(parent, "point", &format!("point:{index}"))
-        });
+        // One span per point (mode `full` only), covering every retry and
+        // nested under the stage span `run_stage` holds open on this
+        // thread; dropped on both the Ok and Err paths below.
+        let mut span = (self.tele.mode() == TelemetryMode::Full)
+            .then(|| self.tele.span("point", &format!("point:{index}")));
         let plan = self.config.fault_plan.as_deref();
         let mut attempt = 0usize;
         let mut last: Option<(FaultKind, String)> = None;
@@ -607,32 +600,11 @@ impl Engine {
         items: &[T],
         f: impl Fn(&T) -> R,
     ) -> Vec<Result<R, PointFailure>> {
-        let total = items.len();
-        // Per-point spans only in `full` mode, under the stage span
-        // `run_stage` opened on this thread.
-        let span_parent = (self.tele.mode() == TelemetryMode::Full).then(|| {
-            STAGE
-                .with(|s| s.borrow().as_ref().map(|c| c.path.clone()))
-                .filter(|p| !p.is_empty())
-                .unwrap_or_else(|| stage.to_string())
-        });
-        let span_parent = span_parent.as_deref();
-        let mut out = Vec::with_capacity(total);
-        for (i, item) in items.iter().enumerate() {
-            out.push(self.eval_point(stage, span_parent, i, item, &f));
-            let done = i + 1;
-            if self.tele.enabled() && (done.is_multiple_of(PROGRESS_EVERY) || done == total) {
-                self.tele.instant(
-                    "progress",
-                    &[
-                        ("stage".to_string(), stage.to_string()),
-                        ("completed".to_string(), done.to_string()),
-                        ("total".to_string(), total.to_string()),
-                    ],
-                );
-            }
-        }
-        out
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| self.eval_point(stage, i, item, &f))
+            .collect()
     }
 
     /// Map `f` over `items` in order on the calling thread.
@@ -1016,35 +988,6 @@ mod tests {
         assert_eq!(failures[0].kind, FaultKind::Io);
         assert!(!failures[0].recovered);
         assert_eq!(failures[0].outcome(), "quarantined");
-    }
-
-    #[test]
-    fn progress_instants_fire_every_interval_and_at_stage_end() {
-        use opm_core::telemetry::{Telemetry, TelemetryMode, TelemetrySink};
-        #[derive(Default)]
-        struct Probe(Mutex<Vec<String>>);
-        impl TelemetrySink for Probe {
-            fn instant(&self, name: &str, args: &[(String, String)], _ts: u64, _tid: u64) {
-                if name == "progress" {
-                    lock_recover(&self.0).push(args[1].1.clone());
-                }
-            }
-        }
-        let tele = Telemetry::new(TelemetryMode::Summary);
-        let probe = Arc::new(Probe::default());
-        tele.add_sink(probe.clone());
-        let eng = Engine::new(EngineConfig::default().with_telemetry(tele));
-        let items: Vec<usize> = (0..2 * PROGRESS_EVERY + 3).collect();
-        eng.run_stage("progress_stage", |e| {
-            let v = e.par_map(&items, |&x| x);
-            let n = v.len();
-            (v, n)
-        });
-        let expected: Vec<String> = [PROGRESS_EVERY, 2 * PROGRESS_EVERY, items.len()]
-            .iter()
-            .map(|n| n.to_string())
-            .collect();
-        assert_eq!(lock_recover(&probe.0).clone(), expected);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! not scheduling, and counter increments commute.
 //!
 //! Acceptance: a reduced `--telemetry=full` campaign over two figures
-//! must produce a JSONL trace whose every line is a readable trace
-//! event, one root span per figure, and a Prometheus dump whose memsim
+//! must produce a JSONL trace whose every line parses as a strict JSON
+//! trace event, one root span per figure, and a Prometheus dump whose memsim
 //! counters reconcile (first-level hits + misses == total accesses).
 
+use opm_core::api::Json;
 use opm_core::platform::{EdramMode, McdramMode, OpmConfig};
 use opm_core::telemetry::{
     parse_prom, Aggregator, CounterSnapshot, PromDump, Telemetry, TelemetryMode,
@@ -168,33 +169,66 @@ fn full_telemetry_campaign_writes_reconciling_trace_and_prom() {
     let trace_path = dir.join("telemetry").join("itest.jsonl");
     let text = std::fs::read_to_string(&trace_path)
         .unwrap_or_else(|e| panic!("read {}: {e}", trace_path.display()));
-    for (i, line) in text.lines().enumerate() {
-        assert!(
-            line.starts_with('{') && line.ends_with('}') && line.contains("\"ph\":"),
-            "line {}: not a trace event: {line:?}",
-            i + 1
+    // Every line is one strict JSON trace event.
+    let events: Vec<Json> = text
+        .lines()
+        .enumerate()
+        .map(|(i, line)| {
+            let ev = Json::parse(line).unwrap_or_else(|e| panic!("line {}: {e}: {line:?}", i + 1));
+            assert!(ev.root().get("ph").is_some(), "line {}: no ph", i + 1);
+            ev
+        })
+        .collect();
+    let field = |ev: &Json, key: &str| -> String {
+        ev.root()
+            .get(key)
+            .and_then(|v| v.as_str())
+            .unwrap_or_default()
+            .to_string()
+    };
+    let arg = |ev: &Json, key: &str| -> String {
+        let args = ev.root().get("args");
+        args.and_then(|a| a.get(key))
+            .and_then(|v| v.as_str())
+            .unwrap_or_default()
+            .to_string()
+    };
+    let run_start = events
+        .iter()
+        .find(|ev| field(ev, "name") == "run_start")
+        .expect("run_start marker missing");
+    assert_eq!(arg(run_start, "run"), "itest");
+    assert!(
+        events
+            .iter()
+            .any(|ev| field(ev, "name") == "run_end" && field(ev, "ph") == "i"),
+        "run_end marker missing"
+    );
+    // One root span per figure, ended with status + point counts.
+    for (fig, points) in [("fig12_stream_broadwell", "42"), ("fig23_stream_knl", "84")] {
+        let end = events
+            .iter()
+            .find(|ev| {
+                field(ev, "name") == fig && field(ev, "cat") == "figure" && field(ev, "ph") == "E"
+            })
+            .unwrap_or_else(|| panic!("no root span end for {fig}"));
+        assert_eq!(
+            (arg(end, "status"), arg(end, "points")),
+            ("ok".into(), points.into())
         );
     }
-    let snap = opm_bench::top::parse_trace(&text);
-    assert_eq!(snap.run.as_deref(), Some("itest"));
-    assert!(snap.finished, "run_end marker missing");
-    // One root span per figure, ended with status + point counts.
-    let by_name = |n: &str| {
-        snap.figures
-            .iter()
-            .find(|f| f.name == n)
-            .unwrap_or_else(|| panic!("no root span for {n}"))
-    };
-    let fig12 = by_name("fig12_stream_broadwell");
-    assert_eq!((fig12.status.as_str(), fig12.points), ("ok", 42));
-    let fig23 = by_name("fig23_stream_knl");
-    assert_eq!((fig23.status.as_str(), fig23.points), ("ok", 84));
     // Full mode: the trace carries per-point spans under each stage.
     assert!(
-        text.contains("\"cat\":\"point\""),
+        events.iter().any(|ev| field(ev, "cat") == "point"),
         "no point spans in a full-mode trace"
     );
-    assert_eq!(snap.counter("opm_points_total"), 126);
+    // The last counter sample carries the run's total.
+    let points_total = events
+        .iter()
+        .rev()
+        .find(|ev| field(ev, "name") == "opm_points_total" && field(ev, "ph") == "C")
+        .and_then(|ev| ev.root().get("args")?.get("value")?.as_u64());
+    assert_eq!(points_total, Some(126));
 
     // --- the Prometheus dump ---
     let prom_path = dir.join("telemetry").join("metrics.prom");
