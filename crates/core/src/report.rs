@@ -107,23 +107,78 @@ impl Series {
 /// Append one CSV number: `0` for either zero, six-digit scientific
 /// notation outside `[1e-3, 1e7)`, otherwise six decimals with trailing
 /// zeros (and a bare trailing point) trimmed.
+///
+/// The six-decimal cells, ~97% of a campaign's, are written by
+/// [`push_fixed6`] in integer arithmetic, byte for byte what
+/// `write!("{v:.6}")` followed by the trim writes.
 fn push_num(out: &mut String, v: f64) {
     if v == 0.0 {
         out.push('0');
-    } else if v.abs() >= 1e7 || v.abs() < 1e-3 {
-        let _ = write!(out, "{v:.6e}");
+    } else if (1e-3..1e7).contains(&v.abs()) {
+        push_fixed6(out, v);
+    } else if v.is_nan() {
+        // As `{:.6}` prints every NaN: unsigned.
+        out.push_str("NaN");
     } else {
-        let start = out.len();
-        let _ = write!(out, "{v:.6}");
-        // `{:.6}` always prints a decimal point for finite values, so
-        // trimming zeros stops at it or at a nonzero digit; NaN has no
-        // trailing zeros to trim.
-        let kept = out[start..]
-            .trim_end_matches('0')
-            .trim_end_matches('.')
-            .len();
-        out.truncate(start + kept);
+        let _ = write!(out, "{v:.6e}");
     }
+}
+
+/// Append `v` (finite, `1e-3 <= |v| < 1e7`) rounded to six decimals,
+/// trailing zeros and a bare point trimmed.
+///
+/// Exact: a normal `v` is `m * 2^-s` with a 53-bit `m`, and in this
+/// range `s` lies in 29..=62. So `m * 10^6` (under 2^73) fits a `u128`,
+/// and `q = (m * 10^6) >> s` is `|v| * 10^6` truncated, with the shifted
+/// out bits its exact remainder. Rounding `q` half to even on that
+/// remainder is what std's `{:.6}` does (it formats the exact binary
+/// value, ties to even), so `q / 10^6` and `q % 10^6` are its integer
+/// and fraction digits, a carry into the integer part included.
+fn push_fixed6(out: &mut String, v: f64) {
+    const SCALE: u64 = 1_000_000;
+    let bits = v.to_bits();
+    let shift = 1075 - ((bits >> 52) & 0x7ff) as u32;
+    debug_assert!((29..=62).contains(&shift), "{v:e} outside [1e-3, 1e7)");
+    let m = (bits & ((1 << 52) - 1)) | (1 << 52);
+    let scaled = u128::from(m) * u128::from(SCALE);
+    let mut q = (scaled >> shift) as u64;
+    let rem = scaled & ((1u128 << shift) - 1);
+    let half = 1u128 << (shift - 1);
+    if rem > half || (rem == half && q & 1 == 1) {
+        q += 1;
+    }
+    if v < 0.0 {
+        out.push('-');
+    }
+    // Digits right to left: six fraction digits, the point, then the
+    // integer part (at most eight digits: q <= 10^13).
+    let mut buf = [0u8; 15];
+    let mut start = buf.len();
+    let (mut int, mut frac) = (q / SCALE, q % SCALE);
+    for _ in 0..6 {
+        start -= 1;
+        buf[start] = b'0' + (frac % 10) as u8;
+        frac /= 10;
+    }
+    start -= 1;
+    buf[start] = b'.';
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (int % 10) as u8;
+        int /= 10;
+        if int == 0 {
+            break;
+        }
+    }
+    // Trimming zeros stops at the point at the latest.
+    let mut end = buf.len();
+    while buf[end - 1] == b'0' {
+        end -= 1;
+    }
+    if buf[end - 1] == b'.' {
+        end -= 1;
+    }
+    out.push_str(std::str::from_utf8(&buf[start..end]).expect("ASCII digits"));
 }
 
 /// A rectangular table of string cells, writable as CSV with proper
@@ -368,8 +423,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The per-cell formatter `to_csv` used before it wrote into one
-    /// buffer: the byte-identity oracle for [`push_num`].
+    /// The per-cell `std` formatter `to_csv` used before it wrote into
+    /// one buffer and six-decimal cells in integer arithmetic: the
+    /// byte-identity oracle for [`push_num`].
     fn format_num(v: f64) -> String {
         if v == 0.0 {
             "0".to_string()
@@ -402,6 +458,7 @@ mod tests {
             0.0,
             -0.0,
             f64::NAN,
+            -f64::NAN,
             f64::INFINITY,
             f64::NEG_INFINITY,
             // Round-up cases: six decimals carry into the next digit.
@@ -440,5 +497,70 @@ mod tests {
             expect.push('\n');
         }
         assert_eq!(s.to_csv(), expect);
+    }
+
+    /// `value` and its negation format as the oracle does.
+    fn assert_both_signs(v: f64) {
+        for v in [v, -v] {
+            assert_eq!(pushed(v), format_num(v), "{v:e} ({:#x})", v.to_bits());
+        }
+    }
+
+    #[test]
+    fn fixed_point_cells_match_std_on_a_sweep() {
+        use rand::{rngs::StdRng, RngCore, SeedableRng};
+        let (lo, hi) = (1e-3f64.to_bits(), 1e7f64.to_bits());
+        let mut rng = StdRng::seed_from_u64(0x0f1e_2d3c);
+        // Random bit patterns over the whole six-decimal range: positive
+        // doubles order as their bits, so this draws every binade.
+        for _ in 0..100_000 {
+            assert_both_signs(f64::from_bits(lo + rng.next_u64() % (hi - lo)));
+        }
+        // Random six-decimal values, as the nearest double to each: they
+        // sit a rounding error off a six-decimal boundary.
+        for _ in 0..50_000 {
+            let micros = 1_000 + rng.next_u64() % (10_000_000_000_000 - 1_000);
+            assert_both_signs(micros as f64 / 1e6);
+        }
+        // Ties. A six-decimal tie is (2n+1) / (2 * 10^6), so it is a double
+        // only as an odd multiple of 2^-7: every one below 1024 and below
+        // 1e7, both signs, half with an even truncation (kept) and half
+        // with an odd one (rounded up).
+        let tie = |j: u64| j as f64 / 128.0;
+        for j in (1..1 << 17)
+            .step_by(2)
+            .chain((1_279_868_929..1_280_000_000).step_by(2))
+        {
+            assert_both_signs(tie(j));
+        }
+        assert_eq!(pushed(tie(1)), "0.007812");
+        assert_eq!(pushed(tie(3)), "0.023438");
+        // The other dyadic rationals j / 2^k, k <= 40, have exact binary
+        // remainders a power-of-two fraction off a tie: a window of j at
+        // the bottom of the range and one at a seeded offset, per k.
+        for k in 0..=40 {
+            let scale = (1u64 << k) as f64;
+            let first = (1e-3 * scale).ceil() as u64;
+            let last = (1e7 * scale) as u64;
+            let offset = first + rng.next_u64() % (last - first - 2048).max(1);
+            for j in (first..first + 2048).chain(offset..offset + 2048) {
+                let v = j as f64 / scale;
+                if (1e-3..1e7).contains(&v) {
+                    assert_both_signs(v);
+                }
+            }
+        }
+        // Carries out of the fraction into the integer part, up to the
+        // top of the range, and values a hair under half that must not
+        // carry (the nearest doubles to ...9995 lie below the tie).
+        for (v, want) in [
+            (9.9999995, "9.999999"),
+            (9.9999996, "10"),
+            (999_999.999_999_5, "999999.999999"),
+            (9_999_999.999_999_6, "10000000"),
+        ] {
+            assert_eq!(pushed(v), want, "{v:e}");
+            assert_both_signs(v);
+        }
     }
 }

@@ -1,14 +1,24 @@
 //! End-to-end smoke test of the figure/table harness: run every
 //! regeneration function against a reduced corpus into a temporary
-//! directory and verify each expected CSV exists and parses.
+//! directory and verify each expected CSV exists and parses, and run the
+//! full campaign against the committed `results/`.
 
+use opm_bench::manifest::FigureStatus;
+use std::collections::BTreeSet;
 use std::fs;
-use std::path::PathBuf;
-use std::sync::Mutex;
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 
 // The harness reads OPM_RESULTS/OPM_CORPUS from the environment; tests in
 // this file must not interleave.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+/// Take [`ENV_LOCK`]. Every test sets the variables it needs, so one
+/// that failed while holding the lock leaves nothing for the next to
+/// trip on: its poison is ignored, and only the failed test reports.
+fn env_lock() -> MutexGuard<'static, ()> {
+    ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 struct EnvGuard {
     dir: PathBuf,
@@ -67,9 +77,69 @@ impl Drop for EnvGuard {
     }
 }
 
+/// The `.csv` and `.txt` file names directly under `dir`.
+fn outputs(dir: &Path) -> BTreeSet<String> {
+    fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|f| f.ends_with(".csv") || f.ends_with(".txt"))
+        .collect()
+}
+
+/// `results/` is the full-grid golden: a full campaign must write every
+/// figure and table file committed there, byte for byte, and no file
+/// `results/` lacks. The fresh output stays under the test target
+/// directory when this fails, so the drifted file can be inspected.
+#[test]
+fn full_campaign_reproduces_committed_results() {
+    let _lock = env_lock();
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("results_golden");
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    std::env::set_var("OPM_RESULTS", &dir);
+    std::env::remove_var("OPM_CORPUS");
+    let reports = opm_bench::manifest::run_figures(None);
+    std::env::remove_var("OPM_RESULTS");
+    let committed = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results");
+    let fresh = outputs(&dir);
+    let mut problems: Vec<String> = reports
+        .iter()
+        .filter(|r| r.status != FigureStatus::Completed)
+        .map(|r| format!("{} failed", r.name))
+        .collect();
+    for name in &fresh {
+        match fs::read(committed.join(name)) {
+            Ok(bytes) if bytes == fs::read(dir.join(name)).unwrap() => {}
+            Ok(_) => problems.push(format!("{name} differs from results/{name}")),
+            Err(_) => problems.push(format!("{name} is missing from results/")),
+        }
+    }
+    // What `results/` holds beyond the campaign: the `opm study` CSVs
+    // (compared in `tables_power_and_extensions_regenerate`) and the
+    // console transcript of the run that first filled it.
+    let study_output = |name: &str| {
+        let stem = name.trim_end_matches(".csv");
+        opm_bench::extensions::STUDIES
+            .iter()
+            .any(|(study, _)| stem == *study || stem.starts_with(&format!("{study}_")))
+    };
+    for name in outputs(&committed).difference(&fresh) {
+        if !study_output(name) && name != "console_log.txt" {
+            problems.push(format!("results/{name} is written by no campaign or study"));
+        }
+    }
+    assert!(
+        problems.is_empty(),
+        "{problems:#?}\nfresh output kept in {}; if the change is intended, \
+         refresh results/ as described in EXPERIMENTS.md",
+        dir.display()
+    );
+    fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn analytic_figures_regenerate() {
-    let _lock = ENV_LOCK.lock().unwrap();
+    let _lock = env_lock();
     let g = EnvGuard::new("analytic");
     opm_bench::figures::fig01_gemm_pdf();
     opm_bench::figures::fig04_ai_spectrum();
@@ -90,7 +160,7 @@ fn analytic_figures_regenerate() {
 
 #[test]
 fn kernel_figures_regenerate() {
-    let _lock = ENV_LOCK.lock().unwrap();
+    let _lock = env_lock();
     let g = EnvGuard::new("kernels");
     use opm_core::Machine;
     use opm_kernels::{KernelId, SparseKernelId};
@@ -121,7 +191,7 @@ fn kernel_figures_regenerate() {
 
 #[test]
 fn tables_power_and_extensions_regenerate() {
-    let _lock = ENV_LOCK.lock().unwrap();
+    let _lock = env_lock();
     let g = EnvGuard::new("tables");
     use opm_core::Machine;
     opm_bench::figures::power_figure(Machine::Broadwell, "fig26_power_broadwell");
