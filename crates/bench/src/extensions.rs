@@ -40,23 +40,11 @@ pub const STUDIES: &[(&str, fn())] = &[
 /// Milli-machine scale of the validation simulator.
 const VALIDATE_SCALE: u64 = 1024;
 
-fn line_sweep(bytes: u64, passes: usize) -> Trace {
-    let mut t = Trace::new();
-    for _ in 0..passes {
-        let mut a = 0;
-        while a < bytes {
-            t.read(a, 8);
-            a += 64;
-        }
-    }
-    t
-}
-
 fn sim_bandwidth(config: OpmConfig, milli_bytes: u64, conc: f64) -> f64 {
     let mut sim = HierarchySim::for_config(config, VALIDATE_SCALE);
-    sim.run(&line_sweep(milli_bytes, 1));
+    sim.run(&Trace::line_sweep(milli_bytes, 1));
     let before = sim.result().clone();
-    sim.run(&line_sweep(milli_bytes, 3));
+    sim.run(&Trace::line_sweep(milli_bytes, 3));
     let delta = sim.result().delta_since(&before);
     delta.publish(opm_core::telemetry::Telemetry::global());
     SimTiming::for_config(config).effective_bandwidth(&delta, conc)

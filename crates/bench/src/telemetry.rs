@@ -5,17 +5,23 @@
 //! engine reports into; [`TelemetryRun::finish`] closes the run — it
 //! executes the deterministic [`memsim_probe`], publishes every counter,
 //! and writes the Prometheus exposition to
-//! `results/telemetry/metrics.prom`. The JSONL journal is a post-hoc
-//! record of the run; `run_manifest.csv` and `metrics.prom` carry its
-//! per-figure and per-counter totals.
+//! `results/telemetry/metrics.prom`. `run_manifest.csv` and
+//! `metrics.prom` carry the run's per-figure and per-counter totals.
+//!
+//! The journal is flushed line by line, so it is also the post-mortem of
+//! a process that dies, by a panic or a `kill -9` alike. A point span is
+//! written as one `X` event when the point ends, and a stage runs its
+//! points in order on its own thread. A run killed inside a point
+//! therefore leaves the open figure and stage `B` lines and an `X` line
+//! for every earlier point of that stage: the point that was running is
+//! the next index.
 
 use crate::out_dir;
 use opm_core::platform::{Machine, OpmConfig};
-use opm_core::telemetry::{flight_dump, install_flight_recorder, JsonlSink, Telemetry};
+use opm_core::telemetry::{JsonlSink, Telemetry};
 use opm_memsim::{HierarchySim, Trace};
 use std::path::PathBuf;
-use std::sync::{Arc, Once};
-use std::time::Duration;
+use std::sync::Arc;
 
 /// Directory holding the JSONL traces and the Prometheus dump
 /// (`<out_dir>/telemetry`).
@@ -70,11 +76,6 @@ pub fn init(tele: &Arc<Telemetry>) -> Option<TelemetryRun> {
             return None;
         }
     }
-    // The flight recorder sees every span (including per-point begins)
-    // and instant; its dumps are the crash post-mortem of this process.
-    let recorder = install_flight_recorder(&dir.join(format!("flight-{id}.jsonl")));
-    tele.add_sink(recorder);
-    install_flight_hooks();
     tele.instant(
         "run_start",
         &[
@@ -87,30 +88,6 @@ pub fn init(tele: &Arc<Telemetry>) -> Option<TelemetryRun> {
         prom_path: dir.join("metrics.prom"),
         tele: tele.clone(),
     })
-}
-
-/// One-time process hooks backing the flight recorder: a chained panic
-/// hook dumping on any panic (injected faults included), and a detached
-/// periodic dump thread so even an external SIGKILL (an operator's
-/// `kill -9`, an OOM kill) leaves a post-mortem no older than the dump
-/// interval. A periodic dump with no new event writes nothing, so an
-/// idle process (a quiet `opm serve`) does no file I/O.
-fn install_flight_hooks() {
-    static HOOKS: Once = Once::new();
-    HOOKS.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            flight_dump("panic");
-            prev(info);
-        }));
-        std::thread::Builder::new()
-            .name("opm-flight-dump".into())
-            .spawn(|| loop {
-                std::thread::sleep(Duration::from_millis(250));
-                flight_dump("periodic");
-            })
-            .ok();
-    });
 }
 
 impl TelemetryRun {
@@ -135,20 +112,6 @@ impl TelemetryRun {
     }
 }
 
-/// Line-granularity cyclic sweep used by the probe (one touch per
-/// 64-byte line).
-fn line_sweep(bytes: u64, passes: usize) -> Trace {
-    let mut t = Trace::new();
-    for _ in 0..passes {
-        let mut a = 0;
-        while a < bytes {
-            t.read(a, 8);
-            a += 64;
-        }
-    }
-    t
-}
-
 /// Deterministic exact-simulation probe: run a fixed streaming sweep
 /// through every OPM configuration on the milli-machine hierarchy,
 /// verify each result's flow invariants, and publish the per-level
@@ -171,7 +134,7 @@ pub fn memsim_probe(tele: &Telemetry) {
             Machine::Knl => 24 * 1024 * 1024,
         };
         let mut sim = HierarchySim::for_config(config, SCALE);
-        sim.run(&line_sweep(bytes, 2));
+        sim.run(&Trace::line_sweep(bytes, 2));
         let r = sim.result();
         if let Err(e) = r.reconcile() {
             // An inconsistent simulator is a bug worth failing loudly on

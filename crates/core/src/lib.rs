@@ -38,6 +38,5 @@ pub use roofline::Roofline;
 pub use sharing::{evaluate_sharing, SharingOutcome, SharingPolicy};
 pub use stepping::{stepping_curve, SteppingCurve, SweepKernel};
 pub use telemetry::{
-    Aggregator, Counter, CounterSnapshot, JsonlSink, Span, SpanRecord, Telemetry, TelemetryMode,
-    TelemetrySink,
+    Counter, CounterSnapshot, JsonlSink, Span, SpanRecord, Telemetry, TelemetryMode, TelemetrySink,
 };

@@ -17,15 +17,15 @@
 //!   them without a lock; increments commute, so the totals do not
 //!   depend on the order they land in.
 //! * **Events** — timestamped instants: run lifecycle markers
-//!   (`run_start`, `run_end`), per-point roofline detail and flight
-//!   dumps.
+//!   (`run_start`, `run_end`) and per-point roofline detail.
 //!
-//! Three sinks ship with the module: [`JsonlSink`] writes a
-//! chrome://tracing-compatible JSONL journal (one Trace Event per line),
-//! [`Aggregator`] collects spans and counter snapshots in process (tests,
-//! summaries), and [`Telemetry::render_prom`] (through
-//! [`PromDump::render`]) produces a Prometheus text exposition of every
-//! counter, gauge and histogram. The hot path is
+//! Two outputs ship with the module: [`JsonlSink`] writes a
+//! chrome://tracing-compatible JSONL journal (one Trace Event per line,
+//! flushed per line, so it is also the post-mortem of a process that
+//! dies), and [`Telemetry::render_prom`] (through [`PromDump::render`])
+//! produces a Prometheus text exposition of every counter, gauge and
+//! histogram. Any other [`TelemetrySink`] can be attached with
+//! [`Telemetry::add_sink`]. The hot path is
 //! lock-cheap: with no sinks attached and mode [`TelemetryMode::Off`],
 //! spans are inert no-ops and counter increments are single relaxed
 //! atomic adds.
@@ -33,11 +33,11 @@
 use crate::api::JsonStr;
 use crate::stats::{log2_bucket_index, log2_bucket_le, LOG2_BUCKETS};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::io::{BufWriter, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
@@ -52,9 +52,6 @@ pub const TELEMETRY_SCHEMA: &str = "opm-telemetry/v2";
 
 /// Leading comment of a v2 Prometheus exposition.
 pub const PROM_HEADER: &str = "# opm-telemetry v2";
-
-/// Default capacity of the [`FlightRecorder`] event ring.
-pub const FLIGHT_RING_CAP: usize = 256;
 
 /// Acquire a mutex, recovering from poisoning (telemetry data is plain
 /// accumulation; a panic elsewhere must not wedge the trace).
@@ -970,197 +967,27 @@ impl TelemetrySink for JsonlSink {
     }
 }
 
-/// Per-process flight recorder: a bounded ring of the most recent
-/// telemetry events (spans — including per-point begins — and
-/// instants), pre-rendered as trace lines. [`FlightRecorder::dump`]
-/// atomically writes the ring plus a trailing reason record to
-/// `flight-<run>.jsonl`, so a panic, an injected kill/hang, or a
-/// watchdog SIGKILL (covered by the periodic dumps the harness
-/// schedules) leaves a post-mortem whose final records name the failing
-/// `figure>stage>point` span path.
-pub struct FlightRecorder {
-    path: PathBuf,
-    cap: usize,
-    ring: Mutex<VecDeque<String>>,
-    last_ts: AtomicU64,
-    /// Events pushed so far (changed only under the `ring` lock), and
-    /// their count at the last written dump (`u64::MAX` before the
-    /// first).
-    pushed: AtomicU64,
-    dumped_at: AtomicU64,
-}
-
-impl FlightRecorder {
-    /// A recorder dumping to `path`, keeping the latest `cap` events.
-    pub fn new(path: impl Into<PathBuf>, cap: usize) -> Arc<FlightRecorder> {
-        Arc::new(FlightRecorder {
-            path: path.into(),
-            cap: cap.max(1),
-            ring: Mutex::new(VecDeque::new()),
-            last_ts: AtomicU64::new(0),
-            pushed: AtomicU64::new(0),
-            dumped_at: AtomicU64::new(u64::MAX),
-        })
-    }
-
-    /// Where dumps are written.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    fn push(&self, ts_us: u64, line: String) {
-        self.last_ts.store(ts_us, Ordering::Relaxed);
-        let mut ring = lock(&self.ring);
-        if ring.len() == self.cap {
-            ring.pop_front();
-        }
-        ring.push_back(line);
-        self.pushed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Atomically write the ring plus a trailing
-    /// `flight_dump {reason}` record. Later dumps overwrite earlier
-    /// ones — the file always holds the most recent view; on the
-    /// terminal failure paths (panic hook, injected kill/hang) it is
-    /// the crash post-mortem. A `periodic` dump with no new event since
-    /// the last dump writes nothing, so an idle process does no file
-    /// I/O; every other reason always writes.
-    pub fn dump(&self, reason: &str) {
-        let mut out = String::new();
-        let pushed = {
-            let ring = lock(&self.ring);
-            let pushed = self.pushed.load(Ordering::Relaxed);
-            if reason == "periodic" && self.dumped_at.load(Ordering::Relaxed) == pushed {
-                return;
-            }
-            for l in ring.iter() {
-                out.push_str(l);
-                out.push('\n');
-            }
-            pushed
-        };
-        out.push_str(&render_instant_line(
-            "flight_dump",
-            &[("reason".to_string(), reason.to_string())],
-            self.last_ts.load(Ordering::Relaxed),
-            0,
-        ));
-        out.push('\n');
-        if let Some(parent) = self.path.parent() {
-            let _ = fs::create_dir_all(parent);
-        }
-        match crate::report::atomic_write(&self.path, out.as_bytes()) {
-            Ok(()) => self.dumped_at.store(pushed, Ordering::Relaxed),
-            Err(e) => eprintln!("telemetry: flight dump {}: {e}", self.path.display()),
-        }
-    }
-}
-
-impl TelemetrySink for FlightRecorder {
-    fn span_begin(&self, name: &str, cat: &'static str, path: &str, ts_us: u64, tid: u64) {
-        self.push(ts_us, render_span_begin_line(name, cat, path, ts_us, tid));
-    }
-
-    fn span_end(&self, r: &SpanRecord) {
-        self.push(r.start_us + r.dur_us, render_span_end_line(r));
-    }
-
-    fn instant(&self, name: &str, args: &[(String, String)], ts_us: u64, tid: u64) {
-        self.push(ts_us, render_instant_line(name, args, ts_us, tid));
-    }
-    // Counter/histogram snapshots are bulky and already live in
-    // metrics.prom; the ring keeps only the event timeline.
-}
-
-static FLIGHT: OnceLock<Arc<FlightRecorder>> = OnceLock::new();
-
-/// Install (or fetch) the process-wide flight recorder dumping to
-/// `path`. The first call wins; attach the returned sink to the
-/// telemetry instance the run reports into.
-pub fn install_flight_recorder(path: &Path) -> Arc<FlightRecorder> {
-    FLIGHT
-        .get_or_init(|| FlightRecorder::new(path, FLIGHT_RING_CAP))
-        .clone()
-}
-
-/// Dump the process-wide flight recorder with `reason`; no-op when none
-/// is installed. Fault-injection exits and panic hooks call this on
-/// their way down.
-pub fn flight_dump(reason: &str) {
-    if let Some(rec) = FLIGHT.get() {
-        rec.dump(reason);
-    }
-}
-
-/// In-process sink: collects completed spans and the latest counter
-/// snapshot for tests and end-of-run summaries.
-#[derive(Default)]
-pub struct Aggregator {
-    spans: Mutex<Vec<SpanRecord>>,
-    counters: Mutex<Vec<CounterSnapshot>>,
-    histograms: Mutex<Vec<HistogramSnapshot>>,
-}
-
-impl Aggregator {
-    /// A fresh aggregator.
-    pub fn new() -> Arc<Aggregator> {
-        Arc::new(Aggregator::default())
-    }
-
-    /// Number of completed spans observed.
-    pub fn span_count(&self) -> usize {
-        lock(&self.spans).len()
-    }
-
-    /// Copies of every completed span.
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        lock(&self.spans).clone()
-    }
-
-    /// Sorted paths of every completed span — the *shape* of the span
-    /// tree, independent of timestamps, thread ids and completion order.
-    pub fn span_paths(&self) -> Vec<String> {
-        let mut paths: Vec<String> = lock(&self.spans).iter().map(|s| s.path.clone()).collect();
-        paths.sort();
-        paths
-    }
-
-    /// The latest published counter snapshot.
-    pub fn counter_snapshot(&self) -> Vec<CounterSnapshot> {
-        lock(&self.counters).clone()
-    }
-
-    /// Value of `metric{labels}` in the latest snapshot.
-    pub fn counter(&self, metric: &str, labels: &str) -> Option<u64> {
-        lock(&self.counters)
-            .iter()
-            .find(|c| c.metric == metric && c.labels == labels)
-            .map(|c| c.value)
-    }
-
-    /// The latest published histogram snapshot.
-    pub fn histogram_snapshot(&self) -> Vec<HistogramSnapshot> {
-        lock(&self.histograms).clone()
-    }
-}
-
-impl TelemetrySink for Aggregator {
-    fn span_end(&self, record: &SpanRecord) {
-        lock(&self.spans).push(record.clone());
-    }
-
-    fn counters(&self, snapshot: &[CounterSnapshot], _ts_us: u64) {
-        *lock(&self.counters) = snapshot.to_vec();
-    }
-
-    fn histograms(&self, snapshot: &[HistogramSnapshot], _ts_us: u64) {
-        *lock(&self.histograms) = snapshot.to_vec();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Collects completed spans.
+    #[derive(Default)]
+    struct Spans(Mutex<Vec<SpanRecord>>);
+
+    impl Spans {
+        fn paths(&self) -> Vec<String> {
+            let mut paths: Vec<String> = lock(&self.0).iter().map(|s| s.path.clone()).collect();
+            paths.sort();
+            paths
+        }
+    }
+
+    impl TelemetrySink for Spans {
+        fn span_end(&self, record: &SpanRecord) {
+            lock(&self.0).push(record.clone());
+        }
+    }
 
     #[test]
     fn mode_parsing() {
@@ -1177,8 +1004,8 @@ mod tests {
     #[test]
     fn spans_nest_through_the_thread_local_stack() {
         let tele = Telemetry::new(TelemetryMode::Summary);
-        let agg = Aggregator::new();
-        tele.add_sink(agg.clone());
+        let spans = Arc::new(Spans::default());
+        tele.add_sink(spans.clone());
         {
             let _outer = tele.span("figure", "figA");
             let _inner = tele.span("stage", "s1");
@@ -1187,7 +1014,7 @@ mod tests {
             let _root = tele.span("figure", "figB");
         }
         assert_eq!(
-            agg.span_paths(),
+            spans.paths(),
             vec![
                 "figA".to_string(),
                 "figA>s1".to_string(),
@@ -1199,15 +1026,15 @@ mod tests {
     #[test]
     fn off_mode_spans_are_inert() {
         let tele = Telemetry::off();
-        let agg = Aggregator::new();
-        tele.add_sink(agg.clone());
+        let spans = Arc::new(Spans::default());
+        tele.add_sink(spans.clone());
         {
             let mut s = tele.span("stage", "nothing");
             s.arg("k", "v");
             assert_eq!(s.path(), "");
         }
         tele.instant("nope", &[]);
-        assert_eq!(agg.span_count(), 0);
+        assert!(spans.paths().is_empty());
         // Counters still work in Off mode (they are read back in-process).
         tele.add("m_total", "", 3);
         assert_eq!(tele.counter("m_total").get(), 3);
@@ -1261,7 +1088,20 @@ mod tests {
             let mut fig = tele.span("figure", "figX");
             fig.arg("status", "ok");
             let _stage = tele.span("stage", "sweepY");
-            let _pt = tele.span("point", "point:0");
+            drop(tele.span("point", "point:0"));
+            // Every line is flushed as it is written, so a process killed
+            // here leaves the open stage's B line and the ended point's X
+            // line: the point that was running is the next index.
+            let partial = fs::read_to_string(&path).unwrap();
+            let partial: Vec<&str> = partial.lines().collect();
+            assert_eq!(partial.len(), 4, "{partial:?}");
+            assert!(
+                partial[2].contains("\"ph\":\"B\"")
+                    && partial[2].contains("\"path\":\"figX>sweepY\"")
+            );
+            assert!(
+                partial[3].contains("\"ph\":\"X\"") && partial[3].contains("figX>sweepY>point:0")
+            );
         }
         tele.instant(
             "run_start",
@@ -1340,66 +1180,5 @@ mod tests {
         assert!(PromDump::parse("opm_points_total 3\n").is_err());
         let untyped = format!("{PROM_HEADER}\nopm_points_total 3\n");
         assert!(PromDump::parse(&untyped).is_err());
-    }
-
-    #[test]
-    fn flight_recorder_keeps_a_bounded_ring_and_dumps_with_reason() {
-        let dir = std::env::temp_dir().join(format!("opm_flight_{}", std::process::id()));
-        let path = dir.join("flight-test.jsonl");
-        let rec = FlightRecorder::new(&path, 4);
-        let tele = Telemetry::new(TelemetryMode::Full);
-        tele.add_sink(rec.clone());
-        for i in 0..10 {
-            let _stage = tele.span("stage", &format!("s{i}"));
-            let _pt = tele.span("point", &format!("point:{i}"));
-        }
-        rec.dump("kill");
-        let text = fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        // 4 ring entries + the trailing reason record.
-        assert_eq!(lines.len(), 5, "{text}");
-        // The most recent events survive — including the point begin,
-        // which names the failing stage>point path.
-        assert!(text.contains("s9>point:9"), "{text}");
-        assert!(!text.contains("s0>point:0"));
-        assert!(lines[4].contains("flight_dump") && lines[4].contains("\"reason\":\"kill\""));
-        // A later dump overwrites with the newer reason.
-        rec.dump("hang");
-        let text = fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"reason\":\"hang\""));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn idle_periodic_dumps_write_nothing() {
-        let dir = std::env::temp_dir().join(format!("opm_flight_idle_{}", std::process::id()));
-        let path = dir.join("flight-idle.jsonl");
-        let rec = FlightRecorder::new(&path, 4);
-        let tele = Telemetry::new(TelemetryMode::Full);
-        tele.add_sink(rec.clone());
-        tele.instant("tick", &[]);
-        rec.dump("periodic");
-        assert!(path.exists(), "the first periodic dump writes");
-        fs::remove_file(&path).unwrap();
-        // No new event: the next periodic dump must not recreate the file.
-        rec.dump("periodic");
-        assert!(!path.exists(), "an idle periodic dump rewrote the file");
-        // Other reasons always write, new event or not.
-        rec.dump("panic");
-        assert!(fs::read_to_string(&path)
-            .unwrap()
-            .contains("\"reason\":\"panic\""));
-        fs::remove_file(&path).unwrap();
-        rec.dump("periodic");
-        assert!(!path.exists(), "nothing new since the panic dump");
-        // A new event makes the next periodic dump write again.
-        tele.instant("tock", &[]);
-        rec.dump("periodic");
-        let text = fs::read_to_string(&path).unwrap();
-        assert!(
-            text.contains("tock") && text.contains("\"reason\":\"periodic\""),
-            "{text}"
-        );
-        let _ = fs::remove_dir_all(&dir);
     }
 }

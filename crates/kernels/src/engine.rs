@@ -800,7 +800,18 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use opm_core::telemetry::{SpanRecord, TelemetrySink};
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Collects completed spans.
+    #[derive(Default)]
+    struct Spans(Mutex<Vec<SpanRecord>>);
+
+    impl TelemetrySink for Spans {
+        fn span_end(&self, record: &SpanRecord) {
+            self.0.lock().unwrap().push(record.clone());
+        }
+    }
 
     #[test]
     fn par_map_is_order_preserving() {
@@ -1012,13 +1023,13 @@ mod tests {
 
     #[test]
     fn run_stage_emits_a_stage_span_with_its_points() {
-        use opm_core::telemetry::{Aggregator, Telemetry, TelemetryMode};
+        use opm_core::telemetry::{Telemetry, TelemetryMode};
         let tele = Telemetry::new(TelemetryMode::Summary);
-        let agg = Aggregator::new();
-        tele.add_sink(agg.clone());
+        let sink = Arc::new(Spans::default());
+        tele.add_sink(sink.clone());
         let eng = Engine::new(EngineConfig::default().with_telemetry(tele.clone()));
         eng.run_stage("span_stage", |_| ((), 2));
-        let spans = agg.spans();
+        let spans = sink.0.lock().unwrap().clone();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].path, "span_stage");
         assert_eq!(spans[0].cat, "stage");
@@ -1033,10 +1044,10 @@ mod tests {
 
     #[test]
     fn full_mode_emits_one_point_span_per_point_under_the_stage() {
-        use opm_core::telemetry::{Aggregator, Telemetry, TelemetryMode};
+        use opm_core::telemetry::{Telemetry, TelemetryMode};
         let tele = Telemetry::new(TelemetryMode::Full);
-        let agg = Aggregator::new();
-        tele.add_sink(agg.clone());
+        let sink = Arc::new(Spans::default());
+        tele.add_sink(sink.clone());
         let eng = Engine::new(EngineConfig::default().with_telemetry(tele));
         let items: Vec<usize> = (0..9).collect();
         eng.run_stage("pts", |e| {
@@ -1047,7 +1058,10 @@ mod tests {
         let mut expect: Vec<String> = (0..9).map(|i| format!("pts>point:{i}")).collect();
         expect.push("pts".to_string());
         expect.sort();
-        assert_eq!(agg.span_paths(), expect);
+        let spans = sink.0.lock().unwrap();
+        let mut paths: Vec<&str> = spans.iter().map(|s| s.path.as_str()).collect();
+        paths.sort_unstable();
+        assert_eq!(paths, expect);
     }
 
     #[test]

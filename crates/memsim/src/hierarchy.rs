@@ -515,30 +515,16 @@ mod tests {
 
     const SCALE: u64 = 1024; // milli-machine: L2 1 KiB, L3 4 KiB, eDRAM 128 KiB
 
-    /// Line-granularity cyclic sweep (one touch per 64-byte line), so hit
-    /// ratios reflect the hierarchy rather than intra-line spatial reuse.
-    fn line_sweep(bytes: u64, passes: usize) -> Trace {
-        let mut t = Trace::new();
-        for _ in 0..passes {
-            let mut a = 0;
-            while a < bytes {
-                t.read(a, 8);
-                a += 64;
-            }
-        }
-        t
-    }
-
     fn stream_result(config: OpmConfig, bytes: u64) -> SimResult {
         let mut sim = HierarchySim::for_config(config, SCALE);
         // Warm-up pass, then measured passes.
-        sim.run(&line_sweep(bytes, 1));
+        sim.run(&Trace::line_sweep(bytes, 1));
         let mut sim2 = sim.clone();
         sim2.result = SimResult {
             level_hits: vec![0; sim.chain.len()],
             ..Default::default()
         };
-        sim2.run(&line_sweep(bytes, 3));
+        sim2.run(&Trace::line_sweep(bytes, 3));
         sim2.result().clone()
     }
 
@@ -775,7 +761,7 @@ mod tests {
     fn levels_reconcile_on_every_config() {
         for config in OpmConfig::ALL {
             let mut sim = HierarchySim::for_config(config, SCALE);
-            sim.run(&line_sweep(64 * 1024, 2));
+            sim.run(&Trace::line_sweep(64 * 1024, 2));
             let r = sim.result();
             assert!(!r.levels.is_empty());
             r.reconcile().unwrap_or_else(|e| panic!("{config:?}: {e}"));
@@ -792,7 +778,7 @@ mod tests {
     fn touch_then_sync_levels_matches_run() {
         let mut a = HierarchySim::for_config(OpmConfig::Broadwell(EdramMode::On), SCALE);
         let mut b = a.clone();
-        let t = line_sweep(16 * 1024, 2);
+        let t = Trace::line_sweep(16 * 1024, 2);
         a.run(&t);
         for acc in &t.accesses {
             for line in acc.lines() {
@@ -807,9 +793,9 @@ mod tests {
     #[test]
     fn delta_since_subtracts_every_counter() {
         let mut sim = HierarchySim::for_config(OpmConfig::Broadwell(EdramMode::On), SCALE);
-        sim.run(&line_sweep(32 * 1024, 1));
+        sim.run(&Trace::line_sweep(32 * 1024, 1));
         let before = sim.result().clone();
-        sim.run(&line_sweep(32 * 1024, 3));
+        sim.run(&Trace::line_sweep(32 * 1024, 3));
         let delta = sim.result().delta_since(&before);
         assert_eq!(delta.accesses, sim.result().accesses - before.accesses);
         assert_eq!(delta.levels.len(), before.levels.len());
@@ -826,7 +812,7 @@ mod tests {
     #[test]
     fn reconcile_rejects_inconsistent_results() {
         let mut sim = HierarchySim::for_config(OpmConfig::Broadwell(EdramMode::Off), SCALE);
-        sim.run(&line_sweep(8 * 1024, 2));
+        sim.run(&Trace::line_sweep(8 * 1024, 2));
         let mut broken = sim.result().clone();
         broken.dram += 1;
         assert!(broken.reconcile().is_err());
@@ -840,7 +826,7 @@ mod tests {
         use opm_core::telemetry::Telemetry;
         let tele = Telemetry::off();
         let mut sim = HierarchySim::for_config(OpmConfig::Knl(McdramMode::Cache), SCALE);
-        sim.run(&line_sweep(64 * 1024, 2));
+        sim.run(&Trace::line_sweep(64 * 1024, 2));
         let r = sim.result();
         r.publish(&tele);
         assert_eq!(tele.counter("opm_memsim_accesses_total").get(), r.accesses);

@@ -15,7 +15,6 @@
 
 pub mod cache;
 pub mod hierarchy;
-pub mod prefetch;
 pub mod reuse;
 pub mod synth;
 pub mod timing;
@@ -23,7 +22,6 @@ pub mod trace;
 
 pub use cache::{CacheStats, Lookup, SetAssocCache};
 pub use hierarchy::{HierarchySim, LevelCounters, ServedBy, SimResult};
-pub use prefetch::{simulate_with_prefetcher, PrefetchStats, StreamPrefetcher};
 pub use reuse::{reuse_histogram, reuse_histogram_reference, ReuseHistogram};
 pub use synth::{trace_from_phase, trace_from_tiers, trace_from_tiers_into};
 pub use timing::{LevelPrice, SimTiming};

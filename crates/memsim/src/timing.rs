@@ -111,23 +111,11 @@ mod tests {
     use opm_core::platform::{EdramMode, McdramMode};
     use opm_core::units::GIB;
 
-    fn line_sweep(bytes: u64, passes: usize) -> Trace {
-        let mut t = Trace::new();
-        for _ in 0..passes {
-            let mut a = 0;
-            while a < bytes {
-                t.read(a, 8);
-                a += 64;
-            }
-        }
-        t
-    }
-
     fn timed_conc(config: OpmConfig, bytes: u64, conc: f64) -> f64 {
         let mut sim = HierarchySim::for_config(config, 1024);
-        sim.run(&line_sweep(bytes, 1)); // warm
+        sim.run(&Trace::line_sweep(bytes, 1)); // warm
         let before = sim.result().clone();
-        sim.run(&line_sweep(bytes, 3));
+        sim.run(&Trace::line_sweep(bytes, 3));
         let delta = sim.result().delta_since(&before);
         SimTiming::for_config(config).estimate_ns(&delta, conc)
     }
@@ -196,7 +184,7 @@ mod tests {
     #[test]
     fn latency_bound_when_concurrency_is_low() {
         let mut sim = HierarchySim::for_config(OpmConfig::Knl(McdramMode::Flat), 1024);
-        sim.run(&line_sweep(1024 * 1024, 2));
+        sim.run(&Trace::line_sweep(1024 * 1024, 2));
         let timing = SimTiming::for_config(OpmConfig::Knl(McdramMode::Flat));
         let fast = timing.estimate_ns(sim.result(), 256.0);
         let slow = timing.estimate_ns(sim.result(), 1.0);
@@ -240,7 +228,7 @@ mod tests {
     #[test]
     fn effective_bandwidth_is_bounded_by_fastest_level() {
         let mut sim = HierarchySim::for_config(OpmConfig::Broadwell(EdramMode::On), 1024);
-        sim.run(&line_sweep(2 * 1024, 8)); // L2-resident
+        sim.run(&Trace::line_sweep(2 * 1024, 8)); // L2-resident
         let timing = SimTiming::for_config(OpmConfig::Broadwell(EdramMode::On));
         let bw = timing.effective_bandwidth(sim.result(), 64.0);
         assert!(bw <= 420.0 + 1e-9);

@@ -326,6 +326,21 @@ impl Trace {
         t
     }
 
+    /// Cyclic sweep over `[0, bytes)` with one 8-byte read per 64-byte
+    /// line, repeated `passes` times, so hit ratios reflect the
+    /// hierarchy rather than reuse within a line.
+    pub fn line_sweep(bytes: u64, passes: usize) -> Self {
+        let mut t = Trace::with_capacity(passes * bytes.div_ceil(LINE_BYTES) as usize);
+        for _ in 0..passes {
+            let mut a = 0;
+            while a < bytes {
+                t.read(a, 8);
+                a += LINE_BYTES;
+            }
+        }
+        t
+    }
+
     /// Strided read sweep (stride in bytes), one pass.
     pub fn strided(base: u64, bytes: u64, stride: u64) -> Self {
         assert!(stride > 0, "stride must be positive");

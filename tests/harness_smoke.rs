@@ -115,8 +115,7 @@ fn full_campaign_reproduces_committed_results() {
         }
     }
     // What `results/` holds beyond the campaign: the `opm study` CSVs
-    // (compared in `tables_power_and_extensions_regenerate`) and the
-    // console transcript of the run that first filled it.
+    // (compared in `tables_power_and_extensions_regenerate`).
     let study_output = |name: &str| {
         let stem = name.trim_end_matches(".csv");
         opm_bench::extensions::STUDIES
@@ -124,7 +123,7 @@ fn full_campaign_reproduces_committed_results() {
             .any(|(study, _)| stem == *study || stem.starts_with(&format!("{study}_")))
     };
     for name in outputs(&committed).difference(&fresh) {
-        if !study_output(name) && name != "console_log.txt" {
+        if !study_output(name) {
             problems.push(format!("results/{name} is written by no campaign or study"));
         }
     }

@@ -328,21 +328,6 @@ proptest! {
     }
 
     #[test]
-    fn prefetcher_accuracy_is_bounded(streams in 1usize..8, degree in 1usize..8, seed in 0u64..50) {
-        use opm_repro::memsim::StreamPrefetcher;
-        let mut pf = StreamPrefetcher::new(streams, degree);
-        let t = Trace::random(0, 1 << 18, 500, seed);
-        for a in &t.accesses {
-            for l in a.lines() {
-                let _ = pf.observe(l);
-            }
-        }
-        let s = pf.stats();
-        prop_assert!(s.useful <= s.issued);
-        prop_assert!((0.0..=1.0).contains(&pf.accuracy()));
-    }
-
-    #[test]
     fn sharing_outcome_is_sane(
         fp_a in 0.5f64..20.0, fp_b in 0.5f64..20.0, weight in 0.1f64..10.0,
     ) {

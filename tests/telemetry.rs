@@ -13,13 +13,23 @@
 use opm_core::api::Json;
 use opm_core::platform::{EdramMode, McdramMode, OpmConfig};
 use opm_core::telemetry::{
-    parse_prom, Aggregator, CounterSnapshot, PromDump, Telemetry, TelemetryMode,
+    parse_prom, CounterSnapshot, PromDump, SpanRecord, Telemetry, TelemetryMode, TelemetrySink,
 };
 use opm_kernels::sweeps::{gemm_sweep_on, stream_curve_on};
 use opm_kernels::{Engine, EngineConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Once;
+use std::sync::{Arc, Mutex, Once};
+
+/// Collects the paths of completed spans.
+#[derive(Default)]
+struct SpanPaths(Mutex<Vec<String>>);
+
+impl TelemetrySink for SpanPaths {
+    fn span_end(&self, record: &SpanRecord) {
+        self.0.lock().unwrap().push(record.path.clone());
+    }
+}
 
 /// A fixed two-stage workload on a private engine wired to a fresh
 /// telemetry instance, its stages pulled from a shared queue by
@@ -28,8 +38,8 @@ use std::sync::Once;
 /// roofline gauges, and latency histograms).
 fn run_workload(threads: usize) -> (Vec<String>, Vec<CounterSnapshot>, String) {
     let tele = Telemetry::new(TelemetryMode::Full);
-    let agg = Aggregator::new();
-    tele.add_sink(agg.clone());
+    let paths = Arc::new(SpanPaths::default());
+    tele.add_sink(paths.clone());
     let engine = Engine::new(EngineConfig::default().with_telemetry(tele.clone()));
     let footprints: Vec<f64> = (1..=8).map(|i| i as f64 * 64.0 * 1024.0 * 1024.0).collect();
     let gemm = |e: &Engine| {
@@ -54,11 +64,9 @@ fn run_workload(threads: usize) -> (Vec<String>, Vec<CounterSnapshot>, String) {
             });
         }
     });
-    (
-        agg.span_paths(),
-        tele.snapshot_counters(),
-        tele.render_prom(),
-    )
+    let mut paths = paths.0.lock().unwrap().clone();
+    paths.sort();
+    (paths, tele.snapshot_counters(), tele.render_prom())
 }
 
 #[test]
