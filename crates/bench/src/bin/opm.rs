@@ -4,6 +4,9 @@
 //! opm-api/v1 query service (`serve`/`advise`/`loadgen`). Run `opm help`
 //! for usage. Exit codes: 0 success, 1 runtime failure, 2
 //! usage/configuration error.
+
+#![forbid(unsafe_code)]
+
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     match opm_bench::cli::dispatch(&raw) {

@@ -8,6 +8,7 @@
 //! `perfbench/` uses too. Everything writes CSV series (and aligned text
 //! tables) under `results/` (override with `OPM_RESULTS`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use opm_core::perf::PerfModel;

@@ -33,15 +33,21 @@
 //!
 //! The encoding is hand-rolled (the build has no crates.io access, so
 //! no serde). Encoders write every field of the canonical form straight
-//! into one pre-sized `String`. Decoders parse the frame into a [`Json`]
-//! document, one flat token list whose strings borrow from the frame
-//! text unless they hold an escape, and read typed fields from it
-//! through [`JsonRef`] views. Decode and encode are both linear in the
-//! frame size: strings are scanned and copied in runs between the bytes
-//! that need escaping, so even a frame at [`MAX_FRAME_LEN`] holding one
-//! long string decodes in milliseconds.
+//! into one pre-sized `String`; numbers print as Rust's `Display` prints
+//! them, through an exact integer fast path with `Display` as the
+//! fallback. Decoders parse the frame into a [`Json`] document, one flat
+//! token list whose strings borrow from the frame text unless they hold
+//! an escape, and read each object's typed fields in one walk over it.
+//! The tokenizer slices the `&str` it is given and never checks UTF-8
+//! again ([`read_frame`] has validated the frame). Decode and encode are
+//! both linear in the frame size: strings are scanned eight bytes at a
+//! time and copied in runs between the bytes that need escaping, so even
+//! a frame at [`MAX_FRAME_LEN`] holding one long string decodes in
+//! milliseconds.
 
+use crate::report::push_decimal;
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::fmt::{self, Write as _};
 use std::io::{self, Read, Write};
 
@@ -53,6 +59,10 @@ pub const VERSION: &str = "opm-api/v1";
 /// about 5,800 answered queries; a daemon answers a batch whose reply
 /// would exceed the cap with one typed `bad-param` error instead.
 pub const MAX_FRAME_LEN: u32 = 4 << 20;
+
+/// Bytes [`read_frame`] reserves for a payload before any of it has
+/// arrived: 64 KiB, where a 32-query reply takes about 23 KB.
+const FRAME_READ_START: usize = 64 << 10;
 
 /// Largest integer a wire field (request ids, integral query fields)
 /// may carry: 2^53 − 1, the top of the range where every integer is an
@@ -138,9 +148,17 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, FrameError> {
     if len > MAX_FRAME_LEN {
         return Err(FrameError::TooLarge(len));
     }
-    let mut payload = vec![0u8; len as usize];
+    // The buffer grows with the bytes that arrive, not with the length
+    // the peer claims: it starts at `FRAME_READ_START` and at most
+    // doubles once full, so a peer that sends only a prefix pins 64 KiB,
+    // not `MAX_FRAME_LEN`.
+    let len = len as usize;
+    let mut payload = Vec::new();
     let mut filled = 0;
-    while filled < payload.len() {
+    while filled < len {
+        if filled == payload.len() {
+            payload.resize(len.min((2 * filled).max(FRAME_READ_START)), 0);
+        }
         match r.read(&mut payload[filled..]) {
             Ok(0) => return Err(FrameError::Truncated),
             Ok(n) => filled += n,
@@ -202,10 +220,11 @@ impl<'a> Json<'a> {
     pub fn parse(text: &'a str) -> Result<Json<'a>, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        // About one token per 16 bytes of a canonical reply.
-        let mut toks = Vec::with_capacity(bytes.len() / 16);
+        // One token per 14.5 bytes of a canonical reply (2 375 tokens in
+        // the 34 442 bytes of a 50-query one), so the list never regrows.
+        let mut toks = Vec::with_capacity(bytes.len() * 2 / 29);
         skip_ws(bytes, &mut pos);
-        parse_value(bytes, &mut pos, 0, &mut toks)?;
+        parse_value(text, &mut pos, 0, &mut toks)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -227,16 +246,34 @@ pub struct JsonRef<'d, 'a>(&'d [Tok<'a>]);
 impl<'d, 'a> JsonRef<'d, 'a> {
     /// Object field lookup (first match); `None` on a non-object.
     pub fn get(self, key: &str) -> Option<JsonRef<'d, 'a>> {
-        let Tok::Obj(_) = self.0[0] else { return None };
+        let [value] = self.fields(&[key]);
+        value
+    }
+
+    /// `keys.map(|k| self.get(k))`, in one walk over the object: each
+    /// slot holds the first field of its name, and every slot is `None`
+    /// on a non-object. A canonical document lists the fields in `keys`
+    /// order, so the key after the last match is tried first.
+    fn fields<const N: usize>(self, keys: &[&str; N]) -> [Option<JsonRef<'d, 'a>>; N] {
+        let mut slots = [None; N];
+        let Tok::Obj(_) = self.0[0] else { return slots };
+        let mut next = 0;
         let mut rest = &self.0[1..];
         while let [Tok::Str(k), value, ..] = rest {
             let (value, tail) = rest[1..].split_at(value.span());
-            if k.as_ref() == key {
-                return Some(JsonRef(value));
-            }
             rest = tail;
+            let k = k.as_ref();
+            let at = if keys.get(next) == Some(&k) {
+                next
+            } else if let Some(at) = keys.iter().position(|&key| key == k) {
+                at
+            } else {
+                continue;
+            };
+            slots[at].get_or_insert(JsonRef(value));
+            next = at + 1;
         }
-        None
+        slots
     }
 
     /// Whether this value is `null`.
@@ -295,54 +332,177 @@ impl<'d, 'a> JsonRef<'d, 'a> {
     }
 }
 
-/// Canonical number rendering: integral doubles in the exact range print
-/// without a fraction (`3` not `3.0`); everything else uses Rust's
-/// shortest-round-trip `Display`. Non-finite values (which valid
-/// [`Advice`] never produces) degrade to `null` rather than emit invalid
-/// JSON.
+/// Canonical number rendering, the bytes of Rust's `Display` without its
+/// cost: integral doubles in the exact range print without a fraction
+/// (`3` not `3.0`); other values print their shortest round-trip
+/// decimal, found by [`shortest_decimal`] where its exact integer
+/// arithmetic decides it and by `Display` elsewhere. Non-finite values
+/// (which valid [`Advice`] never produces) degrade to `null` rather
+/// than emit invalid JSON.
 fn render_num(v: f64, out: &mut String) {
     if !v.is_finite() {
         out.push_str("null");
     } else if v.fract() == 0.0 && v.abs() <= 9_007_199_254_740_992.0 {
-        let _ = write!(out, "{}", v as i64);
+        push_decimal(out, v < 0.0, v.abs() as u64, 0);
+    } else if let Some((digits, frac_len)) = shortest_decimal(v.abs()) {
+        push_decimal(out, v < 0.0, digits, frac_len);
     } else {
         let _ = write!(out, "{v}");
     }
 }
 
-/// A string displayed as a quoted JSON string literal: the one escaper
-/// shared by the canonical renderer and the telemetry JSONL sink.
-/// `"`, `\` and control characters are escaped; the unescaped runs
-/// between them are copied whole.
+/// `10^j` for `j` in `0..=22`: up to `2^54 · 10^22 < 2^128`, the
+/// products [`shortest_decimal`] forms are exact in `u128`.
+const POW10: [u128; 23] = {
+    let mut p = [1u128; 23];
+    let mut j = 1;
+    while j < p.len() {
+        p[j] = p[j - 1] * 10;
+        j += 1;
+    }
+    p
+};
+
+/// The shortest decimal that reads back as `a` (positive, finite, not
+/// integral), as `(digits, frac_len)` meaning `digits / 10^frac_len`,
+/// where exact integer arithmetic can prove it is the one `Display`
+/// prints; `None` sends the caller to `Display`.
+///
+/// With `a = 2m / 2^q` (`m` the 53-bit significand), every decimal
+/// strictly inside `((2m − 1) / 2^q, (2m + 1) / 2^q)` reads back as `a`.
+/// `Display` prints the one with the fewest digits, that is at the
+/// coarsest scale `10^−j` that has a multiple inside the interval, and
+/// among those the closest to `a`. At `j0`, the finest scale no finer
+/// than the interval's width, at most one multiple fits, and a multiple
+/// at any coarser scale is a multiple at `j0` too, so the search starts
+/// there and goes finer. (`j0` is at least 1: the interval of a
+/// non-integral `a` holds no integer.) `Display` is left the cases
+/// where this reasoning does not hold or the arithmetic could overflow:
+/// a subnormal, a power of two (its lower neighbour is closer than its
+/// upper one), a multiple exactly on an endpoint (`Display` takes one
+/// when `m` is even), an exact tie, and a value needing `j > 22`.
+fn shortest_decimal(a: f64) -> Option<(u64, usize)> {
+    let bits = a.to_bits();
+    let exp = (bits >> 52) as u32;
+    let frac = bits & ((1 << 52) - 1);
+    if exp == 0 || frac == 0 {
+        return None;
+    }
+    let two_m = ((1u64 << 52) | frac) << 1;
+    // a = m · 2^(exp − 1075), and a non-integral one has exp < 1075.
+    let q = 1076u32.checked_sub(exp).filter(|q| (2..128).contains(q))?;
+    let one = 1u128 << q;
+    // floor((q − 1) · log10 2), the constant rounded down.
+    let j0 = (((q - 1) * 78_913) >> 18).max(1) as usize;
+    for (j, &half) in POW10.iter().enumerate().skip(j0) {
+        // Scaled by 2^q · 10^j: a is `x`, the interval `x ± half`, and
+        // the multiples of 10^−j around `a` are `t · one` and
+        // `(t + 1) · one`.
+        let x = u128::from(two_m) * half;
+        let (t, below) = (x >> q, x & (one - 1));
+        let above = one - below;
+        if below == half || above == half {
+            return None;
+        }
+        let digits = match (below < half, above < half) {
+            (false, false) => continue,
+            (true, false) => t,
+            (false, true) => t + 1,
+            (true, true) => match below.cmp(&above) {
+                Ordering::Less => t,
+                Ordering::Greater => t + 1,
+                Ordering::Equal => return None,
+            },
+        };
+        let (mut digits, mut j) = (u64::try_from(digits).ok()?, j);
+        while j > 0 && digits % 10 == 0 {
+            digits /= 10;
+            j -= 1;
+        }
+        return (j > 0).then_some((digits, j));
+    }
+    None
+}
+
+/// A string displayed as a quoted JSON string literal, through the one
+/// escaper [`write_str_lit`] (the telemetry JSONL sink displays its
+/// strings through this).
 pub(crate) struct JsonStr<'a>(pub(crate) &'a str);
 
 impl fmt::Display for JsonStr<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = self.0;
-        f.write_str("\"")?;
-        let mut run = 0;
-        for (i, &byte) in s.as_bytes().iter().enumerate() {
-            let escape = match byte {
-                b'"' => "\\\"",
-                b'\\' => "\\\\",
-                b'\n' => "\\n",
-                b'\r' => "\\r",
-                b'\t' => "\\t",
-                0..=0x1f => "",
-                _ => continue,
-            };
-            // Every escaped byte is ASCII, so `i` is a char boundary.
-            f.write_str(&s[run..i])?;
-            if escape.is_empty() {
-                write!(f, "\\u{byte:04x}")?;
-            } else {
-                f.write_str(escape)?;
-            }
-            run = i + 1;
-        }
-        f.write_str(&s[run..])?;
-        f.write_str("\"")
+        write_str_lit(f, self.0)
     }
+}
+
+/// Write `s` as a quoted JSON string literal, the one escaper of the
+/// canonical renderer and the telemetry sink: `"`, `\` and control
+/// characters are escaped, and the runs between them, found by
+/// [`find_stop`], are copied whole.
+fn write_str_lit(w: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let b = s.as_bytes();
+    w.write_char('"')?;
+    let mut run = 0;
+    loop {
+        let stop = find_stop(b, run);
+        // Every stop byte is ASCII, so `run` and `stop` are char
+        // boundaries.
+        w.write_str(&s[run..stop])?;
+        let Some(&byte) = b.get(stop) else { break };
+        match byte {
+            b'"' => w.write_str("\\\"")?,
+            b'\\' => w.write_str("\\\\")?,
+            b'\n' => w.write_str("\\n")?,
+            b'\r' => w.write_str("\\r")?,
+            b'\t' => w.write_str("\\t")?,
+            _ => {
+                w.write_str("\\u00")?;
+                w.write_char(char::from(HEX[usize::from(byte >> 4)]))?;
+                w.write_char(char::from(HEX[usize::from(byte & 15)]))?;
+            }
+        }
+        run = stop + 1;
+    }
+    w.write_char('"')
+}
+
+/// One in every byte lane of a word.
+const LANES_01: u64 = 0x0101_0101_0101_0101;
+/// The top bit of every byte lane of a word.
+const LANES_80: u64 = 0x8080_8080_8080_8080;
+
+/// SWAR marker mask of the byte lanes of `word` that end a raw run of a
+/// JSON string: `"`, `\` or a control byte below 0x20. A borrow can
+/// also mark lanes above a marked one, so only the lowest mark counts.
+fn stop_lanes(word: u64) -> u64 {
+    let eq = |c: u8| {
+        let x = word ^ (LANES_01 * u64::from(c));
+        x.wrapping_sub(LANES_01) & !x & LANES_80
+    };
+    let control = word.wrapping_sub(LANES_01 * 0x20) & !word & LANES_80;
+    eq(b'"') | eq(b'\\') | control
+}
+
+/// Index of the first `"`, `\` or control byte of `b` at or after
+/// `from`, or `b.len()`, scanning eight bytes at a time.
+fn find_stop(b: &[u8], from: usize) -> usize {
+    let mut words = b[from..].chunks_exact(8);
+    let mut at = from;
+    for word in &mut words {
+        let lanes = stop_lanes(u64::from_le_bytes(
+            word.try_into().expect("chunks_exact yields 8 bytes"),
+        ));
+        if lanes != 0 {
+            return at + lanes.trailing_zeros() as usize / 8;
+        }
+        at += 8;
+    }
+    let tail = words.remainder();
+    at + tail
+        .iter()
+        .position(|&c| matches!(c, b'"' | b'\\' | 0..=0x1f))
+        .unwrap_or(tail.len())
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -351,13 +511,15 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-/// Parse the value under `pos`, appending its tokens to `toks`.
+/// Parse the value of `text` under `pos`, appending its tokens to
+/// `toks`.
 fn parse_value<'a>(
-    b: &'a [u8],
+    text: &'a str,
     pos: &mut usize,
     depth: usize,
     toks: &mut Vec<Tok<'a>>,
 ) -> Result<(), String> {
+    let b = text.as_bytes();
     if depth > MAX_JSON_DEPTH {
         return Err("nesting too deep".to_string());
     }
@@ -366,7 +528,7 @@ fn parse_value<'a>(
         Some(b'n') => parse_lit(b, pos, "null", Tok::Null)?,
         Some(b't') => parse_lit(b, pos, "true", Tok::Bool(true))?,
         Some(b'f') => parse_lit(b, pos, "false", Tok::Bool(false))?,
-        Some(b'"') => Tok::Str(parse_string(b, pos)?),
+        Some(b'"') => Tok::Str(parse_string(text, pos)?),
         Some(b'[') => {
             *pos += 1;
             let at = toks.len();
@@ -377,7 +539,7 @@ fn parse_value<'a>(
             } else {
                 loop {
                     skip_ws(b, pos);
-                    parse_value(b, pos, depth + 1, toks)?;
+                    parse_value(text, pos, depth + 1, toks)?;
                     skip_ws(b, pos);
                     match b.get(*pos) {
                         Some(b',') => *pos += 1,
@@ -405,14 +567,14 @@ fn parse_value<'a>(
                     if b.get(*pos) != Some(&b'"') {
                         return Err(format!("expected object key at byte {pos}"));
                     }
-                    toks.push(Tok::Str(parse_string(b, pos)?));
+                    toks.push(Tok::Str(parse_string(text, pos)?));
                     skip_ws(b, pos);
                     if b.get(*pos) != Some(&b':') {
                         return Err(format!("expected ':' at byte {pos}"));
                     }
                     *pos += 1;
                     skip_ws(b, pos);
-                    parse_value(b, pos, depth + 1, toks)?;
+                    parse_value(text, pos, depth + 1, toks)?;
                     skip_ws(b, pos);
                     match b.get(*pos) {
                         Some(b',') => *pos += 1,
@@ -427,7 +589,7 @@ fn parse_value<'a>(
             toks[at] = Tok::Obj(toks.len() - at);
             return Ok(());
         }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => Tok::Num(parse_number(b, pos)?),
+        Some(c) if c.is_ascii_digit() || *c == b'-' => Tok::Num(parse_number(text, pos)?),
         Some(c) => return Err(format!("unexpected byte {c:#04x} at {pos}")),
     };
     toks.push(tok);
@@ -443,89 +605,91 @@ fn parse_lit<T>(b: &[u8], pos: &mut usize, lit: &str, value: T) -> Result<T, Str
     }
 }
 
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<f64, String> {
+/// Parse the number of `text` under `pos`: one pass over the RFC 8259
+/// grammar finds its end, then `str::parse` converts it. The number must
+/// end at a byte that cannot continue one; otherwise the error quotes
+/// the whole run of number bytes (`[0-9.eE+-]`) from `pos`.
+fn parse_number(text: &str, pos: &mut usize) -> Result<f64, String> {
+    let b = text.as_bytes();
     let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad number".to_string())?;
-    // `f64::from_str` also takes `01`, `1.`, `-.5` and `1.e5`: check the
-    // JSON grammar first.
-    if !is_json_number(text.as_bytes()) {
-        return Err(format!("invalid number {text:?} at byte {start}"));
-    }
-    let v: f64 = text
+    let number_byte = |c: &u8| matches!(c, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-');
+    let Some(end) = json_number_end(b, start).filter(|&end| !b.get(end).is_some_and(number_byte))
+    else {
+        let run = b[start..].iter().take_while(|c| number_byte(c)).count();
+        let run = &text[start..start + run];
+        return Err(format!("invalid number {run:?} at byte {start}"));
+    };
+    let num = &text[start..end];
+    let v: f64 = num
         .parse()
-        .map_err(|_| format!("invalid number {text:?} at byte {start}"))?;
+        .map_err(|_| format!("invalid number {num:?} at byte {start}"))?;
     if !v.is_finite() {
-        return Err(format!("non-finite number {text:?} at byte {start}"));
+        return Err(format!("non-finite number {num:?} at byte {start}"));
     }
+    *pos = end;
     Ok(v)
 }
 
-/// Whether `s` is exactly one RFC 8259 number:
-/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
-fn is_json_number(s: &[u8]) -> bool {
-    let mut i = 0;
-    let digits = |i: &mut usize| {
-        let from = *i;
-        while s.get(*i).is_some_and(u8::is_ascii_digit) {
-            *i += 1;
+/// End of the RFC 8259 number
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?` that starts at
+/// `b[at]`, taking as many bytes as the grammar allows; `None` if no
+/// number starts there.
+fn json_number_end(b: &[u8], mut at: usize) -> Option<usize> {
+    let digits = |at: &mut usize| {
+        let from = *at;
+        while b.get(*at).is_some_and(u8::is_ascii_digit) {
+            *at += 1;
         }
-        *i > from
+        *at > from
     };
-    if s.get(i) == Some(&b'-') {
-        i += 1;
+    if b.get(at) == Some(&b'-') {
+        at += 1;
     }
-    match s.get(i) {
-        Some(b'0') => i += 1,
+    match b.get(at) {
+        Some(b'0') => at += 1,
         Some(b'1'..=b'9') => {
-            digits(&mut i);
+            digits(&mut at);
         }
-        _ => return false,
+        _ => return None,
     }
-    if s.get(i) == Some(&b'.') {
-        i += 1;
-        if !digits(&mut i) {
-            return false;
-        }
-    }
-    if matches!(s.get(i), Some(b'e' | b'E')) {
-        i += 1;
-        if matches!(s.get(i), Some(b'+' | b'-')) {
-            i += 1;
-        }
-        if !digits(&mut i) {
-            return false;
+    if b.get(at) == Some(&b'.') {
+        at += 1;
+        if !digits(&mut at) {
+            return None;
         }
     }
-    i == s.len()
+    if matches!(b.get(at), Some(b'e' | b'E')) {
+        at += 1;
+        if matches!(b.get(at), Some(b'+' | b'-')) {
+            at += 1;
+        }
+        if !digits(&mut at) {
+            return None;
+        }
+    }
+    Some(at)
 }
 
-/// Decode the string literal starting at the `"` under `pos`. Linear in
-/// its length: each run of plain characters up to the next `"`, `\` or
-/// control byte is validated and copied once. All three stop bytes are
-/// ASCII, so every run starts and ends on a char boundary. A string
-/// without escapes is borrowed from `b`, not copied.
-fn parse_string<'a>(b: &'a [u8], pos: &mut usize) -> Result<Cow<'a, str>, String> {
+/// Decode the string literal of `text` starting at the `"` under `pos`.
+/// Linear in its length: each run of plain characters up to the next
+/// `"`, `\` or control byte ([`find_stop`]) is sliced from the
+/// already-validated text and copied at most once. Stop bytes and
+/// escapes are ASCII, so every run starts and ends on a char boundary.
+/// A string without escapes is borrowed from `text`, not copied.
+fn parse_string<'a>(text: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, String> {
+    let b = text.as_bytes();
     debug_assert_eq!(b.get(*pos), Some(&b'"'));
     *pos += 1;
     let start = *pos;
     let mut out = Cow::Borrowed("");
     loop {
         let run = *pos;
-        *pos += b[run..]
-            .iter()
-            .position(|&c| matches!(c, b'"' | b'\\' | 0..=0x1f))
-            .unwrap_or(b.len() - run);
-        let text = std::str::from_utf8(&b[run..*pos]).map_err(|_| "bad utf-8".to_string())?;
+        *pos = find_stop(b, run);
+        let plain = &text[run..*pos];
         if run == start {
-            out = Cow::Borrowed(text);
+            out = Cow::Borrowed(plain);
         } else {
-            out.to_mut().push_str(text);
+            out.to_mut().push_str(plain);
         }
         match b.get(*pos) {
             None => return Err("unterminated string".to_string()),
@@ -671,8 +835,24 @@ impl Query {
         if !matches!(obj.0[0], Tok::Obj(_)) {
             return Err("query must be an object".to_string());
         }
-        let field_u64 = |name: &str| -> Result<Option<u64>, String> {
-            match obj.get(name) {
+        let [kernel, config, n, tile, rows, nnz, grid, threads, span, levels, footprint_mb, hot_mb, latency_bound] =
+            obj.fields(&[
+                "kernel",
+                "config",
+                "n",
+                "tile",
+                "rows",
+                "nnz",
+                "grid",
+                "threads",
+                "span",
+                "levels",
+                "footprint_mb",
+                "hot_mb",
+                "latency_bound",
+            ]);
+        let field_u64 = |name: &str, v: Option<JsonRef>| -> Result<Option<u64>, String> {
+            match v {
                 Some(v) if !v.is_null() => v
                     .as_u64()
                     .map(Some)
@@ -680,8 +860,8 @@ impl Query {
                 _ => Ok(None),
             }
         };
-        let field_f64 = |name: &str| -> Result<Option<f64>, String> {
-            match obj.get(name) {
+        let field_f64 = |name: &str, v: Option<JsonRef>| -> Result<Option<f64>, String> {
+            match v {
                 Some(v) if !v.is_null() => v
                     .as_f64()
                     .map(Some)
@@ -690,27 +870,25 @@ impl Query {
             }
         };
         Ok(Query {
-            kernel: obj
-                .get("kernel")
+            kernel: kernel
                 .and_then(JsonRef::as_str)
                 .ok_or("query needs a string \"kernel\"")?
                 .to_string(),
-            config: obj
-                .get("config")
+            config: config
                 .and_then(JsonRef::as_str)
                 .ok_or("query needs a string \"config\"")?
                 .to_string(),
-            n: field_u64("n")?,
-            tile: field_u64("tile")?,
-            rows: field_u64("rows")?,
-            nnz: field_u64("nnz")?,
-            grid: field_u64("grid")?,
-            threads: field_u64("threads")?,
-            span: field_f64("span")?,
-            levels: field_f64("levels")?,
-            footprint_mb: field_f64("footprint_mb")?,
-            hot_mb: field_f64("hot_mb")?,
-            latency_bound: match obj.get("latency_bound") {
+            n: field_u64("n", n)?,
+            tile: field_u64("tile", tile)?,
+            rows: field_u64("rows", rows)?,
+            nnz: field_u64("nnz", nnz)?,
+            grid: field_u64("grid", grid)?,
+            threads: field_u64("threads", threads)?,
+            span: field_f64("span", span)?,
+            levels: field_f64("levels", levels)?,
+            footprint_mb: field_f64("footprint_mb", footprint_mb)?,
+            hot_mb: field_f64("hot_mb", hot_mb)?,
+            latency_bound: match latency_bound {
                 Some(v) if !v.is_null() => Some(
                     v.as_bool()
                         .ok_or("query field \"latency_bound\" must be a bool")?,
@@ -759,14 +937,14 @@ impl Request {
     /// compatibility promise).
     pub fn parse(text: &str) -> Result<Request, String> {
         let doc = Json::parse(text)?;
-        let j = doc.root();
-        check_version(j)?;
-        let id = decode_id(j)?;
-        let shutdown = match j.get("shutdown") {
+        let [v, id, shutdown, queries] = doc.root().fields(&["v", "id", "shutdown", "queries"]);
+        check_version(v)?;
+        let id = decode_id(id)?;
+        let shutdown = match shutdown {
             Some(v) if !v.is_null() => v.as_bool().ok_or("\"shutdown\" must be a bool")?,
             _ => false,
         };
-        let queries = match j.get("queries") {
+        let queries = match queries {
             Some(v) if !v.is_null() => v
                 .as_arr()
                 .ok_or("\"queries\" must be an array")?
@@ -782,8 +960,9 @@ impl Request {
     }
 }
 
-fn check_version(j: JsonRef) -> Result<(), String> {
-    match j.get("v").and_then(JsonRef::as_str) {
+/// Check a document's `"v"` field.
+fn check_version(v: Option<JsonRef>) -> Result<(), String> {
+    match v.and_then(JsonRef::as_str) {
         Some(v) if v == VERSION => Ok(()),
         Some(v) => Err(format!(
             "unsupported protocol version {v:?} (this is {VERSION})"
@@ -792,8 +971,9 @@ fn check_version(j: JsonRef) -> Result<(), String> {
     }
 }
 
-fn decode_id(j: JsonRef) -> Result<u64, String> {
-    match j.get("id") {
+/// Decode a document's `"id"` field (0 when absent or null).
+fn decode_id(id: Option<JsonRef>) -> Result<u64, String> {
+    match id {
         Some(v) if !v.is_null() => v.as_u64().ok_or_else(|| format!("\"id\" {INT_EXPECTED}")),
         _ => Ok(0),
     }
@@ -819,7 +999,7 @@ fn push_head(out: &mut String, id: u64) {
 
 /// Append `s` as a quoted JSON string literal.
 fn push_str_lit(out: &mut String, s: &str) {
-    let _ = write!(out, "{}", JsonStr(s));
+    let _ = write_str_lit(out, s);
 }
 
 /// Append `,"<name>":<v>`; `name` needs no escaping.
@@ -931,34 +1111,48 @@ impl Advice {
     }
 
     fn from_json(j: JsonRef) -> Result<Advice, String> {
-        let s = |name: &str| -> Result<String, String> {
-            j.get(name)
-                .and_then(JsonRef::as_str)
+        let [kernel, config, footprint_mb, time_ms, gflops, bandwidth_gbs, dram_mb, opm_mb, level_traffic, package_w, dram_w, energy_j, recommended_mode, guideline, explanation] =
+            j.fields(&[
+                "kernel",
+                "config",
+                "footprint_mb",
+                "time_ms",
+                "gflops",
+                "bandwidth_gbs",
+                "dram_mb",
+                "opm_mb",
+                "level_traffic",
+                "package_w",
+                "dram_w",
+                "energy_j",
+                "recommended_mode",
+                "guideline",
+                "explanation",
+            ]);
+        let s = |name: &str, v: Option<JsonRef>| -> Result<String, String> {
+            v.and_then(JsonRef::as_str)
                 .map(str::to_string)
                 .ok_or_else(|| format!("advice field {name:?} must be a string"))
         };
-        let n = |name: &str| -> Result<f64, String> {
-            j.get(name)
-                .and_then(JsonRef::as_f64)
+        let n = |name: &str, v: Option<JsonRef>| -> Result<f64, String> {
+            v.and_then(JsonRef::as_f64)
                 .ok_or_else(|| format!("advice field {name:?} must be a number"))
         };
-        let level_traffic = match j.get("level_traffic") {
+        let level_traffic = match level_traffic {
             Some(v) if !v.is_null() => v
                 .as_arr()
                 .ok_or("\"level_traffic\" must be an array")?
                 .map(|lt| {
+                    let [level, bytes, time_ns] = lt.fields(&["level", "bytes", "time_ns"]);
                     Ok(LevelTraffic {
-                        level: lt
-                            .get("level")
+                        level: level
                             .and_then(JsonRef::as_str)
                             .ok_or("level_traffic entry needs a string \"level\"")?
                             .to_string(),
-                        bytes: lt
-                            .get("bytes")
+                        bytes: bytes
                             .and_then(JsonRef::as_f64)
                             .ok_or("level_traffic entry needs a numeric \"bytes\"")?,
-                        time_ns: lt
-                            .get("time_ns")
+                        time_ns: time_ns
                             .and_then(JsonRef::as_f64)
                             .ok_or("level_traffic entry needs a numeric \"time_ns\"")?,
                     })
@@ -967,21 +1161,21 @@ impl Advice {
             _ => Vec::new(),
         };
         Ok(Advice {
-            kernel: s("kernel")?,
-            config: s("config")?,
-            footprint_mb: n("footprint_mb")?,
-            time_ms: n("time_ms")?,
-            gflops: n("gflops")?,
-            bandwidth_gbs: n("bandwidth_gbs")?,
-            dram_mb: n("dram_mb")?,
-            opm_mb: n("opm_mb")?,
+            kernel: s("kernel", kernel)?,
+            config: s("config", config)?,
+            footprint_mb: n("footprint_mb", footprint_mb)?,
+            time_ms: n("time_ms", time_ms)?,
+            gflops: n("gflops", gflops)?,
+            bandwidth_gbs: n("bandwidth_gbs", bandwidth_gbs)?,
+            dram_mb: n("dram_mb", dram_mb)?,
+            opm_mb: n("opm_mb", opm_mb)?,
             level_traffic,
-            package_w: n("package_w")?,
-            dram_w: n("dram_w")?,
-            energy_j: n("energy_j")?,
-            recommended_mode: s("recommended_mode")?,
-            guideline: s("guideline")?,
-            explanation: s("explanation")?,
+            package_w: n("package_w", package_w)?,
+            dram_w: n("dram_w", dram_w)?,
+            energy_j: n("energy_j", energy_j)?,
+            recommended_mode: s("recommended_mode", recommended_mode)?,
+            guideline: s("guideline", guideline)?,
+            explanation: s("explanation", explanation)?,
         })
     }
 }
@@ -1109,23 +1303,24 @@ impl Response {
     /// Strict decode (version checked; unknown fields ignored).
     pub fn parse(text: &str) -> Result<Response, String> {
         let doc = Json::parse(text)?;
-        let j = doc.root();
-        check_version(j)?;
-        let id = decode_id(j)?;
-        let results = match j.get("results") {
+        let [v, id, results] = doc.root().fields(&["v", "id", "results"]);
+        check_version(v)?;
+        let id = decode_id(id)?;
+        let results = match results {
             Some(v) if !v.is_null() => v
                 .as_arr()
                 .ok_or("\"results\" must be an array")?
                 .map(|r| {
-                    if let Some(ok) = r.get("ok") {
+                    let [ok, err] = r.fields(&["ok", "err"]);
+                    if let Some(ok) = ok {
                         return Advice::from_json(ok).map(|a| QueryResult::Ok(Box::new(a)));
                     }
-                    if let Some(err) = r.get("err") {
-                        let kind = err
-                            .get("kind")
+                    if let Some(err) = err {
+                        let [kind, detail] = err.fields(&["kind", "detail"]);
+                        let kind = kind
                             .and_then(JsonRef::as_str)
                             .ok_or("error result needs a string \"kind\"")?;
-                        let detail = err.get("detail").and_then(JsonRef::as_str).unwrap_or("");
+                        let detail = detail.and_then(JsonRef::as_str).unwrap_or("");
                         return ApiError::from_parts(kind, detail).map(QueryResult::Err);
                     }
                     Err("result must carry \"ok\" or \"err\"".to_string())
@@ -1289,6 +1484,11 @@ mod tests {
         buf.extend_from_slice(&[0xff, 0xfe]);
         let mut r = &buf[..];
         assert_eq!(read_frame(&mut r), Err(FrameError::Utf8));
+        // A prefix claiming the whole cap, then ten bytes and EOF.
+        let mut buf = MAX_FRAME_LEN.to_be_bytes().to_vec();
+        buf.extend_from_slice(b"{\"v\":\"opm");
+        let mut r = &buf[..];
+        assert_eq!(read_frame(&mut r), Err(FrameError::Truncated));
     }
 
     #[test]
@@ -1340,6 +1540,176 @@ mod tests {
             let doc = Json::parse(text).unwrap();
             assert_eq!(doc.root().as_f64(), Some(v), "{text}");
         }
+    }
+
+    /// `s` as a JSON string literal, escaped one char at a time: the
+    /// oracle of the run escaper.
+    fn escape_per_char(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn stop_bytes_at_every_offset_match_the_oracles() {
+        let mut decoded = 0;
+        for offset in 0..=17 {
+            // The run before the stop byte: ASCII only, or ASCII and then
+            // one multi-byte char that ends right at `offset`.
+            let mut runs = vec!["a".repeat(offset)];
+            for c in ['é', '€', '😀'] {
+                if let Some(pad) = offset.checked_sub(c.len_utf8()) {
+                    runs.push(format!("{}{c}", "a".repeat(pad)));
+                }
+            }
+            for run in &runs {
+                for stop in ['"', '\\', '\u{1f}'] {
+                    let s = format!("{run}{stop}{run}");
+                    let lit = JsonStr(&s).to_string();
+                    assert_eq!(lit, escape_per_char(&s), "{s:?}");
+                    let mut encoded = String::new();
+                    push_str_lit(&mut encoded, &s);
+                    assert_eq!(encoded, lit, "{s:?}");
+                    assert_eq!(Json::parse(&lit).unwrap().root().as_str(), Some(&*s));
+                    // The stop byte raw, `offset` bytes into the literal.
+                    for rest in ["", "\"", "n\"", "u0041\"", "q\""] {
+                        let text = format!("\"{run}{stop}{rest}");
+                        let (mut pos, mut oracle_pos) = (0, 0);
+                        let fast = parse_string(&text, &mut pos);
+                        let oracle = parse_string_per_char(text.as_bytes(), &mut oracle_pos);
+                        match (&fast, &oracle) {
+                            (Ok(f), Ok(o)) => {
+                                assert_eq!((f.as_ref(), pos), (o.as_str(), oracle_pos), "{text:?}");
+                                decoded += 1;
+                            }
+                            (Err(_), Err(_)) => {}
+                            _ => panic!("{text:?}: run decoder {fast:?}, oracle {oracle:?}"),
+                        }
+                        let doc = Json::parse(&text).map(|d| tree_of(d.root()));
+                        assert_eq!(doc, Tree::parse(&text), "{text:?}");
+                    }
+                }
+            }
+        }
+        assert!(decoded > 100, "{decoded} literals decoded");
+    }
+
+    #[test]
+    fn numbers_ending_the_input_match_the_oracle() {
+        for num in [
+            "0",
+            "-0",
+            "7",
+            "-12",
+            "1.5",
+            "0.25",
+            "1e5",
+            "1E+2",
+            "-1.25e-3",
+            "9007199254740993",
+            "123456789012345678",
+            "1e999",
+            "1.",
+            "1e",
+            "1e+",
+            "-",
+            "01",
+            "-01.5",
+            "1.2.3",
+            "2e5e",
+            "1-2",
+        ] {
+            for text in [
+                num.to_string(),
+                format!(" {num}"),
+                format!("[{num}"),
+                format!("[1,{num}"),
+                format!("{{\"id\":{num}"),
+            ] {
+                let doc = Json::parse(&text).map(|d| tree_of(d.root()));
+                assert_eq!(doc, Tree::parse(&text), "{text:?}");
+            }
+        }
+    }
+
+    /// The renderer this module shipped before the exact fast path:
+    /// `Display` for every value that is not a small integer. The oracle
+    /// of `render_num`.
+    fn render_num_display(v: f64) -> String {
+        if !v.is_finite() {
+            "null".to_string()
+        } else if v.fract() == 0.0 && v.abs() <= 9_007_199_254_740_992.0 {
+            format!("{}", v as i64)
+        } else {
+            format!("{v}")
+        }
+    }
+
+    #[test]
+    fn numbers_render_as_display_prints_them() {
+        let mut values = vec![0.0, -0.0, 0.125, 2.5, -2.5, 0.375, 1.5, 0.1, 0.3, 0.1 + 0.2];
+        // ±2^53, 2^52 and 2^51 with their neighbours.
+        for k in [51, 52, 53] {
+            let bits = 2f64.powi(k).to_bits();
+            for d in 0..=4 {
+                values.extend([f64::from_bits(bits + d), f64::from_bits(bits - d)]);
+            }
+        }
+        // Every power of two and the subnormals.
+        values.extend((-1074..=1023).map(|k| 2f64.powi(k)));
+        values.extend((1..64).map(f64::from_bits));
+        values.extend((0..52).map(|k| f64::from_bits(((1 << 52) - 1) >> k)));
+        // 1e-5 ..= 1e17 and their neighbours.
+        for k in -5..=17 {
+            let bits = 10f64.powi(k).to_bits();
+            values.extend(
+                (0..=2)
+                    .flat_map(|d| [bits - d, bits + d])
+                    .map(f64::from_bits),
+            );
+        }
+        // Exactly representable decimal ties at every magnitude.
+        for n in 0..4096u32 {
+            let n = f64::from(n);
+            values.extend([
+                n + 0.5,
+                n + 0.25,
+                n + 0.75,
+                n / 8.0,
+                n / 16.0,
+                n * 1e10 + 0.5,
+            ]);
+        }
+        let mut g = Gen(29);
+        // Random bit patterns, and random significands at the exponents
+        // the exact path takes (2^-17 ..= 2^52).
+        for _ in 0..1_000_000 {
+            values.push(f64::from_bits(g.next()));
+            let frac = g.next() & ((1 << 52) - 1);
+            let exp = 1006 + g.below(70);
+            values.push(f64::from_bits(exp << 52 | frac));
+        }
+        let mut exact = 0;
+        for v in values {
+            for v in [v, -v] {
+                let mut out = String::new();
+                render_num(v, &mut out);
+                assert_eq!(out, render_num_display(v), "{v:e} ({:#x})", v.to_bits());
+                exact += usize::from(v.is_finite() && shortest_decimal(v.abs()).is_some());
+            }
+        }
+        assert!(exact > 1_500_000, "{exact} values took the exact path");
     }
 
     /// The decoder this module shipped before strings were decoded in
@@ -1513,7 +1883,7 @@ mod tests {
         fn string_decoder_matches_the_per_character_oracle(text in arb_literal()) {
             let b = text.as_bytes();
             let (mut fast_pos, mut oracle_pos) = (0, 0);
-            let fast = parse_string(b, &mut fast_pos);
+            let fast = parse_string(&text, &mut fast_pos);
             let oracle = parse_string_per_char(b, &mut oracle_pos);
             match (&fast, &oracle) {
                 (Ok(f), Ok(o)) => {
@@ -1537,6 +1907,142 @@ mod tests {
                 render_num(v, &mut rendered);
                 let doc = Json::parse(&rendered).unwrap();
                 prop_assert_eq!(doc.root().as_f64(), Some(v), "{}", rendered);
+            }
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // The leaf parsers this module shipped before decode sliced the
+    // validated text: every string run and every number checked as UTF-8
+    // again, and a number's greedy run of number bytes checked against
+    // the grammar whole. The tree oracle below decodes through them.
+    // -----------------------------------------------------------------
+
+    fn number_greedy_oracle(b: &[u8], pos: &mut usize) -> Result<f64, String> {
+        let start = *pos;
+        if b.get(*pos) == Some(&b'-') {
+            *pos += 1;
+        }
+        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
+            *pos += 1;
+        }
+        let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad number".to_string())?;
+        // `f64::from_str` also takes `01`, `1.`, `-.5` and `1.e5`: check the
+        // JSON grammar first.
+        if !is_json_number(text.as_bytes()) {
+            return Err(format!("invalid number {text:?} at byte {start}"));
+        }
+        let v: f64 = text
+            .parse()
+            .map_err(|_| format!("invalid number {text:?} at byte {start}"))?;
+        if !v.is_finite() {
+            return Err(format!("non-finite number {text:?} at byte {start}"));
+        }
+        Ok(v)
+    }
+
+    /// Whether `s` is exactly one RFC 8259 number:
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
+    fn is_json_number(s: &[u8]) -> bool {
+        let mut i = 0;
+        let digits = |i: &mut usize| {
+            let from = *i;
+            while s.get(*i).is_some_and(u8::is_ascii_digit) {
+                *i += 1;
+            }
+            *i > from
+        };
+        if s.get(i) == Some(&b'-') {
+            i += 1;
+        }
+        match s.get(i) {
+            Some(b'0') => i += 1,
+            Some(b'1'..=b'9') => {
+                digits(&mut i);
+            }
+            _ => return false,
+        }
+        if s.get(i) == Some(&b'.') {
+            i += 1;
+            if !digits(&mut i) {
+                return false;
+            }
+        }
+        if matches!(s.get(i), Some(b'e' | b'E')) {
+            i += 1;
+            if matches!(s.get(i), Some(b'+' | b'-')) {
+                i += 1;
+            }
+            if !digits(&mut i) {
+                return false;
+            }
+        }
+        i == s.len()
+    }
+
+    fn string_runs_oracle<'a>(b: &'a [u8], pos: &mut usize) -> Result<Cow<'a, str>, String> {
+        debug_assert_eq!(b.get(*pos), Some(&b'"'));
+        *pos += 1;
+        let start = *pos;
+        let mut out = Cow::Borrowed("");
+        loop {
+            let run = *pos;
+            *pos += b[run..]
+                .iter()
+                .position(|&c| matches!(c, b'"' | b'\\' | 0..=0x1f))
+                .unwrap_or(b.len() - run);
+            let text = std::str::from_utf8(&b[run..*pos]).map_err(|_| "bad utf-8".to_string())?;
+            if run == start {
+                out = Cow::Borrowed(text);
+            } else {
+                out.to_mut().push_str(text);
+            }
+            match b.get(*pos) {
+                None => return Err("unterminated string".to_string()),
+                Some(b'"') => {
+                    *pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    let escape = b.get(*pos + 1);
+                    *pos += 2;
+                    let out = out.to_mut();
+                    match escape {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{0008}'),
+                        Some(b'f') => out.push('\u{000c}'),
+                        Some(b'u') => {
+                            let cp = hex4(b, *pos)?;
+                            *pos += 4;
+                            // Surrogate pair handling: a high surrogate must
+                            // be followed by \uDCxx; lone surrogates are
+                            // replaced (never a panic).
+                            if (0xd800..0xdc00).contains(&cp) {
+                                let lo = match b.get(*pos..*pos + 2) {
+                                    Some(b"\\u") => hex4(b, *pos + 2).ok(),
+                                    _ => None,
+                                };
+                                match lo {
+                                    Some(lo) if (0xdc00..0xe000).contains(&lo) => {
+                                        let c = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
+                                        out.push(char::from_u32(c).unwrap_or('\u{fffd}'));
+                                        *pos += 6;
+                                    }
+                                    _ => out.push('\u{fffd}'),
+                                }
+                            } else {
+                                out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
+                            }
+                        }
+                        _ => return Err("invalid escape".to_string()),
+                    }
+                }
+                Some(_) => return Err("raw control character in string".to_string()),
             }
         }
     }
@@ -1667,7 +2173,7 @@ mod tests {
             Some(b'n') => parse_lit(b, pos, "null", Tree::Null),
             Some(b't') => parse_lit(b, pos, "true", Tree::Bool(true)),
             Some(b'f') => parse_lit(b, pos, "false", Tree::Bool(false)),
-            Some(b'"') => parse_string(b, pos).map(|s| Tree::Str(s.into_owned())),
+            Some(b'"') => string_runs_oracle(b, pos).map(|s| Tree::Str(s.into_owned())),
             Some(b'[') => {
                 *pos += 1;
                 let mut items = Vec::new();
@@ -1703,7 +2209,7 @@ mod tests {
                     if b.get(*pos) != Some(&b'"') {
                         return Err(format!("expected object key at byte {pos}"));
                     }
-                    let key = parse_string(b, pos)?.into_owned();
+                    let key = string_runs_oracle(b, pos)?.into_owned();
                     skip_ws(b, pos);
                     if b.get(*pos) != Some(&b':') {
                         return Err(format!("expected ':' at byte {pos}"));
@@ -1723,7 +2229,9 @@ mod tests {
                     }
                 }
             }
-            Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos).map(Tree::Num),
+            Some(c) if c.is_ascii_digit() || *c == b'-' => {
+                number_greedy_oracle(b, pos).map(Tree::Num)
+            }
             Some(c) => Err(format!("unexpected byte {c:#04x} at {pos}")),
         }
     }

@@ -11,6 +11,7 @@
 //! See `DESIGN.md` at the repository root for the full system inventory and
 //! the per-experiment index.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;

@@ -147,38 +147,56 @@ fn push_fixed6(out: &mut String, v: f64) {
     if rem > half || (rem == half && q & 1 == 1) {
         q += 1;
     }
-    if v < 0.0 {
-        out.push('-');
+    push_decimal(out, v < 0.0, q, 6);
+}
+
+/// Two decimal digits per entry: `00`, `01`, …, `99`.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Append `n / 10^frac_len` (`frac_len <= 22`) in plain decimal, `-`
+/// first if `negative`, with trailing fraction zeros and a bare point
+/// trimmed: the digit writer of the exact number paths, [`push_fixed6`]
+/// and the `opm-api/v1` renderer. Digits go right to left, two a step,
+/// through a stack buffer.
+pub(crate) fn push_decimal(out: &mut String, negative: bool, mut n: u64, frac_len: usize) {
+    let mut buf = [0u8; 32];
+    let mut at = buf.len();
+    while n >= 10 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
-    // Digits right to left: six fraction digits, the point, then the
-    // integer part (at most eight digits: q <= 10^13).
-    let mut buf = [0u8; 15];
-    let mut start = buf.len();
-    let (mut int, mut frac) = (q / SCALE, q % SCALE);
-    for _ in 0..6 {
-        start -= 1;
-        buf[start] = b'0' + (frac % 10) as u8;
-        frac /= 10;
+    if n > 0 || at == buf.len() {
+        at -= 1;
+        buf[at] = b'0' + n as u8;
     }
-    start -= 1;
-    buf[start] = b'.';
-    loop {
-        start -= 1;
-        buf[start] = b'0' + (int % 10) as u8;
-        int /= 10;
-        if int == 0 {
-            break;
-        }
+    // Zero-pad to one integer digit, then move the integer part one byte
+    // left to open the point if a fraction digit is left after the trim.
+    let point = buf.len() - frac_len;
+    while at >= point {
+        at -= 1;
+        buf[at] = b'0';
     }
-    // Trimming zeros stops at the point at the latest.
     let mut end = buf.len();
-    while buf[end - 1] == b'0' {
+    while end > point && buf[end - 1] == b'0' {
         end -= 1;
     }
-    if buf[end - 1] == b'.' {
-        end -= 1;
+    if end > point {
+        buf.copy_within(at..point, at - 1);
+        at -= 1;
+        buf[point - 1] = b'.';
     }
-    out.push_str(std::str::from_utf8(&buf[start..end]).expect("ASCII digits"));
+    if negative {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[at..end]).expect("ASCII digits"));
 }
 
 /// A rectangular table of string cells, writable as CSV with proper
