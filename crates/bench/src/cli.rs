@@ -11,8 +11,8 @@
 //! ## Globals and exit codes
 //!
 //! Every subcommand accepts the shared globals
-//! `--telemetry <off|summary|full>`, `--reduced`, `--fault-spec <spec>`,
-//! `--max-retries <n>` and `--out <path>`; they are applied (via the
+//! `--telemetry <off|summary|full>`, `--fault-spec <spec>` and
+//! `--out <path>`; they are applied (via the
 //! corresponding `OPM_*` variables, which remain the configuration
 //! source) before the subcommand runs, and the merged configuration —
 //! fault spec included — is validated once up front. The process exits
@@ -108,7 +108,7 @@ impl Args {
     fn reject_unknown(&self, cmd: &str, allowed: &[&str]) -> Result<(), CliFailure> {
         match self.options.keys().find(|k| {
             !allowed.contains(&k.as_str())
-                && !ENV_FLAGS.iter().any(|(flag, _, _)| flag == k)
+                && !ENV_FLAGS.iter().any(|(flag, _)| flag == k)
                 && k.as_str() != "out"
         }) {
             Some(key) => Err(CliFailure::usage(format!(
@@ -177,14 +177,11 @@ impl From<&str> for CliFailure {
     }
 }
 
-/// Engine flags shared by every subcommand and the `OPM_*` variable each
-/// one sets: `(flag, variable, value of the bare flag)`. Value-less
-/// switches carry the value they set; the rest take the flag's value.
-const ENV_FLAGS: &[(&str, &str, Option<&str>)] = &[
-    ("telemetry", "OPM_TELEMETRY", None),
-    ("reduced", "OPM_REDUCED", Some("1")),
-    ("fault-spec", "OPM_FAULT_SPEC", None),
-    ("max-retries", "OPM_MAX_RETRIES", None),
+/// Engine flags shared by every subcommand and the `OPM_*` variable
+/// each one sets to its value.
+const ENV_FLAGS: &[(&str, &str)] = &[
+    ("telemetry", "OPM_TELEMETRY"),
+    ("fault-spec", "OPM_FAULT_SPEC"),
 ];
 
 /// Apply the shared globals ([`ENV_FLAGS`] and `--out`) to the process
@@ -194,14 +191,10 @@ const ENV_FLAGS: &[(&str, &str, Option<&str>)] = &[
 /// starts. `loadgen` reads `--out` as its output file; for everything
 /// else `--out` selects the results directory.
 fn apply_globals(args: &Args, cmd: &str) -> Result<(), CliFailure> {
-    let mut overrides: Vec<(&str, String)> = Vec::new();
-    for &(flag, var, switch) in ENV_FLAGS {
-        match (args.options.get(flag), switch) {
-            (Some(v), Some(on)) if v == "true" => overrides.push((var, on.to_string())),
-            (Some(v), None) => overrides.push((var, v.clone())),
-            _ => {}
-        }
-    }
+    let mut overrides: Vec<(&str, String)> = ENV_FLAGS
+        .iter()
+        .filter_map(|&(flag, var)| Some((var, args.options.get(flag)?.clone())))
+        .collect();
     if let Some(out) = args.options.get("out") {
         // loadgen treats --out as an output *file*.
         if cmd != "loadgen" && out != "true" {
@@ -264,10 +257,8 @@ opm — query the OPM reproduction models
 
 GLOBAL OPTIONS (accepted by every subcommand; --key=value works too):
   --telemetry <mode>   off | summary | full (applies OPM_TELEMETRY)
-  --reduced            reduced harness grids (applies OPM_REDUCED=1)
   --fault-spec <spec>  fault injection, e.g. panic@rate:0.1:seed:7
                        (applies OPM_FAULT_SPEC)
-  --max-retries <n>    transient-failure retry budget (applies OPM_MAX_RETRIES)
   --out <path>         results directory (applies OPM_RESULTS); an output
                        *file* for loadgen
 
@@ -751,6 +742,24 @@ mod tests {
             "top --follow",
         ] {
             assert_eq!(exit_code(cmd), 2, "{cmd}");
+        }
+    }
+
+    #[test]
+    fn retired_grid_and_retry_flags_are_unknown_options() {
+        // One campaign grid and a fixed retry budget: the old switches
+        // fail loudly instead of being accepted and ignored.
+        for (flag, value) in [("reduced", ""), ("max-retries", " 3")] {
+            let cmd = format!("figures --{flag}{value}");
+            let raw: Vec<String> = cmd.split_whitespace().map(String::from).collect();
+            let failure = dispatch(&raw).expect_err(&cmd);
+            assert_eq!(failure.code, 2, "{cmd}");
+            let expected = format!("figures: unknown option --{flag}\n");
+            assert!(
+                failure.message.starts_with(&expected),
+                "{cmd}: {}",
+                failure.message
+            );
         }
     }
 

@@ -1,13 +1,9 @@
 //! Implementations of every figure/table regeneration (see DESIGN.md's
 //! per-experiment index). Each function writes one or more CSV series under
-//! [`crate::out_dir`] and prints a short console summary; the binaries in
-//! `src/bin/` are thin wrappers.
+//! [`crate::out_dir`] and prints a short console summary; the figure
+//! registry ([`crate::manifest`]) runs them.
 
-use crate::{
-    emit, harness_corpus, harness_dense_sizes, harness_dense_tiles, harness_fft_sizes,
-    harness_stencil_grids, harness_stream_footprints, kernel_power, kernel_sweep_gflops, out_dir,
-    structure_heatmap,
-};
+use crate::{emit, harness_corpus, kernel_power, kernel_sweep_gflops, out_dir, structure_heatmap};
 use opm_core::perf::PerfModel;
 use opm_core::platform::{EdramMode, Machine, McdramMode, OpmConfig, PlatformSpec};
 use opm_core::power::{breakeven_gain, opm_saves_energy};
@@ -22,8 +18,9 @@ use opm_kernels::engine::Engine;
 use opm_kernels::registry::KernelId;
 use opm_kernels::summary::{cross_kernel, summarize_pair, SummaryRow};
 use opm_kernels::sweeps::{
-    cholesky_sweep, fft_curve, gemm_sweep, sparse_sweep, stencil_curve, stream_curve, CurvePoint,
-    SparseKernelId,
+    cholesky_sweep, fft_curve, gemm_sweep, paper_dense_sizes, paper_dense_tiles, paper_fft_sizes,
+    paper_stencil_grids, paper_stream_footprints, sparse_sweep, stencil_curve, stream_curve,
+    CurvePoint, SparseKernelId,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -32,8 +29,8 @@ use rand::{RngExt, SeedableRng};
 /// random (size, tile) samples, with and without eDRAM.
 pub fn fig01_gemm_pdf() {
     let mut rng = StdRng::seed_from_u64(2017);
-    let sizes = harness_dense_sizes(Machine::Broadwell);
-    let tiles = harness_dense_tiles();
+    let sizes = paper_dense_sizes(Machine::Broadwell);
+    let tiles = paper_dense_tiles();
     let samples: Vec<(usize, usize)> = (0..1024)
         .map(|_| {
             (
@@ -190,8 +187,8 @@ pub fn fig06_stepping_model() {
 /// every OPM configuration of the machine.
 pub fn dense_heatmap(kernel: KernelId, machine: Machine, name: &str) {
     assert!(matches!(kernel, KernelId::Gemm | KernelId::Cholesky));
-    let sizes = harness_dense_sizes(machine);
-    let tiles = harness_dense_tiles();
+    let sizes = paper_dense_sizes(machine);
+    let tiles = paper_dense_tiles();
     let configs = OpmConfig::modes_of(machine);
     let mut columns = vec!["n".to_string(), "tile".to_string()];
     columns.extend(configs.iter().map(|c| format!("gflops_{}", c.label())));
@@ -294,9 +291,9 @@ pub fn curve_figure(kernel: KernelId, machine: Machine, name: &str) {
     let curves: Vec<Vec<CurvePoint>> = configs
         .iter()
         .map(|&c| match kernel {
-            KernelId::Stream => stream_curve(c, &harness_stream_footprints(machine, 64)),
-            KernelId::Stencil => stencil_curve(c, &harness_stencil_grids(machine)),
-            KernelId::Fft => fft_curve(c, &harness_fft_sizes(machine)),
+            KernelId::Stream => stream_curve(c, &paper_stream_footprints(machine, 64)),
+            KernelId::Stencil => stencil_curve(c, &paper_stencil_grids(machine)),
+            KernelId::Fft => fft_curve(c, &paper_fft_sizes(machine)),
             _ => panic!("curve_figure only handles Stream/Stencil/FFT"),
         })
         .collect();

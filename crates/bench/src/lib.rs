@@ -17,7 +17,6 @@ use opm_core::power::PowerModel;
 use opm_core::profile::AccessProfile;
 use opm_core::report::Series;
 use opm_core::units::GIB;
-use opm_kernels::engine::Engine;
 use opm_kernels::registry::KernelId;
 use opm_kernels::sweeps::{
     cholesky_sweep, fft_curve, gemm_sweep, paper_dense_sizes, paper_dense_tiles, paper_fft_sizes,
@@ -55,91 +54,9 @@ pub fn emit(series: &Series, name: &str) {
     println!("wrote {}", path.display());
 }
 
-/// Number of corpus matrices swept by the sparse harness binaries. The
-/// paper's full 968 is the default; set `OPM_CORPUS` to shrink for smoke
-/// runs, or `OPM_REDUCED=1` for the reduced-grid default of 48.
-pub fn corpus_size() -> usize {
-    match opm_core::config::Config::from_env_or_die().corpus {
-        Some(n) => n,
-        None if Engine::global().config().reduced => REDUCED_CORPUS_SIZE,
-        None => PAPER_CORPUS_SIZE,
-    }
-}
-
-/// Corpus size used when `OPM_REDUCED` is on and `OPM_CORPUS` is unset.
-pub const REDUCED_CORPUS_SIZE: usize = 48;
-
-/// The corpus specs used by all sparse harness binaries.
+/// The paper's 968-matrix corpus, swept by every sparse figure.
 pub fn harness_corpus() -> Vec<MatrixSpec> {
-    corpus(corpus_size())
-}
-
-/// Thin a grid to roughly `1/stride` of its points, always keeping the
-/// first and last (the qualitative features the figures assert — capacity
-/// cliffs, plateaus — live at the extremes).
-fn thin<T: Clone>(grid: &[T], stride: usize) -> Vec<T> {
-    if grid.len() <= 2 || stride <= 1 {
-        return grid.to_vec();
-    }
-    let mut out: Vec<T> = grid.iter().step_by(stride).cloned().collect();
-    if !(grid.len() - 1).is_multiple_of(stride) {
-        out.push(grid[grid.len() - 1].clone());
-    }
-    out
-}
-
-/// Dense matrix orders used by the harness: the paper's Appendix A grid,
-/// or a thinned version of it under `OPM_REDUCED`.
-pub fn harness_dense_sizes(machine: Machine) -> Vec<usize> {
-    let full = paper_dense_sizes(machine);
-    if Engine::global().config().reduced {
-        thin(&full, 4)
-    } else {
-        full
-    }
-}
-
-/// Dense tile sizes used by the harness (paper grid, or thinned).
-pub fn harness_dense_tiles() -> Vec<usize> {
-    let full = paper_dense_tiles();
-    if Engine::global().config().reduced {
-        thin(&full, 4)
-    } else {
-        full
-    }
-}
-
-/// Stream footprint samples used by the harness. The span is never
-/// reduced — only the sampling density — so the OPM capacity cliff stays
-/// in frame.
-pub fn harness_stream_footprints(machine: Machine, samples: usize) -> Vec<f64> {
-    let n = if Engine::global().config().reduced {
-        (samples / 3).max(12)
-    } else {
-        samples
-    };
-    paper_stream_footprints(machine, n)
-}
-
-/// Stencil grids used by the harness (paper doubling sweep, or thinned).
-pub fn harness_stencil_grids(machine: Machine) -> Vec<(usize, usize, usize)> {
-    let full = paper_stencil_grids(machine);
-    if Engine::global().config().reduced {
-        thin(&full, 2)
-    } else {
-        full
-    }
-}
-
-/// FFT sizes used by the harness (paper grid, or thinned; the last size
-/// is kept so the flat-mode capacity cliff on KNL stays visible).
-pub fn harness_fft_sizes(machine: Machine) -> Vec<usize> {
-    let full = paper_fft_sizes(machine);
-    if Engine::global().config().reduced {
-        thin(&full, 4)
-    } else {
-        full
-    }
+    corpus(PAPER_CORPUS_SIZE)
 }
 
 /// The representative mid-size workload profile for one kernel on one
@@ -181,28 +98,23 @@ pub fn representative_profile(kernel: KernelId, machine: Machine) -> AccessProfi
 
 /// The full sweep of modeled throughputs for one kernel under one
 /// configuration, aligned across configurations of the same machine (used
-/// by Tables 4 and 5). Runs on the global [`Engine`]; each configuration
+/// by Tables 4 and 5). Runs on the global
+/// [`Engine`](opm_kernels::engine::Engine); each configuration
 /// builds its own profiles (a fraction of a microsecond each) instead of
 /// sharing a memo.
 pub fn kernel_sweep_gflops(kernel: KernelId, config: OpmConfig) -> Vec<f64> {
     let machine = config.machine();
     match kernel {
-        KernelId::Gemm => gemm_sweep(
-            config,
-            &harness_dense_sizes(machine),
-            &harness_dense_tiles(),
-        )
-        .into_iter()
-        .map(|p| p.gflops)
-        .collect(),
-        KernelId::Cholesky => cholesky_sweep(
-            config,
-            &harness_dense_sizes(machine),
-            &harness_dense_tiles(),
-        )
-        .into_iter()
-        .map(|p| p.gflops)
-        .collect(),
+        KernelId::Gemm => gemm_sweep(config, &paper_dense_sizes(machine), &paper_dense_tiles())
+            .into_iter()
+            .map(|p| p.gflops)
+            .collect(),
+        KernelId::Cholesky => {
+            cholesky_sweep(config, &paper_dense_sizes(machine), &paper_dense_tiles())
+                .into_iter()
+                .map(|p| p.gflops)
+                .collect()
+        }
         KernelId::Spmv => sparse_sweep(config, SparseKernelId::Spmv, &harness_corpus())
             .into_iter()
             .map(|p| p.gflops)
@@ -215,15 +127,15 @@ pub fn kernel_sweep_gflops(kernel: KernelId, config: OpmConfig) -> Vec<f64> {
             .into_iter()
             .map(|p| p.gflops)
             .collect(),
-        KernelId::Fft => fft_curve(config, &harness_fft_sizes(machine))
+        KernelId::Fft => fft_curve(config, &paper_fft_sizes(machine))
             .into_iter()
             .map(|p| p.gflops)
             .collect(),
-        KernelId::Stencil => stencil_curve(config, &harness_stencil_grids(machine))
+        KernelId::Stencil => stencil_curve(config, &paper_stencil_grids(machine))
             .into_iter()
             .map(|p| p.gflops)
             .collect(),
-        KernelId::Stream => stream_curve(config, &harness_stream_footprints(machine, 48))
+        KernelId::Stream => stream_curve(config, &paper_stream_footprints(machine, 48))
             .into_iter()
             .map(|p| p.gflops)
             .collect(),
@@ -330,13 +242,6 @@ mod tests {
         assert_eq!(total, 3.0);
         // Mean of the co-binned points.
         assert!(s.rows.iter().any(|r| (r[2] - 6.0).abs() < 1e-9));
-    }
-
-    #[test]
-    fn corpus_size_default_is_paper_sized() {
-        if std::env::var("OPM_CORPUS").is_err() {
-            assert_eq!(corpus_size(), 968);
-        }
     }
 }
 

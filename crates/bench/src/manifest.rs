@@ -470,16 +470,14 @@ pub fn write_manifest(reports: &[FigureReport]) -> std::io::Result<PathBuf> {
 /// body of `opm figures`.
 pub fn run_and_write(names: Option<&[String]>) {
     let engine = Engine::global();
-    let cfg = engine.config();
     eprintln!(
-        "engine: {} grids{}, telemetry {}",
-        if cfg.reduced { "reduced" } else { "full" },
-        if cfg.fault_plan.is_some() {
+        "engine: telemetry {}{}",
+        engine.telemetry().mode().label(),
+        if engine.config().fault_plan.is_some() {
             ", fault injection ON"
         } else {
             ""
         },
-        engine.telemetry().mode().label(),
     );
     let telemetry_run = crate::telemetry::init(engine.telemetry());
     let reports = run_figures(names);

@@ -3,11 +3,13 @@
 //!
 //! Before this module each consumer read its own variable with an
 //! `.ok().and_then(parse).unwrap_or(default)` chain, so a typo'd value
-//! (`OPM_MAX_RETRIES=tow`, `OPM_TELEMETRY=ful`) silently fell back to the
-//! default and the misconfiguration surfaced — if ever — as a puzzling
-//! performance or observability gap. [`Config::from_env`] instead
-//! rejects the first malformed value with a [`ConfigError`] naming the
-//! variable, the offending value, and what was expected. Environment
+//! (`OPM_TELEMETRY=ful`) silently fell back to the default and the
+//! misconfiguration surfaced — if ever — as a puzzling observability
+//! gap. [`Config::from_env`] instead rejects a malformed value with a
+//! [`ConfigError`] naming the variable, the offending value, and what was
+//! expected. The knobs are `OPM_TELEMETRY`, `OPM_RUN_ID`,
+//! `OPM_FAULT_SPEC` and `OPM_RESULTS`; any other `OPM_*` variable, such
+//! as one a retired knob left in an old script, is ignored. Environment
 //! variables remain the configuration *source* (the `opm` CLI applies its
 //! global flags by setting them); this module is the single parsing
 //! point every consumer reads.
@@ -52,11 +54,6 @@ impl std::error::Error for ConfigError {}
 /// The process configuration: every `OPM_*` knob, typed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Config {
-    /// `OPM_REDUCED` — reduced harness grids (default off).
-    pub reduced: bool,
-    /// `OPM_MAX_RETRIES` — transient point-failure retry budget
-    /// (default 2).
-    pub max_retries: usize,
     /// `OPM_TELEMETRY` — recording mode (default off).
     pub telemetry: TelemetryMode,
     /// `OPM_RUN_ID` — name of this run's telemetry artifacts (`None` =
@@ -68,21 +65,15 @@ pub struct Config {
     /// `OPM_RESULTS` — output directory for results (default
     /// `results`).
     pub results_dir: PathBuf,
-    /// `OPM_CORPUS` — explicit sparse-corpus size (`None` = the
-    /// paper's/reduced default chosen by the harness).
-    pub corpus: Option<usize>,
 }
 
 impl Default for Config {
     fn default() -> Self {
         Config {
-            reduced: false,
-            max_retries: 2,
             telemetry: TelemetryMode::Off,
             run_id: None,
             fault_spec: None,
             results_dir: PathBuf::from("results"),
-            corpus: None,
         }
     }
 }
@@ -102,25 +93,19 @@ impl Config {
         let get = |name: &str| lookup(name).filter(|v| !v.trim().is_empty());
         let d = Config::default();
         Ok(Config {
-            reduced: parse_or(get("OPM_REDUCED"), "OPM_REDUCED", d.reduced, BOOL)?,
-            max_retries: parse_or(
-                get("OPM_MAX_RETRIES"),
-                "OPM_MAX_RETRIES",
-                d.max_retries,
-                ANY_USIZE,
-            )?,
-            telemetry: parse_or(
-                get("OPM_TELEMETRY"),
-                "OPM_TELEMETRY",
-                d.telemetry,
-                TELEMETRY_MODE,
-            )?,
+            telemetry: match get("OPM_TELEMETRY") {
+                None => d.telemetry,
+                Some(v) => TelemetryMode::parse(&v).ok_or(ConfigError {
+                    var: "OPM_TELEMETRY",
+                    value: v,
+                    expected: "one of off/summary/full",
+                })?,
+            },
             run_id: get("OPM_RUN_ID"),
             fault_spec: get("OPM_FAULT_SPEC"),
             results_dir: get("OPM_RESULTS")
                 .map(PathBuf::from)
                 .unwrap_or(d.results_dir),
-            corpus: parse_opt(get("OPM_CORPUS"), "OPM_CORPUS", ANY_USIZE)?,
         })
     }
 
@@ -132,63 +117,6 @@ impl Config {
     /// code 2.
     pub fn from_env_or_die() -> Config {
         Config::from_env().unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
-/// A value grammar: its parser plus the `expected ...` text a
-/// [`ConfigError`] reports for it.
-struct Grammar<T> {
-    parse: fn(&str) -> Option<T>,
-    expected: &'static str,
-}
-
-const ANY_USIZE: Grammar<usize> = Grammar {
-    parse: |v| v.trim().parse::<usize>().ok(),
-    expected: "a non-negative integer",
-};
-
-const BOOL: Grammar<bool> = Grammar {
-    parse: |v| match v.trim().to_ascii_lowercase().as_str() {
-        "1" | "on" | "true" | "yes" => Some(true),
-        "0" | "off" | "false" | "no" => Some(false),
-        _ => None,
-    },
-    expected: "one of 1/on/true/yes or 0/off/false/no",
-};
-
-const TELEMETRY_MODE: Grammar<TelemetryMode> = Grammar {
-    parse: TelemetryMode::parse,
-    expected: "one of off/summary/full",
-};
-
-fn parse_or<T>(
-    raw: Option<String>,
-    var: &'static str,
-    default: T,
-    grammar: Grammar<T>,
-) -> Result<T, ConfigError> {
-    match raw {
-        None => Ok(default),
-        Some(v) => (grammar.parse)(&v).ok_or(ConfigError {
-            var,
-            value: v,
-            expected: grammar.expected,
-        }),
-    }
-}
-
-fn parse_opt<T>(
-    raw: Option<String>,
-    var: &'static str,
-    grammar: Grammar<T>,
-) -> Result<Option<T>, ConfigError> {
-    match raw {
-        None => Ok(None),
-        Some(v) => (grammar.parse)(&v).map(Some).ok_or(ConfigError {
-            var,
-            value: v,
-            expected: grammar.expected,
-        }),
     }
 }
 
@@ -213,7 +141,7 @@ mod tests {
     #[test]
     fn empty_values_count_as_unset() {
         let c = cfg(&[
-            ("OPM_CORPUS", ""),
+            ("OPM_TELEMETRY", ""),
             ("OPM_RUN_ID", " "),
             ("OPM_FAULT_SPEC", ""),
         ])
@@ -224,44 +152,25 @@ mod tests {
     #[test]
     fn well_formed_values_parse() {
         let c = cfg(&[
-            ("OPM_REDUCED", "1"),
-            ("OPM_MAX_RETRIES", "0"),
             ("OPM_TELEMETRY", "full"),
             ("OPM_RUN_ID", "ci"),
             ("OPM_FAULT_SPEC", "panic@point:3"),
             ("OPM_RESULTS", "out"),
-            ("OPM_CORPUS", "48"),
         ])
         .unwrap();
-        assert!(c.reduced);
-        assert_eq!(c.max_retries, 0);
         assert_eq!(c.telemetry, TelemetryMode::Full);
         assert_eq!(c.run_id.as_deref(), Some("ci"));
         assert_eq!(c.fault_spec.as_deref(), Some("panic@point:3"));
         assert_eq!(c.results_dir, PathBuf::from("out"));
-        assert_eq!(c.corpus, Some(48));
     }
 
     #[test]
     fn malformed_values_yield_typed_errors_not_defaults() {
-        let err = cfg(&[("OPM_MAX_RETRIES", "tow")]).unwrap_err();
-        assert_eq!(err.var, "OPM_MAX_RETRIES");
-        assert_eq!(err.value, "tow");
-        assert!(err.to_string().contains("OPM_MAX_RETRIES"));
-        assert!(err.to_string().contains("non-negative integer"));
-
         let err = cfg(&[("OPM_TELEMETRY", "ful")]).unwrap_err();
         assert_eq!(err.var, "OPM_TELEMETRY");
+        assert_eq!(err.value, "ful");
+        assert!(err.to_string().contains("OPM_TELEMETRY"));
         assert!(err.to_string().contains("off/summary/full"));
-
-        let err = cfg(&[("OPM_REDUCED", "maybe")]).unwrap_err();
-        assert_eq!(err.var, "OPM_REDUCED");
-    }
-
-    #[test]
-    fn first_error_wins_over_later_valid_values() {
-        let err = cfg(&[("OPM_MAX_RETRIES", "x"), ("OPM_TELEMETRY", "full")]).unwrap_err();
-        assert_eq!(err.var, "OPM_MAX_RETRIES");
     }
 
     #[test]

@@ -34,10 +34,9 @@
 //!   point gets a `point:{i}` span nested under the stage span.
 //!
 //! The process-wide instance ([`Engine::global`]) is configured from the
-//! environment: `OPM_REDUCED` (`1`/`on`/`true` selects the reduced
-//! harness grids in `opm-bench`), `OPM_MAX_RETRIES` (transient-failure
-//! retry budget, default 2) and `OPM_FAULT_SPEC` (deterministic fault
-//! injection; see [`crate::faultinject`]).
+//! environment: `OPM_FAULT_SPEC` (deterministic fault injection; see
+//! [`crate::faultinject`]) and `OPM_TELEMETRY`. Transient failures are
+//! retried up to [`EngineConfig::max_retries`] times (2 by default).
 
 use crate::faultinject::{FaultKind, FaultPlan, InjectedFault};
 use opm_core::perf::{EvalPlan, ProfilePlan};
@@ -139,8 +138,6 @@ pub struct EngineConfig {
     /// Threads a stage's points run on: always 1, the calling thread.
     /// Reported by the benchmark harness; the engine has no pool.
     pub threads: usize,
-    /// Whether harness binaries should use reduced sweep grids.
-    pub reduced: bool,
     /// Retry budget for transient point failures (0 = no retries).
     pub max_retries: usize,
     /// Base of the deterministic exponential retry backoff, in
@@ -160,10 +157,9 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Read `OPM_REDUCED` / `OPM_MAX_RETRIES` / `OPM_FAULT_SPEC` through
-    /// the typed [`opm_core::config::Config`]; a malformed value stops
-    /// the process with the variable named instead of silently selecting
-    /// a default.
+    /// Read `OPM_FAULT_SPEC` through the typed
+    /// [`opm_core::config::Config`]; a malformed value stops the process
+    /// with the variable named instead of silently selecting a default.
     pub fn from_env() -> Self {
         Self::from_config(&opm_core::config::Config::from_env_or_die())
     }
@@ -172,8 +168,6 @@ impl EngineConfig {
     /// CLI parses once at startup and passes the struct down).
     pub fn from_config(cfg: &opm_core::config::Config) -> Self {
         EngineConfig {
-            reduced: cfg.reduced,
-            max_retries: cfg.max_retries,
             fault_plan: FaultPlan::from_config(cfg).map(Arc::new),
             ..EngineConfig::default()
         }
@@ -197,7 +191,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             threads: 1,
-            reduced: false,
             max_retries: 2,
             backoff_base_us: 50,
             cache_capacity: None,
@@ -440,8 +433,7 @@ impl Engine {
     }
 
     /// The process-wide engine, created from the environment on first use.
-    /// Set `OPM_REDUCED` / `OPM_FAULT_SPEC` before the first sweep to take
-    /// effect.
+    /// Set `OPM_FAULT_SPEC` before the first sweep to take effect.
     pub fn global() -> &'static Engine {
         static GLOBAL: OnceLock<Engine> = OnceLock::new();
         GLOBAL.get_or_init(Engine::from_env)

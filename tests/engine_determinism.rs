@@ -363,13 +363,11 @@ fn profile_is_independent_of_the_config_of_one_machine() {
     }
 }
 
-/// Rebuild the reduced Fig. 12 CSV (Stream on Broadwell, both eDRAM
-/// modes) exactly the way `opm_bench::figures::curve_figure` does, but on
-/// an explicit engine.
-fn fig12_reduced_csv(eng: &Engine) -> String {
-    // The reduced harness grid: `harness_stream_footprints` thins the
-    // 64-sample paper sweep to `(64 / 3).max(12)` = 21 points.
-    let footprints = paper_stream_footprints(Machine::Broadwell, 64 / 3);
+/// Rebuild the Fig. 12 CSV (Stream on Broadwell, both eDRAM modes)
+/// exactly the way `opm_bench::figures::curve_figure` does, but on an
+/// explicit engine.
+fn fig12_csv(eng: &Engine) -> String {
+    let footprints = paper_stream_footprints(Machine::Broadwell, 64);
     let configs = OpmConfig::broadwell_modes();
     let curves: Vec<Vec<CurvePoint>> = configs
         .iter()
@@ -387,20 +385,20 @@ fn fig12_reduced_csv(eng: &Engine) -> String {
 }
 
 #[test]
-fn reduced_figure_is_byte_identical_to_golden_at_every_thread_count() {
-    // A reduced figure, built by one caller or by several sharing the
-    // engine, must reproduce the golden CSV byte for byte. Any diff here
-    // means model or engine behaviour changed.
-    let golden_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden/fig12_stream_broadwell.csv");
+fn figure_is_byte_identical_to_golden_at_every_thread_count() {
+    // A figure, built by one caller or by several sharing the engine,
+    // must reproduce the committed full-grid CSV byte for byte. Any diff
+    // here means model or engine behaviour changed.
+    let golden_path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results/fig12_stream_broadwell.csv");
     let golden = std::fs::read_to_string(&golden_path)
         .unwrap_or_else(|e| panic!("read {}: {e}", golden_path.display()));
     for threads in [1usize, 4, 8] {
         let shared = engine();
-        for got in on_threads(threads, || fig12_reduced_csv(&shared)) {
+        for got in on_threads(threads, || fig12_csv(&shared)) {
             assert_eq!(
                 got, golden,
-                "threads={threads}: reduced fig12 CSV diverged from tests/golden/"
+                "threads={threads}: fig12 CSV diverged from results/"
             );
         }
     }

@@ -26,9 +26,7 @@ fn run_lock() -> &'static Mutex<()> {
     static LOCK: Mutex<()> = Mutex::new(());
     static INIT: Once = Once::new();
     INIT.call_once(|| {
-        std::env::set_var("OPM_REDUCED", "1");
         std::env::set_var("OPM_FAULT_SPEC", SPEC);
-        std::env::remove_var("OPM_CORPUS");
     });
     &LOCK
 }
@@ -93,7 +91,7 @@ fn faulted_campaign_completes_with_quarantined_points_and_nan_placeholders() {
     // (footprint) stays finite on every row.
     let csv = read(&dir, CSVS[0]);
     let rows: Vec<&str> = csv.lines().skip(1).collect();
-    assert_eq!(rows.len(), 21, "reduced Stream grid is 21 footprints");
+    assert_eq!(rows.len(), 64, "the Stream grid is 64 footprints");
     assert!(
         csv.contains("NaN"),
         "quarantined points must leave NaN cells"

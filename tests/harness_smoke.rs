@@ -1,7 +1,7 @@
-//! End-to-end smoke test of the figure/table harness: run every
-//! regeneration function against a reduced corpus into a temporary
-//! directory and verify each expected CSV exists and parses, and run the
-//! full campaign against the committed `results/`.
+//! End-to-end smoke test of the figure/table harness: run the full
+//! campaign against the committed `results/`, checking that every CSV it
+//! writes parses, and run the tables, power figures and studies into a
+//! temporary directory.
 
 use opm_bench::manifest::FigureStatus;
 use std::collections::BTreeSet;
@@ -9,8 +9,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
-// The harness reads OPM_RESULTS/OPM_CORPUS from the environment; tests in
-// this file must not interleave.
+// The harness reads OPM_RESULTS from the environment; tests in this file
+// must not interleave.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Take [`ENV_LOCK`]. Every test sets the variables it needs, so one
@@ -30,7 +30,6 @@ impl EnvGuard {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         std::env::set_var("OPM_RESULTS", &dir);
-        std::env::set_var("OPM_CORPUS", "30");
         EnvGuard { dir }
     }
 
@@ -38,17 +37,7 @@ impl EnvGuard {
         let path = self.dir.join(format!("{name}.csv"));
         let text =
             fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing {}: {e}", path.display()));
-        assert!(text.lines().count() > 1, "{name}.csv has no data rows");
-        // Every row parses as numbers with a consistent width.
-        let header_cols = text.lines().next().unwrap().split(',').count();
-        for (i, line) in text.lines().skip(1).enumerate() {
-            let cells: Vec<&str> = line.split(',').collect();
-            assert_eq!(cells.len(), header_cols, "{name}.csv row {i} ragged");
-            for c in cells {
-                c.parse::<f64>()
-                    .unwrap_or_else(|_| panic!("{name}.csv row {i}: non-numeric {c}"));
-            }
-        }
+        assert_numeric_table(name, &text);
         text
     }
 
@@ -73,7 +62,21 @@ impl Drop for EnvGuard {
     fn drop(&mut self) {
         let _ = fs::remove_dir_all(&self.dir);
         std::env::remove_var("OPM_RESULTS");
-        std::env::remove_var("OPM_CORPUS");
+    }
+}
+
+/// A CSV table has a header and at least one data row, every row as
+/// wide as the header, and every data cell a number.
+fn assert_numeric_table(name: &str, text: &str) {
+    assert!(text.lines().count() > 1, "{name} has no data rows");
+    let header_cols = text.lines().next().unwrap().split(',').count();
+    for (i, line) in text.lines().skip(1).enumerate() {
+        let cells: Vec<&str> = line.split(',').collect();
+        assert_eq!(cells.len(), header_cols, "{name} row {i} ragged");
+        for c in cells {
+            c.parse::<f64>()
+                .unwrap_or_else(|_| panic!("{name} row {i}: non-numeric {c}"));
+        }
     }
 }
 
@@ -88,8 +91,9 @@ fn outputs(dir: &Path) -> BTreeSet<String> {
 
 /// `results/` is the full-grid golden: a full campaign must write every
 /// figure and table file committed there, byte for byte, and no file
-/// `results/` lacks. The fresh output stays under the test target
-/// directory when this fails, so the drifted file can be inspected.
+/// `results/` lacks; every CSV it writes must be a numeric table. The
+/// fresh output stays under the test target directory when this fails,
+/// so the drifted file can be inspected.
 #[test]
 fn full_campaign_reproduces_committed_results() {
     let _lock = env_lock();
@@ -97,7 +101,6 @@ fn full_campaign_reproduces_committed_results() {
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     std::env::set_var("OPM_RESULTS", &dir);
-    std::env::remove_var("OPM_CORPUS");
     let reports = opm_bench::manifest::run_figures(None);
     std::env::remove_var("OPM_RESULTS");
     let committed = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results");
@@ -108,8 +111,12 @@ fn full_campaign_reproduces_committed_results() {
         .map(|r| format!("{} failed", r.name))
         .collect();
     for name in &fresh {
+        let bytes = fs::read(dir.join(name)).unwrap();
+        if name.ends_with(".csv") {
+            assert_numeric_table(name, std::str::from_utf8(&bytes).unwrap());
+        }
         match fs::read(committed.join(name)) {
-            Ok(bytes) if bytes == fs::read(dir.join(name)).unwrap() => {}
+            Ok(committed_bytes) if committed_bytes == bytes => {}
             Ok(_) => problems.push(format!("{name} differs from results/{name}")),
             Err(_) => problems.push(format!("{name} is missing from results/")),
         }
@@ -137,58 +144,6 @@ fn full_campaign_reproduces_committed_results() {
 }
 
 #[test]
-fn analytic_figures_regenerate() {
-    let _lock = env_lock();
-    let g = EnvGuard::new("analytic");
-    opm_bench::figures::fig01_gemm_pdf();
-    opm_bench::figures::fig04_ai_spectrum();
-    opm_bench::figures::fig05_roofline();
-    opm_bench::figures::fig06_stepping_model();
-    opm_bench::figures::fig28_29_guidelines();
-    opm_bench::figures::fig30_hw_tuning();
-    g.csv("fig01_gemm_pdf");
-    g.csv("fig04_ai_spectrum");
-    g.csv("fig05_roofline_broadwell");
-    g.csv("fig05_roofline_knl_kernels");
-    g.csv("fig06a_stepping_single");
-    g.csv("fig06b_stepping_multi");
-    g.csv("fig28_edram_guideline");
-    g.csv("fig29_mcdram_guideline");
-    g.csv("fig30_hw_tuning");
-}
-
-#[test]
-fn kernel_figures_regenerate() {
-    let _lock = env_lock();
-    let g = EnvGuard::new("kernels");
-    use opm_core::Machine;
-    use opm_kernels::{KernelId, SparseKernelId};
-    opm_bench::figures::dense_heatmap(KernelId::Gemm, Machine::Broadwell, "fig07_gemm_broadwell");
-    opm_bench::figures::dense_heatmap(KernelId::Cholesky, Machine::Knl, "fig16_cholesky_knl");
-    opm_bench::figures::sparse_figure(
-        SparseKernelId::Spmv,
-        Machine::Broadwell,
-        "fig09_spmv_broadwell",
-    );
-    opm_bench::figures::sparse_figure(SparseKernelId::Sptrsv, Machine::Knl, "fig19_sptrsv_knl");
-    opm_bench::figures::curve_figure(KernelId::Stream, Machine::Knl, "fig23_stream_knl");
-    opm_bench::figures::curve_figure(KernelId::Fft, Machine::Broadwell, "fig14_fft_broadwell");
-    opm_bench::figures::fig20_22_knl_structure();
-    let heat = g.csv("fig07_gemm_broadwell");
-    assert!(heat.lines().next().unwrap().contains("gflops_brd-edram"));
-    g.csv("fig16_cholesky_knl");
-    let spmv = g.csv("fig09_spmv_broadwell");
-    assert_eq!(spmv.lines().count() - 1, 30, "one row per corpus matrix");
-    g.csv("fig09_spmv_broadwell_structure");
-    g.csv("fig19_sptrsv_knl");
-    g.csv("fig23_stream_knl");
-    g.csv("fig14_fft_broadwell");
-    g.csv("fig20_spmv_knl_structure");
-    g.csv("fig21_sptrans_knl_structure");
-    g.csv("fig22_sptrsv_knl_structure");
-}
-
-#[test]
 fn tables_power_and_extensions_regenerate() {
     let _lock = env_lock();
     let g = EnvGuard::new("tables");
@@ -197,15 +152,20 @@ fn tables_power_and_extensions_regenerate() {
     opm_bench::figures::power_figure(Machine::Knl, "fig27_power_knl");
     opm_bench::figures::table4_edram_summary();
     opm_bench::figures::table5_mcdram_summary();
-    // The power figures and every study CSV are independent of the
-    // corpus size, so they must equal the committed full-run copies.
+    // The power figures, the tables and every study CSV must equal the
+    // committed full-run copies.
     g.same_as_committed("fig26_power_broadwell");
     g.same_as_committed("fig27_power_knl");
     let t4 = g.csv("table4_edram_summary");
     assert_eq!(t4.lines().count() - 1, 8, "eight kernels");
-    g.csv("table5_mcdram_flat_summary");
-    g.csv("table5_mcdram_cache_summary");
-    g.csv("table5_mcdram_hybrid_summary");
+    for table in [
+        "table4_edram_summary",
+        "table5_mcdram_flat_summary",
+        "table5_mcdram_cache_summary",
+        "table5_mcdram_hybrid_summary",
+    ] {
+        g.same_as_committed(table);
+    }
     // The text renditions exist too.
     assert!(g.dir.join("table4_edram_summary.txt").exists());
     // Every `opm study` writes its CSV(s), named after the study.

@@ -5,7 +5,7 @@
 //! and whichever thread runs which stage — span paths encode structure,
 //! not scheduling, and counter increments commute.
 //!
-//! Acceptance: a reduced `--telemetry=full` campaign over two figures
+//! Acceptance: a `--telemetry=full` campaign over two figures
 //! must produce a JSONL trace whose every line parses as a strict JSON
 //! trace event, one root span per figure, and a Prometheus dump whose memsim
 //! counters reconcile (first-level hits + misses == total accesses).
@@ -154,10 +154,8 @@ fn acceptance_env() -> PathBuf {
     static INIT: Once = Once::new();
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("telemetry_accept");
     INIT.call_once(|| {
-        std::env::set_var("OPM_REDUCED", "1");
         std::env::set_var("OPM_TELEMETRY", "full");
         std::env::set_var("OPM_RUN_ID", "itest");
-        std::env::remove_var("OPM_CORPUS");
         std::fs::create_dir_all(&dir).expect("create results dir");
         std::env::set_var("OPM_RESULTS", &dir);
     });
@@ -213,7 +211,10 @@ fn full_telemetry_campaign_writes_reconciling_trace_and_prom() {
         "run_end marker missing"
     );
     // One root span per figure, ended with status + point counts.
-    for (fig, points) in [("fig12_stream_broadwell", "42"), ("fig23_stream_knl", "84")] {
+    for (fig, points) in [
+        ("fig12_stream_broadwell", "128"),
+        ("fig23_stream_knl", "256"),
+    ] {
         let end = events
             .iter()
             .find(|ev| {
@@ -236,7 +237,7 @@ fn full_telemetry_campaign_writes_reconciling_trace_and_prom() {
         .rev()
         .find(|ev| field(ev, "name") == "opm_points_total" && field(ev, "ph") == "C")
         .and_then(|ev| ev.root().get("args")?.get("value")?.as_u64());
-    assert_eq!(points_total, Some(126));
+    assert_eq!(points_total, Some(384));
 
     // --- the Prometheus dump ---
     let prom_path = dir.join("telemetry").join("metrics.prom");
@@ -250,7 +251,7 @@ fn full_telemetry_campaign_writes_reconciling_trace_and_prom() {
             .map(|(_, _, v)| *v)
             .unwrap_or_else(|| panic!("missing {metric}{{{labels}}}"))
     };
-    assert_eq!(value("opm_points_total", ""), 126);
+    assert_eq!(value("opm_points_total", ""), 384);
     // The memsim reconciliation identity on the aggregated counters:
     // every access enters the first chain level (L2 on both machines),
     // so its hits + misses must equal the total access count.
@@ -288,7 +289,7 @@ fn full_telemetry_campaign_writes_reconciling_trace_and_prom() {
         .collect();
     // Every evaluated point was observed exactly once, under a
     // figure>stage path label, covering both figure families.
-    assert_eq!(hists.iter().map(|h| h.count).sum::<u64>(), 126);
+    assert_eq!(hists.iter().map(|h| h.count).sum::<u64>(), 384);
     for fig in ["fig12_stream_broadwell", "fig23_stream_knl"] {
         assert!(
             hists.iter().any(|h| h.labels.contains(fig)),
